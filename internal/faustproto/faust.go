@@ -404,7 +404,7 @@ func (c *Client) integrateVersion(from int, sv wire.SignedVersion) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if notify != nil {
-		c.events.Record(obs.EventStabilityCut, c.id, "", fmt.Sprintf("W=%v", notify))
+		c.events.RecordCut(c.id, notify)
 		if c.onStable != nil {
 			c.onStable(notify)
 		}

@@ -756,9 +756,7 @@ func (s *Store) remoteKeys(ctx context.Context, rr *rootRecord) ([]string, error
 				if !n.leaf {
 					return nil, errors.New("kv: tree shape mismatch")
 				}
-				for i := range n.entries {
-					keys = append(keys, n.entries[i].Key)
-				}
+				keys = treeKeys(n, keys)
 			}
 			for i := 1; i < len(keys); i++ {
 				if keys[i] <= keys[i-1] {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"faust/internal/crypto"
 )
@@ -73,13 +74,15 @@ func appendEntry(buf []byte, e *entry) []byte {
 }
 
 // readEntry parses one leaf entry, validating the shape constraints
-// shared with Put (key length, chunk count, size/chunk consistency).
-func readEntry(r *reader) (entry, error) {
+// shared with Put (key length, chunk count, size/chunk consistency). The
+// chunk headers are carved from arena, the node's one header allocation
+// (sized by decodeNode); the key and hashes alias the blob.
+func readEntry(r *reader, arena *[][]byte) (entry, error) {
 	klen := r.u32()
 	if r.err != nil || klen == 0 || klen > MaxKeyLen {
 		return entry{}, fmt.Errorf("%w: key length", errCodec)
 	}
-	key := string(r.take(int(klen)))
+	key := r.str(int(klen))
 	size := r.i64()
 	nchunks := r.u32()
 	if r.err != nil || size < 0 || nchunks > maxChunksPerValue {
@@ -88,12 +91,18 @@ func readEntry(r *reader) (entry, error) {
 	if (size == 0) != (nchunks == 0) {
 		return entry{}, fmt.Errorf("%w: chunk count %d inconsistent with size %d", errCodec, nchunks, size)
 	}
-	chunks := make([][]byte, nchunks)
-	for j := range chunks {
-		chunks[j] = r.take(crypto.HashSize)
+	if int(nchunks) > len(r.data)/crypto.HashSize {
+		return entry{}, fmt.Errorf("%w: chunk list longer than the blob", errCodec)
 	}
-	if r.err != nil {
-		return entry{}, r.err
+	// The arena holds every hash a well-formed blob can carry, so this
+	// never grows it; the cap keeps one entry's list off its neighbour's.
+	start := len(*arena)
+	for j := uint32(0); j < nchunks; j++ {
+		*arena = append(*arena, r.take(crypto.HashSize))
+	}
+	var chunks [][]byte
+	if nchunks > 0 {
+		chunks = (*arena)[start:len(*arena):len(*arena)]
 	}
 	return entry{Key: key, Size: size, Chunks: chunks}, nil
 }
@@ -130,15 +139,31 @@ func (r *reader) i64() int64 {
 	return v
 }
 
+// take returns the next n bytes as a capacity-capped sub-slice of the
+// blob: no allocation, no copy (see decodeNode for the ownership rule).
+//
+//faustlint:hotpath
 func (r *reader) take(n int) []byte {
 	if r.err != nil || n < 0 || len(r.data) < n {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.data[:n])
+	out := r.data[:n:n]
 	r.data = r.data[n:]
 	return out
+}
+
+// str is take for keys: a string header over the blob's bytes. Sound
+// because a decoded blob is never written again (decodeNode's contract),
+// which is exactly the immutability a Go string promises.
+//
+//faustlint:hotpath
+func (r *reader) str(n int) string {
+	b := r.take(n)
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // rootRecord is the value the owner writes into its fail-aware register:
@@ -181,7 +206,9 @@ func encodeRoot(rr *rootRecord) []byte {
 
 // decodeRoot parses a register value as a KV root record and validates
 // its internal consistency (an empty namespace must carry the empty
-// root and zero height; a non-empty one a plausible height).
+// root and zero height; a non-empty one a plausible height). The
+// record's RootHash aliases data; the caller hands over a buffer it
+// never reuses (a ReadX result is the reader's own copy).
 func decodeRoot(data []byte) (*rootRecord, error) {
 	if len(data) != rootRecordSize || string(data[:len(rootMagic)]) != rootMagic {
 		return nil, fmt.Errorf("%w: register does not hold a KV root record", errCodec)

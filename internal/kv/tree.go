@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"faust/internal/crypto"
 )
@@ -346,13 +347,15 @@ func treeFind(root *node, key string) (*entry, bool) {
 }
 
 // treeKeys collects the keys of a fully loaded tree in sorted order.
+// The keys leave the package, so they are cloned: a decoded key aliases
+// its node blob, and a listing the application keeps must not pin the tree.
 func treeKeys(root *node, out []string) []string {
 	if root == nil {
 		return out
 	}
 	if root.leaf {
 		for i := range root.entries {
-			out = append(out, root.entries[i].Key)
+			out = append(out, strings.Clone(root.entries[i].Key))
 		}
 		return out
 	}
@@ -432,6 +435,13 @@ func encodeNode(n *node) []byte {
 // (strictly increasing keys / separator keys), exact hash sizes, and
 // per-entry shape constraints. Decoded nodes carry no child pointers;
 // readers follow the hashes.
+//
+// Ownership: decodeNode takes over data. Keys, chunk hashes and child
+// hashes of the returned node alias the blob, so a node costs a constant
+// number of allocations whatever its fan-out and the caller must never
+// write to or reuse the buffer (getNode hands over the blob it just
+// fetched). A retained entry pins at most the one node blob it came from;
+// keys that leave the package are cloned.
 func decodeNode(data []byte) (*node, error) {
 	if len(data) >= len(leafMagic) && string(data[:len(leafMagic)]) == leafMagic {
 		r := &reader{data: data[len(leafMagic):]}
@@ -444,9 +454,13 @@ func decodeNode(data []byte) (*node, error) {
 			return nil, fmt.Errorf("%w: leaf entry count", errCodec)
 		}
 		entries := make([]entry, 0, cnt)
+		// One header array for every entry's chunk list: an entry spends
+		// at least EncodedEntrySize(1, 0) bytes outside its hashes, which
+		// bounds the hashes the blob can hold (slack: a header per 32 key bytes).
+		arena := make([][]byte, 0, (len(r.data)-int(cnt)*EncodedEntrySize(1, 0))/crypto.HashSize)
 		prev := ""
 		for i := uint32(0); i < cnt; i++ {
-			e, err := readEntry(r)
+			e, err := readEntry(r, &arena)
 			if err != nil {
 				return nil, err
 			}
@@ -477,7 +491,7 @@ func decodeNode(data []byte) (*node, error) {
 			if r.err != nil || klen == 0 || klen > MaxKeyLen {
 				return nil, fmt.Errorf("%w: separator key length", errCodec)
 			}
-			minKey := string(r.take(int(klen)))
+			minKey := r.str(int(klen))
 			count := r.u32()
 			nbytes := r.i64()
 			hash := r.take(crypto.HashSize)

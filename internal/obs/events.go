@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +59,10 @@ type Event struct {
 	Client int       `json:"client"`
 	Shard  string    `json:"shard,omitempty"`
 	Detail string    `json:"detail,omitempty"`
+
+	// cut is a RecordCut event's stability cut, held in the ring slot's
+	// own storage and rendered into Detail by Snapshot.
+	cut []int64
 }
 
 // DefaultEventCap is the ring capacity used when none is given.
@@ -111,39 +116,73 @@ func (l *EventLog) Record(kind EventKind, client int, shard, detail string) Even
 	if !enabled.Load() {
 		return Event{}
 	}
-	cv, _ := l.counts.LoadOrStore(kind, new(atomic.Int64))
+	l.mu.Lock()
+	e := *l.stamp(kind, client, shard, detail)
+	l.mu.Unlock()
+	e.cut = nil // ring storage: must not escape the lock
+	return e
+}
+
+// RecordCut appends a stability-cut-advance event carrying the new cut W.
+// Cuts advance about once per operation and the log is read rarely, so
+// the detail ("W=[...]") is rendered by Snapshot, not here; cut is copied
+// into the ring slot's reused storage and stays the caller's.
+func (l *EventLog) RecordCut(client int, cut []int64) {
+	if !enabled.Load() {
+		return
+	}
+	l.mu.Lock()
+	e := l.stamp(EventStabilityCut, client, "", "")
+	e.cut = append(e.cut[:0], cut...)
+	l.mu.Unlock()
+}
+
+// stamp fills the next ring slot and bumps the kind's lifetime counter
+// (allocated the first time a kind is seen). The slot keeps its cut
+// buffer for reuse. Caller holds l.mu.
+func (l *EventLog) stamp(kind EventKind, client int, shard, detail string) *Event {
+	cv, ok := l.counts.Load(kind)
+	if !ok {
+		cv, _ = l.counts.LoadOrStore(kind, new(atomic.Int64))
+	}
 	cv.(*atomic.Int64).Add(1)
 
-	l.mu.Lock()
 	l.seq++
-	e := Event{
+	e := &l.buf[l.next]
+	*e = Event{
 		Seq:    l.seq,
 		Time:   l.now(),
 		Kind:   kind,
 		Client: client,
 		Shard:  shard,
 		Detail: detail,
+		cut:    e.cut[:0],
 	}
-	l.buf[l.next] = e
 	l.next++
 	if l.next == l.cap {
 		l.next = 0
 		l.full = true
 	}
-	l.mu.Unlock()
 	return e
 }
 
-// Snapshot returns the retained events oldest-first.
+// Snapshot returns the retained events oldest-first, with the details of
+// stability-cut events rendered.
 func (l *EventLog) Snapshot() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.full {
-		return append([]Event(nil), l.buf[:l.next]...)
+	var out []Event
+	if l.full {
+		out = append(make([]Event, 0, l.cap), l.buf[l.next:]...)
 	}
-	out := make([]Event, 0, l.cap)
-	out = append(out, l.buf[l.next:]...)
 	out = append(out, l.buf[:l.next]...)
+	for i := range out {
+		e := &out[i]
+		if len(e.cut) > 0 {
+			e.Detail = fmt.Sprintf("W=%v", e.cut)
+		}
+		e.cut = nil // ring storage: must not escape the lock
+	}
 	return out
 }
 

@@ -176,6 +176,43 @@ func TestEventLogRingAndCounts(t *testing.T) {
 	}
 }
 
+// TestEventLogCutsRenderAtReadTime: a stability-cut event is stored as
+// the cut itself (copied into the ring slot's reused storage, so the
+// caller keeps its slice) and reads as "W=[...]"; a slot that held a cut
+// does not leak it into the plain event that overwrites it.
+func TestEventLogCutsRenderAtReadTime(t *testing.T) {
+	l := NewEventLog(2)
+	cut := []int64{3, 1, 4}
+	l.RecordCut(7, cut)
+	cut[0] = 99 // the log took a copy
+	l.RecordCut(7, []int64{5, 9, 2})
+	snap := l.Snapshot()
+	if len(snap) != 2 || snap[0].Detail != "W=[3 1 4]" || snap[1].Detail != "W=[5 9 2]" ||
+		snap[0].Kind != EventStabilityCut || snap[0].Client != 7 {
+		t.Fatalf("cut events read back as %+v", snap)
+	}
+	if got := l.Total(EventStabilityCut); got != 2 {
+		t.Fatalf("stability-cut total = %d, want 2", got)
+	}
+	l.Record(EventFail, 1, "", "plain") // overwrites the first cut's slot
+	if snap = l.Snapshot(); snap[1].Detail != "plain" {
+		t.Fatalf("a plain event inherited its slot's old cut: %+v", snap[1])
+	}
+}
+
+// TestAllocBudgetEventLog: neither record path allocates in steady state.
+// Runs without -race in CI (race instrumentation changes alloc counts).
+func TestAllocBudgetEventLog(t *testing.T) {
+	l := NewEventLog(4)
+	steady := []int64{1, 2, 3}
+	if got := testing.AllocsPerRun(100, func() { l.RecordCut(0, steady) }); got != 0 {
+		t.Errorf("RecordCut costs %.0f allocations per call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { l.Record(EventFail, 0, "", "x") }); got != 0 {
+		t.Errorf("Record costs %.0f allocations per call, want 0", got)
+	}
+}
+
 func TestEventLogConcurrentSeqOrder(t *testing.T) {
 	l := NewEventLog(1024)
 	var wg sync.WaitGroup

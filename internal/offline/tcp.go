@@ -139,11 +139,10 @@ func (m *TCPMesh) Close() {
 }
 
 func (m *TCPMesh) frame(msg wire.Message) []byte {
-	payload := wire.Encode(msg)
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)+4))
+	frame := make([]byte, 8, 256)
 	binary.BigEndian.PutUint32(frame[4:], uint32(m.id))
-	copy(frame[8:], payload)
+	frame = wire.AppendEncode(frame, msg)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	return frame
 }
 

@@ -359,6 +359,11 @@ func scanRecords(data []byte, collect bool) ([]Record, []int64) {
 		if crc32.Checksum(payload, crcTable) != sum {
 			break // bit rot or torn write inside the record
 		}
+		if collect {
+			// Decoding aliases its input and a collected record lives on in
+			// server state: a buffer per record pins a record, not the segment.
+			payload = append([]byte(nil), payload...)
+		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			break // framing intact but content undecodable: treat as torn

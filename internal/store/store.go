@@ -55,13 +55,14 @@ func EncodeRecord(rec Record) ([]byte, error) {
 	default:
 		return nil, ErrBadRecord
 	}
-	body := wire.Encode(rec.Msg)
-	buf := make([]byte, 4, 4+len(body))
+	buf := make([]byte, 4, 128)
 	binary.BigEndian.PutUint32(buf, uint32(rec.From))
-	return append(buf, body...), nil
+	return wire.AppendEncode(buf, rec.Msg), nil
 }
 
-// DecodeRecord parses an encoding produced by EncodeRecord.
+// DecodeRecord parses an encoding produced by EncodeRecord. Like
+// wire.Decode it takes over data: the record's message aliases the
+// buffer, which the caller must never write to or reuse.
 func DecodeRecord(data []byte) (Record, error) {
 	if len(data) < 4 {
 		return Record{}, ErrBadRecord

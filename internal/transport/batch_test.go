@@ -461,7 +461,7 @@ func waitFIFOLen(t *testing.T, q *fifo[envelope], n int) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		q.mu.Lock()
-		have := len(q.items)
+		have := q.n
 		q.mu.Unlock()
 		if have >= n {
 			return

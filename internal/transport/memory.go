@@ -18,8 +18,8 @@ import (
 type Network struct {
 	n        int
 	core     ServerCore
-	inbox    *envelopeQueue
-	outboxes []*queue
+	inbox    *fifo[envelope]
+	outboxes []*fifo[wire.Message]
 	links    []*memoryLink
 
 	metrics  bool
@@ -83,20 +83,15 @@ func WithMaxBatch(n int) Option {
 	return func(nw *Network) { nw.maxBatch = n }
 }
 
-// envelopeQueue is an unbounded FIFO of envelopes with blocking pop.
-type envelopeQueue = fifo[envelope]
-
-func newEnvelopeQueue() *envelopeQueue { return newFIFO[envelope]() }
-
 // memoryLink is the client-side endpoint of an in-memory FIFO channel.
 type memoryLink struct {
 	nw     *Network
 	id     int
-	in     *queue // server -> client
+	in     *fifo[wire.Message] // server -> client
 	closed atomic.Bool
 	// sendQ serializes this client's messages through the optional delay
 	// pump so per-client FIFO order survives randomized delays.
-	sendQ *envelopeQueue
+	sendQ *fifo[envelope]
 }
 
 var _ Link = (*memoryLink)(nil)
@@ -107,8 +102,8 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 	nw := &Network{
 		n:        n,
 		core:     core,
-		inbox:    newEnvelopeQueue(),
-		outboxes: make([]*queue, n),
+		inbox:    newFIFO[envelope](),
+		outboxes: make([]*fifo[wire.Message], n),
 		links:    make([]*memoryLink, n),
 		maxBatch: DefaultMaxBatch,
 	}
@@ -116,11 +111,11 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 		o(nw)
 	}
 	for i := 0; i < n; i++ {
-		nw.outboxes[i] = newQueue()
+		nw.outboxes[i] = newFIFO[wire.Message]()
 		nw.links[i] = &memoryLink{nw: nw, id: i, in: nw.outboxes[i]}
 		if nw.delayMax > 0 {
 			l := nw.links[i]
-			l.sendQ = newEnvelopeQueue()
+			l.sendQ = newFIFO[envelope]()
 			nw.pumpGate.Add(1)
 			go nw.delayPump(l)
 		}
@@ -142,7 +137,10 @@ func (nw *Network) push(to int, m wire.Message) error {
 		atomic.AddInt64(&nw.stats.ServerToClientMsgs, 1)
 		atomic.AddInt64(&nw.stats.ServerToClientBytes, int64(wire.EncodedSize(m)))
 	}
-	return nw.outboxes[to].push(m)
+	if !nw.outboxes[to].push(m) {
+		return ErrClosed
+	}
+	return nil
 }
 
 // delayPump moves one client's messages into the server inbox after a
@@ -193,7 +191,7 @@ func (nw *Network) sendReply(to int, m wire.Message) {
 		atomic.AddInt64(&nw.stats.ServerToClientMsgs, 1)
 		atomic.AddInt64(&nw.stats.ServerToClientBytes, int64(wire.EncodedSize(m)))
 	}
-	if err := nw.outboxes[to].push(m); err != nil {
+	if !nw.outboxes[to].push(m) {
 		nw.dropped.Add(1)
 	}
 }
@@ -207,7 +205,7 @@ func (nw *Network) sendReplies(to int, msgs []wire.Message) {
 		}
 		atomic.AddInt64(&nw.stats.ServerToClientBytes, bytes)
 	}
-	if err := nw.outboxes[to].pushAll(msgs); err != nil {
+	if !nw.outboxes[to].pushAll(msgs) {
 		nw.dropped.Add(int64(len(msgs)))
 	}
 }
@@ -295,7 +293,11 @@ func (l *memoryLink) Send(m wire.Message) error {
 
 // Recv blocks for the next server message.
 func (l *memoryLink) Recv() (wire.Message, error) {
-	return l.in.pop()
+	m, ok := l.in.pop()
+	if !ok {
+		return nil, ErrClosed
+	}
+	return m, nil
 }
 
 // Close closes only this client's endpoint; the rest of the network keeps

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -76,17 +77,28 @@ func writeFrame(conn net.Conn, payload []byte) error {
 	return err
 }
 
-func readFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+// readFrame reads one length-prefixed frame through the connection's
+// buffered reader, so a frame — and whatever the peer sent right behind
+// it, such as the next SUBMIT after a COMMIT — costs one read syscall,
+// not two. A connection has exactly one reader, created before its first
+// frame: bytes buffered past a frame must not be stranded. The payload is
+// a fresh buffer per frame because wire.Decode takes it over.
+//
+//faustlint:hotpath
+func readFrame(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
+		//faustlint:ignore hotpathalloc oversize-frame rejection path; the connection is torn down right after
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
+	_, _ = br.Discard(4) // cannot fail: Peek buffered these bytes
+	//faustlint:ignore hotpathalloc the frame's one buffer, handed over to wire.Decode and aliased by the message
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
@@ -576,7 +588,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	if s.handshakeTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
 	}
-	hello, err := readFrame(conn)
+	br := bufio.NewReader(conn)
+	hello, err := readFrame(br)
 	if err != nil {
 		s.dropPending(conn)
 		_ = conn.Close()
@@ -584,7 +597,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	if len(hello) >= 4 && bytes.Equal(hello[:4], blobMagic[:]) {
-		s.serveBlobConn(conn, hello)
+		s.serveBlobConn(conn, br, hello)
 		return
 	}
 	name, id, v2, err := parseHello(hello)
@@ -637,7 +650,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -666,8 +679,9 @@ func parseBlobHello(hello []byte) (shardName string, err error) {
 
 // serveBlobConn runs one bulk blob-channel connection: resolve the named
 // shard's blob store, ack, then serve BLOB_PUT/BLOB_GET requests directly
-// on this goroutine. The caller has already read the hello frame.
-func (s *TCPServer) serveBlobConn(conn net.Conn, hello []byte) {
+// on this goroutine. The caller has already read the hello frame through
+// br, the connection's reader.
+func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte) {
 	var bs BlobStore
 	name, err := parseBlobHello(hello)
 	if err == nil {
@@ -704,7 +718,7 @@ func (s *TCPServer) serveBlobConn(conn net.Conn, hello []byte) {
 
 	var wmu sync.Mutex
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -772,6 +786,7 @@ func (s *TCPServer) dispatchQueue(q *fifo[envelope]) {
 // tcpLink is the client-side Link over one TCP connection.
 type tcpLink struct {
 	conn net.Conn
+	br   *bufio.Reader // the connection's one reader; guarded by rmu
 	wmu  sync.Mutex
 	rmu  sync.Mutex
 }
@@ -793,7 +808,7 @@ func DialTCP(addr string, id int) (Link, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
-	return &tcpLink{conn: conn}, nil
+	return &tcpLink{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // DialTCPShard connects client id to the named shard of a TCPServer at
@@ -820,7 +835,8 @@ func DialTCPShard(addr, shard string, id int) (Link, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
-	ack, err := readFrame(conn)
+	br := bufio.NewReader(conn)
+	ack, err := readFrame(br)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake ack: %w", err)
@@ -833,7 +849,7 @@ func DialTCPShard(addr, shard string, id int) (Link, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: server rejected handshake: %s", ack[1:])
 	}
-	return &tcpLink{conn: conn}, nil
+	return &tcpLink{conn: conn, br: br}, nil
 }
 
 // DialTCPBlob opens a bulk blob channel to the named shard of a
@@ -863,7 +879,8 @@ func DialTCPBlob(addr, shard string) (BlobChannel, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: blob handshake: %w", err)
 	}
-	ack, err := readFrame(conn)
+	br := bufio.NewReader(conn)
+	ack, err := readFrame(br)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: blob handshake ack: %w", err)
@@ -877,7 +894,7 @@ func DialTCPBlob(addr, shard string) (BlobChannel, error) {
 		return nil, fmt.Errorf("transport: server rejected blob channel: %s", ack[1:])
 	}
 	c := &tcpBlobChannel{conn: conn, pending: make(map[uint32]chan wire.Message)}
-	go c.readLoop()
+	go c.readLoop(br)
 	return c, nil
 }
 
@@ -900,9 +917,9 @@ var _ BlobChannel = (*tcpBlobChannel)(nil)
 
 // readLoop is the demultiplexer: it reads response frames until the
 // connection dies and hands each to the caller waiting on its request ID.
-func (c *tcpBlobChannel) readLoop() {
+func (c *tcpBlobChannel) readLoop(br *bufio.Reader) {
 	for {
-		payload, err := readFrame(c.conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			c.fail(fmt.Errorf("transport: blob recv: %w", err))
 			return
@@ -1062,7 +1079,7 @@ func (l *tcpLink) Send(m wire.Message) error {
 func (l *tcpLink) Recv() (wire.Message, error) {
 	l.rmu.Lock()
 	defer l.rmu.Unlock()
-	payload, err := readFrame(l.conn)
+	payload, err := readFrame(l.br)
 	if err != nil {
 		return nil, fmt.Errorf("transport: recv: %w", err)
 	}

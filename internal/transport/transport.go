@@ -67,68 +67,6 @@ type GenericCore interface {
 	AttachPusher(push func(to int, m wire.Message) error)
 }
 
-// queue is an unbounded FIFO of messages with blocking Pop.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []wire.Message
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) push(m wire.Message) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.items = append(q.items, m)
-	q.cond.Signal()
-	return nil
-}
-
-// pushAll appends a batch of messages atomically — one lock round and
-// one wake-up for a whole batch of coalesced replies.
-func (q *queue) pushAll(ms []wire.Message) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.items = append(q.items, ms...)
-	q.cond.Broadcast()
-	return nil
-}
-
-// pop blocks until an item is available or the queue closes. Items
-// already queued at close time are still delivered (reliable channel).
-func (q *queue) pop() (wire.Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return nil, ErrClosed
-	}
-	m := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return m, nil
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
 // envelope tags a message with its sender and destination for a server
 // inbox. sink is the transport-specific runtime (a TCP shard, the
 // in-memory network) the batched dispatcher applies the message against —
@@ -142,15 +80,20 @@ type envelope struct {
 	enq  time.Time
 }
 
-// fifo is an unbounded FIFO with blocking pop, shared by the in-memory
-// network's envelope inbox and the TCP server's per-shard inboxes. push
-// returns false once the queue is closed; pop blocks until an item is
-// available or the queue closes (items queued before close are still
-// delivered — reliable channel).
+// fifo is the one queue of the transport layer: an unbounded FIFO with
+// blocking pop over a ring buffer, used for the in-memory network's
+// inbox, outboxes and delay pumps and for the TCP server's per-shard
+// inboxes. The ring doubles when full and is otherwise reused in place,
+// so a queue in steady state allocates nothing. push returns false once
+// the queue is closed; pop blocks until an item is available or the queue
+// closes (items queued before close are still delivered — reliable
+// channel).
 type fifo[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []T
+	ring   []T // len is zero or a power of two
+	head   int // index of the oldest item
+	n      int // items queued
 	closed bool
 }
 
@@ -160,30 +103,67 @@ func newFIFO[T any]() *fifo[T] {
 	return q
 }
 
+// put appends v, doubling the ring when it is full. Caller holds q.mu.
+func (q *fifo[T]) put(v T) {
+	if q.n == len(q.ring) {
+		grown := make([]T, max(8, 2*len(q.ring)))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = v
+	q.n++
+}
+
+// drop forgets the k oldest items, zeroing their slots so the ring does
+// not keep delivered messages alive. Caller holds q.mu.
+func (q *fifo[T]) drop(k int) {
+	var zero T
+	for i := 0; i < k; i++ {
+		q.ring[(q.head+i)&(len(q.ring)-1)] = zero
+	}
+	q.head = (q.head + k) & (len(q.ring) - 1)
+	q.n -= k
+}
+
 func (q *fifo[T]) push(v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.put(v)
 	q.cond.Signal()
+	return true
+}
+
+// pushAll appends a batch of items atomically — one lock round and one
+// wake-up for a whole batch of coalesced replies.
+func (q *fifo[T]) pushAll(vs []T) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	for _, v := range vs {
+		q.put(v)
+	}
+	q.cond.Broadcast()
 	return true
 }
 
 func (q *fifo[T]) pop() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	var zero T
-	if len(q.items) == 0 {
+	if q.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.ring[q.head]
+	q.drop(1)
 	return v, true
 }
 
@@ -197,22 +177,21 @@ func (q *fifo[T]) pop() (T, bool) {
 func (q *fifo[T]) popBatch(max int, buf []T) ([]T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	n := len(q.items)
-	if n == 0 {
+	k := q.n
+	if k == 0 {
 		return buf, false
 	}
-	if max > 0 && n > max {
-		n = max
+	if max > 0 && k > max {
+		k = max
 	}
-	buf = append(buf, q.items[:n]...)
-	var zero T
-	for i := 0; i < n; i++ {
-		q.items[i] = zero
-	}
-	q.items = q.items[n:]
+	// The k oldest items are one run of the ring, or two when it wraps.
+	first := min(k, len(q.ring)-q.head)
+	buf = append(buf, q.ring[q.head:q.head+first]...)
+	buf = append(buf, q.ring[:k-first]...)
+	q.drop(k)
 	return buf, true
 }
 

@@ -98,17 +98,33 @@ type Client struct {
 	payload []byte
 	hash    []byte
 
-	// One-entry memo of the last COMMIT-signature known to verify:
-	// (committer, canonical payload, signature). Ed25519 verification is a
-	// pure function, so re-presenting byte-identical inputs needs no second
-	// verification. In steady state the server's SVER[c] is the version
-	// this client just committed (memoized when it signs) or the one it
-	// verified on the previous reply, which removes a full verify from the
-	// hot path without weakening any check: one differing byte falls back
-	// to real verification.
-	memoC       int
-	memoPayload []byte
-	memoSig     []byte
+	// Memos of signatures known to verify. Ed25519 verification is a pure
+	// function, so re-presenting byte-identical (signer, payload,
+	// signature) inputs needs no second verification; one differing byte
+	// falls back to the real thing, so no check is weakened. One slot per
+	// source, so none can evict another: the COMMIT-signature this client
+	// produced last (the server's SVER[c] when uncontended, and SVER[own]
+	// on an own-register read), the last peer COMMIT-signature verified
+	// for real, and the DATA-signature of the operation in flight (what an
+	// own-register read gets back as MEM[own]).
+	ownCommit, peerCommit, ownData sigMemo
+}
+
+// sigMemo remembers one (signer, payload, signature) triple known to
+// verify, in owned buffers reused across operations.
+type sigMemo struct {
+	signer       int
+	payload, sig []byte
+}
+
+func (m *sigMemo) hit(signer int, payload, sig []byte) bool {
+	return m.sig != nil && signer == m.signer && bytes.Equal(payload, m.payload) && bytes.Equal(sig, m.sig)
+}
+
+func (m *sigMemo) set(signer int, payload, sig []byte) {
+	m.signer = signer
+	m.payload = append(m.payload[:0], payload...)
+	m.sig = append(m.sig[:0], sig...)
 }
 
 // ClientOption configures a Client.
@@ -150,7 +166,6 @@ func NewClient(id int, ring *crypto.Keyring, signer *crypto.Signer, link transpo
 		ring:   ring,
 		link:   link,
 		ver:    version.New(ring.N()),
-		memoC:  -1,
 		events: obs.Default().Events(),
 	}
 	for _, o := range opts {
@@ -282,8 +297,7 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 	}
 	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpWrite, c.id, t, tc)
 	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
-	delta := c.signer.Sign(crypto.DomainData, c.payload)
+	delta := c.signData(t)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -345,8 +359,7 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 	t := c.ver.V[c.id] + 1
 	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpRead, j, t, tc)
 	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
-	delta := c.signer.Sign(crypto.DomainData, c.payload)
+	delta := c.signData(t)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -386,6 +399,16 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 		WriterVersion:   reply.JVer.Clone(),
 		WriterTimestamp: reply.Mem.T,
 	}, nil
+}
+
+// signData produces the DATA-signature on (t, xbar) for the operation
+// being submitted and memoizes it: an own-register read is answered with
+// exactly this signature.
+func (c *Client) signData(t int64) []byte {
+	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
+	delta := c.signer.Sign(crypto.DomainData, c.payload)
+	c.ownData.set(c.id, c.payload, delta)
+	return delta
 }
 
 // recvReply waits for the REPLY message. A response of the wrong shape is
@@ -517,7 +540,8 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 	// Line 50: the value integrity check via the DATA-signature.
 	if tj != 0 {
 		c.payload = wire.AppendDataPayload(c.payload[:0], tj, crypto.HashOrNil(xj))
-		if !c.ring.Verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
+		if !c.ownData.hit(j, c.payload, r.Mem.DataSig) &&
+			!c.ring.Verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
 			return c.fail("DATA-signature on returned value invalid (line 50)")
 		}
 	}
@@ -535,26 +559,20 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 }
 
 // verifyCommitSig checks a COMMIT-signature by client i over the payload
-// currently in c.payload, consulting the one-entry verification memo
-// first. A hit is exactly as strong as a fresh verification (same pure
-// function, same inputs); a miss verifies for real and refreshes the memo.
+// currently in c.payload, consulting the verification memos first. A hit
+// is exactly as strong as a fresh verification (same pure function, same
+// inputs); a miss verifies for real and refreshes the peer memo — the own
+// one is written only by commit, so another client's SVER[c] can never
+// evict it.
 func (c *Client) verifyCommitSig(i int, sig []byte) bool {
-	if i == c.memoC && bytes.Equal(c.payload, c.memoPayload) && bytes.Equal(sig, c.memoSig) {
+	if c.ownCommit.hit(i, c.payload, sig) || c.peerCommit.hit(i, c.payload, sig) {
 		return true
 	}
 	if !c.ring.Verify(i, sig, crypto.DomainCommit, c.payload) {
 		return false
 	}
-	c.memoize(i, c.payload, sig)
+	c.peerCommit.set(i, c.payload, sig)
 	return true
-}
-
-// memoize records a (committer, payload, signature) triple known to
-// verify, copying into owned buffers reused across operations.
-func (c *Client) memoize(i int, payload, sig []byte) {
-	c.memoC = i
-	c.memoPayload = append(c.memoPayload[:0], payload...)
-	c.memoSig = append(c.memoSig[:0], sig...)
 }
 
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
@@ -566,7 +584,7 @@ func (c *Client) commit() (wire.SignedVersion, error) {
 	// The client's own signature over its own version trivially verifies;
 	// memoizing it here is what makes the next reply's SVER[c] check a
 	// memo hit in the common uncontended case.
-	c.memoize(c.id, c.payload, phi)
+	c.ownCommit.set(c.id, c.payload, phi)
 	psi := c.signer.Sign(crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received

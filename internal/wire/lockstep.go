@@ -137,7 +137,7 @@ func decodeLockstep(kind Kind, r *reader) Message {
 		s := &LSSubmit{}
 		s.Op = OpCode(r.u8())
 		s.Reg = int(r.u32())
-		s.Value = r.bytes()
+		s.Value = r.value()
 		s.HaveSeq = r.i64()
 		return s
 	case KindLSReply:
@@ -151,7 +151,7 @@ func decodeLockstep(kind Kind, r *reader) Message {
 		for i := range rp.Records {
 			rp.Records[i] = r.lsRecord()
 		}
-		rp.Value = r.bytes()
+		rp.Value = r.value()
 		return rp
 	case KindLSCommit:
 		c := &LSCommit{}

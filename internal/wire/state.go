@@ -68,8 +68,10 @@ func EncodeServerState(st *ServerState) []byte {
 }
 
 // DecodeServerState parses an encoding produced by EncodeServerState.
-// Trailing garbage is rejected; all returned slices are freshly allocated
-// and do not alias data.
+// Trailing garbage is rejected. Like Decode it takes over data: the
+// returned state aliases the buffer everywhere but in the register values
+// (which are copied), so a restored server pins at most the one snapshot
+// it booted from until its entries have been replaced by live traffic.
 func DecodeServerState(data []byte) (*ServerState, error) {
 	r := &reader{data: data}
 	n := r.u32()

@@ -422,6 +422,12 @@ func (r *reader) i64() int64 {
 	return v
 }
 
+// bytes returns the next length-prefixed byte string as a sub-slice of the
+// input buffer — no allocation, no copy — with its capacity capped at its
+// length, so a holder that appends cannot run into the next field. See
+// Decode for the ownership contract.
+//
+//faustlint:hotpath
 func (r *reader) bytes() []byte {
 	n := r.u32()
 	if r.err != nil {
@@ -434,9 +440,20 @@ func (r *reader) bytes() []byte {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.data[:n])
+	out := r.data[:n:n]
 	r.data = r.data[n:]
+	return out
+}
+
+// value decodes a register value, the one field copied out of the input
+// buffer (see Decode). Nil (bottom) and empty stay distinct.
+func (r *reader) value() []byte {
+	b := r.bytes()
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
@@ -513,7 +530,7 @@ func (r *reader) invocation() Invocation {
 func (r *reader) memEntry() MemEntry {
 	var m MemEntry
 	m.T = r.i64()
-	m.Value = r.bytes()
+	m.Value = r.value()
 	m.DataSig = r.bytes()
 	return m
 }
@@ -618,6 +635,16 @@ func EncodedSize(m Message) int {
 
 // Decode parses a message produced by Encode. Trailing garbage is
 // rejected.
+//
+// Ownership: Decode takes over data. The returned message aliases it —
+// signatures, digests, hashes, blob payloads and every M[i] of a version
+// are capacity-capped sub-slices of data, not copies — so the caller must
+// never write to or reuse the buffer: hand Decode one that was read for
+// this message alone. The single exception is register values
+// (Submit.Value, MemEntry.Value, the lock-step values), which are copied:
+// they escape to applications and into long-lived server state and must
+// not pin a frame. Anything else a holder retains pins at most the one
+// frame it arrived in.
 func Decode(data []byte) (Message, error) {
 	if len(data) < 1 {
 		return nil, ErrCodec
@@ -630,7 +657,7 @@ func Decode(data []byte) (Message, error) {
 		s := &Submit{}
 		s.T = r.i64()
 		s.Inv = r.invocation()
-		s.Value = r.bytes()
+		s.Value = r.value()
 		s.DataSig = r.bytes()
 		if r.bool() {
 			c := &Commit{}
