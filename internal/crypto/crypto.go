@@ -9,6 +9,7 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -24,7 +25,7 @@ import (
 // HashSize is the size in bytes of hash values produced by Hash.
 const HashSize = sha256.Size
 
-// Domain tags separate the four signature kinds of Algorithm 1 so that a
+// Domain tags separate the signature kinds of Algorithm 1 so that a
 // signature issued for one purpose can never verify for another.
 const (
 	DomainSubmit byte = 1 // SUBMIT-signature sigma on (opcode, register, timestamp)
@@ -34,6 +35,21 @@ const (
 	// DomainLSChain is used by the lock-step baseline protocol for
 	// signatures over its global hash chain.
 	DomainLSChain byte = 5
+	// DomainPair tags the root of a two-leaf hash tree signed by SignPair.
+	// No protocol payload is ever signed or verified directly under it.
+	DomainPair byte = 6
+)
+
+// PairSigSize is the size of each signature SignPair returns: the shared
+// Ed25519 signature, the leaf's position (0 left, 1 right) and the
+// sibling leaf.
+const PairSigSize = ed25519.SignatureSize + 1 + HashSize
+
+// Leaf and inner-node hashes of the pair tree take different prefixes, so
+// no leaf preimage can pass for a node preimage or the reverse.
+const (
+	pairLeafTag byte = 0x00
+	pairNodeTag byte = 0x01
 )
 
 // scratchPool recycles the concatenation / domain-prefix buffers used by
@@ -119,6 +135,86 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 	return sig
 }
 
+// SignPair signs two domain-separated payloads with one Ed25519
+// operation. It hashes each into a leaf H(0x00‖domain‖payload), signs
+// DomainPair‖H(0x01‖leafA‖leafB) once, and returns two self-contained
+// PairSigSize-byte signatures edsig‖pos‖siblingLeaf that Keyring.Verify
+// accepts independently for (domA, payloadA) and (domB, payloadB). Both
+// are carved from a single allocation. A non-nil memo records the pair
+// as verified for this signer: whoever signed a root need not check it.
+//
+//faustlint:hotpath
+func (s *Signer) SignPair(memo *PairMemo, domA byte, payloadA []byte, domB byte, payloadB []byte) (sigA, sigB []byte) {
+	leafA, leafB := pairLeaf(domA, payloadA), pairLeaf(domB, payloadB)
+	msg := pairMessage(&leafA, &leafB)
+	start := obs.StartTimer()
+	ed := ed25519.Sign(s.key, msg[:])
+	signNs.ObserveSince(start)
+	if memo != nil {
+		memo.set(s.id, &msg, ed)
+	}
+	//faustlint:ignore hotpathalloc the one allocation of a pair: both returned signatures, which escape into messages
+	out := make([]byte, 2*PairSigSize)
+	sigA, sigB = out[:PairSigSize:PairSigSize], out[PairSigSize:]
+	putPairSig(sigA, ed, 0, &leafB)
+	putPairSig(sigB, ed, 1, &leafA)
+	return sigA, sigB
+}
+
+func putPairSig(dst, ed []byte, pos byte, sibling *[HashSize]byte) {
+	copy(dst, ed)
+	dst[ed25519.SignatureSize] = pos
+	copy(dst[ed25519.SignatureSize+1:], sibling[:])
+}
+
+// pairLeaf returns H(0x00‖domain‖payload), one leaf of a pair tree.
+func pairLeaf(domain byte, payload []byte) [HashSize]byte {
+	bp := scratchPool.Get().(*[]byte)
+	buf := append((*bp)[:0], pairLeafTag, domain)
+	buf = append(buf, payload...)
+	leaf := sha256.Sum256(buf)
+	*bp = buf
+	scratchPool.Put(bp)
+	return leaf
+}
+
+// pairMessage returns DomainPair‖H(0x01‖left‖right): the one string the
+// Ed25519 signature of a pair covers.
+func pairMessage(left, right *[HashSize]byte) (msg [1 + HashSize]byte) {
+	var node [1 + 2*HashSize]byte
+	node[0] = pairNodeTag
+	copy(node[1:], left[:])
+	copy(node[1+HashSize:], right[:])
+	root := sha256.Sum256(node[:])
+	msg[0] = DomainPair
+	copy(msg[1:], root[:])
+	return msg
+}
+
+// PairMemo remembers the last pair root known to carry a valid Ed25519
+// signature of one signer, so the second half of a pair costs two
+// SHA-256 calls instead of a verification. Verification is a pure
+// function of (public key, message, signature): a hit requires all three
+// to be byte-identical to a call that returned true, with the message
+// recomputed from the payload under test, so a hit is exactly as strong
+// as verifying again. The zero value is an empty memo. A PairMemo is not
+// safe for concurrent use.
+type PairMemo struct {
+	ok     bool
+	signer int
+	msg    [1 + HashSize]byte
+	sig    [ed25519.SignatureSize]byte
+}
+
+func (m *PairMemo) hit(signer int, msg *[1 + HashSize]byte, ed []byte) bool {
+	return m.ok && m.signer == signer && m.msg == *msg && bytes.Equal(m.sig[:], ed)
+}
+
+func (m *PairMemo) set(signer int, msg *[1 + HashSize]byte, ed []byte) {
+	m.ok, m.signer, m.msg = true, signer, *msg
+	copy(m.sig[:], ed)
+}
+
 // Keyring holds the public keys of all n clients and, optionally, the
 // private key of one of them. All parties (clients and the server, if it
 // chose to verify) share the same public keyring.
@@ -130,24 +226,79 @@ type Keyring struct {
 func (k *Keyring) N() int { return len(k.pubs) }
 
 // Verify checks a signature supposedly issued by client i over the given
-// domain-separated payload. It returns false for out-of-range client
-// indices and malformed signatures rather than panicking: in this protocol
-// a bad signature is evidence of misbehavior, not a programming error.
+// domain-separated payload. Both encodings are accepted, told apart by
+// length: a 64-byte signature must be Ed25519 over domain‖payload; a
+// PairSigSize-byte one (see SignPair) must be Ed25519 over the pair root
+// recomputed from (domain, payload, pos, sibling). Verify returns false
+// for out-of-range client indices and malformed signatures rather than
+// panicking: in this protocol a bad signature is evidence of misbehavior,
+// not a programming error.
 func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
+	return k.VerifyMemo(nil, i, sig, domain, payload)
+}
+
+// VerifyMemo is Verify with a memo for pair signatures: a pair signature
+// whose recomputed root and Ed25519 part equal what memo last saw verify
+// for client i is accepted without a second Ed25519 operation, and a
+// pair signature verified for real refreshes memo. Plain signatures and
+// a nil memo always verify for real.
+func (k *Keyring) VerifyMemo(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
 	if i < 0 || i >= len(k.pubs) {
 		return false
 	}
-	if len(sig) != ed25519.SignatureSize {
+	switch len(sig) {
+	case ed25519.SignatureSize:
+		if domain == DomainPair {
+			return false // roots are only ever reached through a leaf
+		}
+		bp := scratchPool.Get().(*[]byte)
+		msg := append((*bp)[:0], domain)
+		msg = append(msg, payload...)
+		ok := k.verifyEd(i, msg, sig)
+		*bp = msg
+		scratchPool.Put(bp)
+		return ok
+	case PairSigSize:
+		return k.verifyPaired(memo, i, sig, domain, payload)
+	}
+	return false
+}
+
+// verifyPaired is VerifyMemo for a PairSigSize-byte signature of an
+// in-range client.
+//
+//faustlint:hotpath
+func (k *Keyring) verifyPaired(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
+	ed := sig[:ed25519.SignatureSize]
+	leaf := pairLeaf(domain, payload)
+	sibling := (*[HashSize]byte)(sig[ed25519.SignatureSize+1:])
+	var msg [1 + HashSize]byte
+	switch sig[ed25519.SignatureSize] {
+	case 0:
+		msg = pairMessage(&leaf, sibling)
+	case 1:
+		msg = pairMessage(sibling, &leaf)
+	default:
 		return false
 	}
-	bp := scratchPool.Get().(*[]byte)
-	msg := append((*bp)[:0], domain)
-	msg = append(msg, payload...)
+	if memo != nil && memo.hit(i, &msg, ed) {
+		return true
+	}
+	if !k.verifyEd(i, msg[:], ed) {
+		return false
+	}
+	if memo != nil {
+		memo.set(i, &msg, ed)
+	}
+	return true
+}
+
+// verifyEd is the one place an Ed25519 verification happens, so
+// faust_ed25519_verify_ns counts exactly the real ones.
+func (k *Keyring) verifyEd(i int, msg, sig []byte) bool {
 	start := obs.StartTimer()
 	ok := ed25519.Verify(k.pubs[i], msg, sig)
 	verifyNs.ObserveSince(start)
-	*bp = msg
-	scratchPool.Put(bp)
 	return ok
 }
 

@@ -128,7 +128,8 @@ type Client struct {
 	w         []int64
 	userBusy  int
 	dummyReg  int
-	failed    bool
+	failed    bool // fail_i decided: operations halt
+	failDone  bool // fail_i output complete: FAILURE broadcast, handler returned
 	failErr   error
 	stopped   bool
 
@@ -299,7 +300,8 @@ func (c *Client) WaitStableFor(j int, t int64, timeout time.Duration) error {
 	return c.waitCut(timeout, func() bool { return c.w[j] >= t })
 }
 
-// WaitFail blocks until fail_i occurs (returning nil) or the timeout
+// WaitFail blocks until fail_i has occurred — including the fail
+// handler, which has returned by then — (returning nil) or the timeout
 // elapses.
 func (c *Client) WaitFail(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
@@ -311,7 +313,7 @@ func (c *Client) WaitFail(timeout time.Duration) error {
 	defer timer.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.failed {
+	for !c.failDone {
 		if c.stopped || time.Now().After(deadline) {
 			return fmt.Errorf("faust: no failure within %v", timeout)
 		}
@@ -418,7 +420,8 @@ func (c *Client) ustorFailed(err error) {
 
 // failWith outputs fail_i exactly once: records the reason, broadcasts a
 // FAILURE message to all clients (with evidence when the cause is a pair
-// of incomparable versions) and wakes all waiters.
+// of incomparable versions) and wakes all waiters: stability waiters as
+// soon as the client is halted, WaitFail only once the handler has run.
 func (c *Client) failWith(err error, withEvidence bool) {
 	c.failOnce.Do(func() {
 		c.mu.Lock()
@@ -439,6 +442,10 @@ func (c *Client) failWith(err error, withEvidence bool) {
 		if c.onFail != nil {
 			c.onFail(err)
 		}
+		c.mu.Lock()
+		c.failDone = true
+		c.cond.Broadcast()
+		c.mu.Unlock()
 	})
 }
 

@@ -1,7 +1,6 @@
 package ustor
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -95,37 +94,20 @@ type Client struct {
 	// across operations (guarded by mu). They keep the steady-state
 	// operation path free of per-call allocations; everything that escapes
 	// into a message or result is still freshly allocated or cloned.
-	payload []byte
-	hash    []byte
+	// payloadB holds the second payload of a pair being signed; readHash
+	// the hash of a value being read (hash backs xbar and must survive).
+	payload, payloadB []byte
+	hash, readHash    []byte
 
-	// Memos of signatures known to verify. Ed25519 verification is a pure
-	// function, so re-presenting byte-identical (signer, payload,
-	// signature) inputs needs no second verification; one differing byte
-	// falls back to the real thing, so no check is weakened. One slot per
-	// source, so none can evict another: the COMMIT-signature this client
-	// produced last (the server's SVER[c] when uncontended, and SVER[own]
-	// on an own-register read), the last peer COMMIT-signature verified
-	// for real, and the DATA-signature of the operation in flight (what an
-	// own-register read gets back as MEM[own]).
-	ownCommit, peerCommit, ownData sigMemo
+	// memo[k] remembers, per pair kind, the last pair root of client k
+	// known to carry k's valid signature (see crypto.PairMemo). Clients
+	// sign in pairs — (SUBMIT, DATA) and (COMMIT, PROOF) — so whichever
+	// half a reply shows first pays the Ed25519 verification for both,
+	// and the client's own roots enter at signing time.
+	memo []pairMemos
 }
 
-// sigMemo remembers one (signer, payload, signature) triple known to
-// verify, in owned buffers reused across operations.
-type sigMemo struct {
-	signer       int
-	payload, sig []byte
-}
-
-func (m *sigMemo) hit(signer int, payload, sig []byte) bool {
-	return m.sig != nil && signer == m.signer && bytes.Equal(payload, m.payload) && bytes.Equal(sig, m.sig)
-}
-
-func (m *sigMemo) set(signer int, payload, sig []byte) {
-	m.signer = signer
-	m.payload = append(m.payload[:0], payload...)
-	m.sig = append(m.sig[:0], sig...)
-}
+type pairMemos struct{ submit, commit crypto.PairMemo }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -167,6 +149,7 @@ func NewClient(id int, ring *crypto.Keyring, signer *crypto.Signer, link transpo
 		link:   link,
 		ver:    version.New(ring.N()),
 		events: obs.Default().Events(),
+		memo:   make([]pairMemos, ring.N()),
 	}
 	for _, o := range opts {
 		o(c)
@@ -295,9 +278,7 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 		c.hash = crypto.HashInto(c.hash[:0], x)
 		c.xbar = c.hash
 	}
-	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpWrite, c.id, t, tc)
-	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	delta := c.signData(t)
+	sigma, delta := c.signSubmit(wire.OpWrite, c.id, t, tc)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -357,9 +338,7 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 
 	_, hs := trace.Child(ctx, spanSign)
 	t := c.ver.V[c.id] + 1
-	c.payload = wire.AppendSubmitPayload(c.payload[:0], wire.OpRead, j, t, tc)
-	sigma := c.signer.Sign(crypto.DomainSubmit, c.payload)
-	delta := c.signData(t)
+	sigma, delta := c.signSubmit(wire.OpRead, j, t, tc)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -401,14 +380,23 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 	}, nil
 }
 
-// signData produces the DATA-signature on (t, xbar) for the operation
-// being submitted and memoizes it: an own-register read is answered with
-// exactly this signature.
-func (c *Client) signData(t int64) []byte {
-	c.payload = wire.AppendDataPayload(c.payload[:0], t, c.xbar)
-	delta := c.signer.Sign(crypto.DomainData, c.payload)
-	c.ownData.set(c.id, c.payload, delta)
-	return delta
+// signSubmit produces the SUBMIT-signature on (op, reg, t) and the
+// DATA-signature on (t, xbar) of the operation being submitted, as one
+// pair.
+func (c *Client) signSubmit(op wire.OpCode, reg int, t int64, tc *wire.TraceCtx) (sigma, delta []byte) {
+	c.payload = wire.AppendSubmitPayload(c.payload[:0], op, reg, t, tc)
+	c.payloadB = wire.AppendDataPayload(c.payloadB[:0], t, c.xbar)
+	return c.signer.SignPair(&c.memo[c.id].submit, crypto.DomainSubmit, c.payload, crypto.DomainData, c.payloadB)
+}
+
+// verify checks client k's signature over a domain-separated payload
+// through k's memo for the pair that domain is signed in.
+func (c *Client) verify(k int, sig []byte, domain byte, payload []byte) bool {
+	m := &c.memo[k].submit
+	if domain == crypto.DomainCommit || domain == crypto.DomainProof {
+		m = &c.memo[k].commit
+	}
+	return c.ring.VerifyMemo(m, k, sig, domain, payload)
 }
 
 // recvReply waits for the REPLY message. A response of the wrong shape is
@@ -471,7 +459,7 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 	// valid COMMIT-signature by client C_c.
 	if !vc.IsZero() {
 		c.payload = wire.AppendCommitPayload(c.payload[:0], vc)
-		if !c.verifyCommitSig(r.C, r.CVer.Sig) {
+		if !c.verify(r.C, r.CVer.Sig, crypto.DomainCommit, c.payload) {
 			return c.fail("COMMIT-signature on SVER[c] invalid (line 35)")
 		}
 	}
@@ -493,7 +481,7 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 		// Line 41: the previous operation of C_k must be committed and
 		// covered by the PROOF-signature the server presents.
 		if c.ver.M[k] != nil {
-			if !c.ring.Verify(k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
+			if !c.verify(k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
 				return c.fail("PROOF-signature for concurrent operation invalid (line 41)")
 			}
 		}
@@ -508,7 +496,7 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 		// recomputing the payload from the echoed tuple keeps the check
 		// sound whether or not the operation was traced.
 		c.payload = wire.AppendSubmitPayload(c.payload[:0], inv.Op, inv.Reg, c.ver.V[k], inv.Trace)
-		if !c.ring.Verify(k, inv.SubmitSig, crypto.DomainSubmit, c.payload) {
+		if !c.verify(k, inv.SubmitSig, crypto.DomainSubmit, c.payload) {
 			return c.fail("SUBMIT-signature for concurrent operation invalid (line 43)")
 		}
 		// Lines 44-45: extend the digest chain, writing the new digest into
@@ -533,15 +521,19 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 	// Line 49: the writer's version is initial or properly signed by C_j.
 	if !vj.IsZero() {
 		c.payload = wire.AppendCommitPayload(c.payload[:0], vj)
-		if !c.verifyCommitSig(j, r.JVer.Sig) {
+		if !c.verify(j, r.JVer.Sig, crypto.DomainCommit, c.payload) {
 			return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
 		}
 	}
 	// Line 50: the value integrity check via the DATA-signature.
 	if tj != 0 {
-		c.payload = wire.AppendDataPayload(c.payload[:0], tj, crypto.HashOrNil(xj))
-		if !c.ownData.hit(j, c.payload, r.Mem.DataSig) &&
-			!c.ring.Verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
+		var xbar []byte // nil = bottom, as in crypto.HashOrNil
+		if xj != nil {
+			c.readHash = crypto.HashInto(c.readHash[:0], xj)
+			xbar = c.readHash
+		}
+		c.payload = wire.AppendDataPayload(c.payload[:0], tj, xbar)
+		if !c.verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
 			return c.fail("DATA-signature on returned value invalid (line 50)")
 		}
 	}
@@ -558,34 +550,15 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 	return nil
 }
 
-// verifyCommitSig checks a COMMIT-signature by client i over the payload
-// currently in c.payload, consulting the verification memos first. A hit
-// is exactly as strong as a fresh verification (same pure function, same
-// inputs); a miss verifies for real and refreshes the peer memo — the own
-// one is written only by commit, so another client's SVER[c] can never
-// evict it.
-func (c *Client) verifyCommitSig(i int, sig []byte) bool {
-	if c.ownCommit.hit(i, c.payload, sig) || c.peerCommit.hit(i, c.payload, sig) {
-		return true
-	}
-	if !c.ring.Verify(i, sig, crypto.DomainCommit, c.payload) {
-		return false
-	}
-	c.peerCommit.set(i, c.payload, sig)
-	return true
-}
-
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
 // it immediately or defers it to the next SUBMIT (piggyback mode). It
 // returns the signed version for the caller.
 func (c *Client) commit() (wire.SignedVersion, error) {
+	// Memoizing the own root at signing time is what makes the next
+	// reply's SVER[c] check free in the common uncontended case.
 	c.payload = wire.AppendCommitPayload(c.payload[:0], c.ver)
-	phi := c.signer.Sign(crypto.DomainCommit, c.payload)
-	// The client's own signature over its own version trivially verifies;
-	// memoizing it here is what makes the next reply's SVER[c] check a
-	// memo hit in the common uncontended case.
-	c.ownCommit.set(c.id, c.payload, phi)
-	psi := c.signer.Sign(crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
+	phi, psi := c.signer.SignPair(&c.memo[c.id].commit,
+		crypto.DomainCommit, c.payload, crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received
 	// versions without writing through them, and the FAUST layer clones on

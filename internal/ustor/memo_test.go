@@ -1,58 +1,94 @@
 package ustor
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"faust/internal/crypto"
 	"faust/internal/obs"
+	"faust/internal/transport"
 	"faust/internal/wire"
 )
 
-// verifications returns how many Ed25519 verifications the process has
-// performed so far.
-func verifications() int64 {
-	return obs.Default().Histogram("faust_ed25519_verify_ns").Snapshot().Count
+// edOps returns how many Ed25519 signatures and verifications the
+// process has performed so far.
+func edOps() (signs, verifies int64) {
+	r := obs.Default()
+	return r.Histogram("faust_ed25519_sign_ns").Snapshot().Count, r.Histogram("faust_ed25519_verify_ns").Snapshot().Count
 }
 
-// TestOwnSignaturesAreNotReverified: a client never pays an Ed25519
-// verification for a signature it produced itself. On an own-register
-// read the DATA-signature in MEM[own] is the one just signed for the
-// SUBMIT, and SVER[own] is the client's last COMMIT — also when another
-// client's commit went through the memo in between.
-func TestOwnSignaturesAreNotReverified(t *testing.T) {
-	tc := newCluster(t, 2)
-	c0, c1 := tc.clients[0], tc.clients[1]
-	if err := c0.Write([]byte("mine")); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		// c1 commits a new version, so c0's next reply shows SVER[c] = c1's
-		// (one real verification) and SVER[own] = c0's own.
-		if err := c1.Write([]byte("theirs")); err != nil {
-			t.Fatal(err)
+// TestEd25519OpsPerOperation pins what an operation costs in private- and
+// public-key operations. Every operation signs exactly twice — the
+// (SUBMIT, DATA) pair and the (COMMIT, PROOF) pair — and verifies once
+// per pair of another client it has not seen before: whichever half of a
+// pair a reply shows first pays for both, the client's own pairs are
+// free.
+func TestEd25519OpsPerOperation(t *testing.T) {
+	ring, signers := crypto.NewTestKeyring(2, 1234)
+	nw := transport.NewNetwork(2, NewServer(2))
+	t.Cleanup(nw.Stop)
+	c0 := NewClient(0, ring, signers[0], nw.ClientLink(0))
+	// c1 defers its COMMITs, so its last operation stays in L.
+	c1 := NewClient(1, ring, signers[1], nw.ClientLink(1), WithCommitPiggyback())
+
+	step := func(name string, wantVerifies int64, op func() error) {
+		t.Helper()
+		s0, v0 := edOps()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		before := verifications()
-		if v, err := c0.Read(0); err != nil || string(v) != "mine" {
-			t.Fatalf("own read after peer commit: %q, %v", v, err)
+		s1, v1 := edOps()
+		if s1-s0 != 2 {
+			t.Errorf("%s: %d Ed25519 signs, want 2", name, s1-s0)
 		}
-		if got := verifications() - before; got != 1 {
-			t.Errorf("own read after a peer's commit verified %d signatures, want 1 (the peer's COMMIT)", got)
-		}
-		// Uncontended: everything the server shows is the client's own.
-		before = verifications()
-		if _, err := c0.Read(0); err != nil {
-			t.Fatal(err)
-		}
-		if got := verifications() - before; got != 0 {
-			t.Errorf("uncontended own read verified %d signatures, want 0", got)
+		if v1-v0 != wantVerifies {
+			t.Errorf("%s: %d Ed25519 verifies, want %d", name, v1-v0, wantVerifies)
 		}
 	}
+	write := func(c *Client, v string) func() error {
+		return func() error { return c.Write([]byte(v)) }
+	}
+	read := func(c *Client, j int, want string) func() error {
+		return func() error {
+			v, err := c.Read(j)
+			if err == nil && string(v) != want {
+				err = fmt.Errorf("read %q, want %q", v, want)
+			}
+			return err
+		}
+	}
+
+	step("first write: the server shows the zero version", 0, write(c0, "mine"))
+	step("own write: SVER[c] is the own COMMIT", 0, write(c0, "mine"))
+	step("own read: SVER[c], SVER[j] and MEM[j] are all the client's own", 0, read(c0, 0, "mine"))
+
+	step("peer write: SVER[c] carries phi_0", 1, write(c1, "one"))
+	// L = [c1's write], uncommitted: sigma_1 in L pays for delta_1 in MEM[1].
+	step("read of a register whose writing op is in L", 1, read(c0, 1, "one"))
+	step("the same register again: delta_1 unchanged", 0, read(c0, 1, "one"))
+
+	// c1's second write delivers the COMMIT of its first, which c0 has
+	// overtaken: c stays 0, SVER[1] = phi_1 and P[1] = psi_1 of that COMMIT.
+	step("peer write: SVER[c] carries a newer phi_0", 1, write(c1, "two"))
+	step("psi_1 in P and a new sigma_1 in L", 2, write(c0, "mine"))
+	step("psi_1 paid for phi_1 in SVER[1], sigma_1 for delta_1", 0, read(c0, 1, "two"))
+
+	// Two more writes of c1 with c0 idle make c1 the schedule head: SVER[c]
+	// = phi_1 and P[1] = psi_1 of one COMMIT, L = [c1's latest write].
+	step("peer write: SVER[c] carries a newer phi_0", 1, write(c1, "three"))
+	step("peer write: SVER[c] is its own COMMIT", 0, write(c1, "four"))
+	step("phi_1 in SVER[c] pays for psi_1 in P; sigma_1 in L is new", 2, write(c0, "mine"))
+	step("all four of c1's signatures seen", 0, read(c0, 1, "four"))
+	step("own pairs and c1's sit in separate memos", 0, read(c0, 0, "mine"))
+	step("so neither evicts the other", 0, read(c0, 1, "four"))
 }
 
-// TestOwnReadStillDetectsTampering: the own-signature memo compares
-// bytes, so a server that returns the client's GENUINE just-produced
-// DATA-signature next to a different value or timestamp gets no benefit
-// from it — the payload differs, the real verification runs and fails.
+// TestOwnReadStillDetectsTampering: a memo hit needs the pair root
+// recomputed from the payload under test to equal the memoized one, so a
+// server that returns the client's GENUINE just-produced DATA-signature
+// next to a different value or timestamp gets no benefit from it — the
+// leaf differs, the real verification runs and fails.
 func TestOwnReadStillDetectsTampering(t *testing.T) {
 	for name, tamper := range map[string]func(r *wire.Reply){
 		"tampered value": func(r *wire.Reply) { r.Mem.Value = []byte("not what was written") },
@@ -80,5 +116,37 @@ func TestOwnReadStillDetectsTampering(t *testing.T) {
 			_, err := c.Read(0)
 			expectDetection(t, err, "line 50")
 		})
+	}
+}
+
+// TestAllocBudgetCheckData: validating a read's MEM[j] and SVER[j] (lines
+// 48-52) allocates nothing, memo hit or real verification — the value is
+// hashed into client-owned scratch. Runs without -race in CI.
+func TestAllocBudgetCheckData(t *testing.T) {
+	var reply *wire.Reply
+	clients := tamperCluster(t, func(from int, r *wire.Reply) *wire.Reply {
+		if from == 0 && r.IsRead {
+			reply = r
+		}
+		return r
+	})
+	c := clients[0]
+	if err := clients[1].Write(make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	for name, forget := range map[string]bool{"memo hit": false, "real verification": true} {
+		if got := testing.AllocsPerRun(100, func() {
+			if forget {
+				c.memo[1] = pairMemos{}
+			}
+			if err := c.checkData(reply, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: checkData allocates %.0f objects, want 0", name, got)
+		}
 	}
 }
