@@ -9,8 +9,6 @@ package faust
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,8 +18,6 @@ import (
 	"faust/internal/faustproto"
 	"faust/internal/lockstep"
 	"faust/internal/offline"
-	"faust/internal/shard"
-	"faust/internal/store"
 	"faust/internal/transport"
 	"faust/internal/trusted"
 	"faust/internal/ustor"
@@ -506,179 +502,6 @@ func BenchmarkSignVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = signers[0].Sign(crypto.DomainData, msg)
-	}
-}
-
-// BenchmarkServerPersist measures the write path of the persistence
-// subsystem (E15): the same single-client write loop against a plain
-// in-memory server, a WAL on a MemBackend (record codec only), and a
-// FileBackend with fsync off (process-crash durability) and on
-// (power-loss durability).
-func BenchmarkServerPersist(b *testing.B) {
-	const n = 2
-	run := func(b *testing.B, core transport.ServerCore) {
-		ring, signers := crypto.NewTestKeyring(n, 1)
-		nw := transport.NewNetwork(n, core)
-		b.Cleanup(nw.Stop)
-		c := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	persistent := func(b *testing.B, backend store.Backend) *store.Persistent {
-		b.Helper()
-		ps, err := store.Open(ustor.NewServer(n), backend, store.Options{SnapshotEvery: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = ps.Close() })
-		return ps
-	}
-	file := func(b *testing.B, opts store.FileOptions) store.Backend {
-		b.Helper()
-		backend, err := store.OpenFile(b.TempDir(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return backend
-	}
-	b.Run("mem-no-persistence", func(b *testing.B) { run(b, ustor.NewServer(n)) })
-	b.Run("wal-membackend", func(b *testing.B) { run(b, persistent(b, store.NewMemBackend())) })
-	b.Run("wal-file-nofsync", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{GroupCommit: true, FlushInterval: 2 * time.Millisecond})))
-	})
-	// wal-file-fsync is the production configuration: group commit, one
-	// batched write + fdatasync per reply covering every buffered record.
-	b.Run("wal-file-fsync", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{Fsync: true, GroupCommit: true, FlushInterval: 2 * time.Millisecond})))
-	})
-	// wal-file-fsync-each is the pre-group-commit behavior (one fsync per
-	// record), kept as the ablation baseline.
-	b.Run("wal-file-fsync-each", func(b *testing.B) {
-		run(b, persistent(b, file(b, store.FileOptions{Fsync: true})))
-	})
-}
-
-// BenchmarkThroughput measures aggregate operation throughput with m
-// concurrent clients running a read/write mix over the n single-writer
-// registers — the many-client load the ROADMAP targets. Run with
-// -benchmem; the ops/sec metric is the headline number and feeds the
-// performance trajectory in README.md.
-func BenchmarkThroughput(b *testing.B) {
-	cases := []struct {
-		clients  int
-		readFrac float64
-	}{
-		{4, 0.5},
-		{8, 0.5},
-		{8, 0.9},
-	}
-	for _, tc := range cases {
-		b.Run(fmt.Sprintf("clients=%d/reads=%.0f%%", tc.clients, tc.readFrac*100), func(b *testing.B) {
-			_, clients := ustorCluster(b, tc.clients)
-			w := workload.New(tc.clients, workload.Config{ReadFraction: tc.readFrac, ValueSize: 64, Seed: 7})
-			// Seed every register so reads hit written values.
-			for i, c := range clients {
-				if err := c.Write(w.Stream(i).NextWrite().Value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i, c := range clients {
-				ops := b.N / len(clients)
-				if i < b.N%len(clients) {
-					ops++
-				}
-				wg.Add(1)
-				go func(c *ustor.Client, s *workload.Stream, ops int) {
-					defer wg.Done()
-					for k := 0; k < ops; k++ {
-						op := s.Next()
-						var err error
-						if op.IsWrite {
-							err = c.Write(op.Value)
-						} else {
-							_, err = c.Read(op.Reg)
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c, w.Stream(i), ops)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-		})
-	}
-}
-
-// BenchmarkShardThroughput measures aggregate multi-tenant write
-// throughput over TCP (E17): the same 8 client identities served as one
-// register group vs. split across 4 independent shards, each with its own
-// dispatcher goroutine and a quarter-size group. cmd/faust-bench -run
-// multishard prints the full table including the shared-dispatcher
-// ablation.
-func BenchmarkShardThroughput(b *testing.B) {
-	const totalClients = 8
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			per := totalClients / shards
-			ring, signers := crypto.NewTestKeyring(per, 1)
-			specs := make([]shard.Spec, shards)
-			for s := range specs {
-				specs[s] = shard.Spec{Name: fmt.Sprintf("tenant-%d", s), N: per}
-			}
-			router, err := shard.NewRouter(specs, shard.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := transport.ServeTCPSharded(ln, router)
-			b.Cleanup(srv.Stop)
-			clients := make([]*ustor.Client, 0, totalClients)
-			for s := range specs {
-				for i := 0; i < per; i++ {
-					link, err := transport.DialTCPShard(ln.Addr().String(), specs[s].Name, i)
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients = append(clients, ustor.NewClient(i, ring, signers[i], link))
-				}
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c, cl := range clients {
-				ops := b.N / len(clients)
-				if c < b.N%len(clients) {
-					ops++
-				}
-				wg.Add(1)
-				go func(c int, cl *ustor.Client, ops int) {
-					defer wg.Done()
-					for i := 0; i < ops; i++ {
-						if err := cl.Write([]byte(fmt.Sprintf("c%d-%d", c, i))); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c, cl, ops)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-			for _, cl := range clients {
-				_ = cl.Close()
-			}
-		})
 	}
 }
 

@@ -22,11 +22,10 @@
 // content hashes against the owner's Merkle root. They are available in
 // USTOR mode (the kv layer needs the extended register API).
 //
-// The client dials with the v2 handshake (naming the shard, "default"
-// when -shard is empty), so a server-side rejection — unknown shard,
-// out-of-range id — is reported with the server's reason and a non-zero
-// exit instead of a bare connection error on the first operation.
-// -legacy forces the pre-shard 4-byte hello for old servers.
+// The handshake names the shard ("default" when -shard is empty) and the
+// server acks it, so a rejection — unknown shard, out-of-range id — is
+// reported with the server's reason and a non-zero exit instead of a bare
+// connection error on the first operation.
 //
 // Keys are derived from -seed (demo-grade; all parties must use the same
 // seed and -n).
@@ -63,7 +62,6 @@ import (
 func main() {
 	server := flag.String("server", "localhost:7440", "faust-server address")
 	shardName := flag.String("shard", "", "shard name on a multi-tenant server; empty = the default shard")
-	legacy := flag.Bool("legacy", false, "use the pre-shard 4-byte hello (no server ack; for old servers)")
 	n := flag.Int("n", 3, "number of clients in this shard's group (must match the server)")
 	id := flag.Int("id", 0, "this client's identity (0..n-1)")
 	seed := flag.Int64("seed", 42, "deterministic demo key seed (must match peers)")
@@ -82,21 +80,8 @@ func main() {
 	// exactly these traces.
 	trace.SetEnabled(true)
 	trace.Configure(1, 50*time.Millisecond)
-	if *legacy && *shardName != "" {
-		log.Fatalf("faust-client: -legacy cannot name a -shard (the v1 hello always lands on %q)", transport.DefaultShard)
-	}
 	ring, signers := crypto.NewTestKeyring(*n, *seed)
-	var link transport.Link
-	var err error
-	if *legacy {
-		link, err = transport.DialTCP(*server, *id)
-	} else {
-		// v2 handshake: the server acks, so an unknown shard or a
-		// preflight-rejected id fails right here with the server's
-		// reason (and a non-zero exit) instead of surfacing as a bare
-		// connection error on the first operation.
-		link, err = transport.DialTCPShard(*server, *shardName, *id)
-	}
+	link, err := transport.DialTCPShard(*server, *shardName, *id)
 	if err != nil {
 		log.Fatalf("faust-client: %v", err)
 	}

@@ -15,8 +15,8 @@
 // to -max-batch messages: SUBMIT signatures verify in parallel across
 // -verify-workers goroutines (with -verify), ops apply in order, the WAL
 // syncs once per batch, and replies coalesce into one framed write per
-// connection. -max-batch 1 disables batching (every op takes the
-// unbatched fast path).
+// connection. A batch of one runs the same body; -max-batch 1 makes
+// every batch one.
 //
 // Example:
 //
@@ -27,9 +27,9 @@
 //
 // The server hosts many independent client groups ("shards") in one
 // process. Every shard is its own n-client register group with isolated
-// state; the v2 TCP handshake names the shard a connection belongs to,
-// while legacy clients (pre-shard hello) land on the shard named
-// "default", which -n and -data-dir configure exactly as before.
+// state; the TCP handshake names the shard a connection belongs to, and
+// clients that name none land on the shard named "default", which -n and
+// -data-dir configure.
 //
 //	faust-server -addr :7440 -n 3 -data-dir /var/lib/faust \
 //	    -shards tenants.conf -shard-spec n=4,persist

@@ -22,8 +22,8 @@
 //     backoff plus jitter, under a per-operation deadline.
 //   - FaultyBlobs wraps any backend with deterministic, seeded fault
 //     injection — errors, added latency, hangs, short reads, bit-flipped
-//     payloads — usable from tests, the E21 bench and the faust-server
-//     -blob-faults flag.
+//     payloads — usable from tests and the faust-server -blob-faults
+//     flag.
 //
 // Because Failover itself knows the address IS the content hash, it
 // verifies SHA-256-sized addresses on every read and skips byzantine

@@ -52,7 +52,7 @@ type FaultCounts struct {
 // shared and mutex-guarded so concurrent runs stay seeded (though their
 // interleaving decides which op draws which fault). Kill and Revive
 // flip the whole backend dead and back — the crash/recovery lever the
-// E21 failover experiment pulls mid-workload.
+// failover tests pull mid-workload.
 type FaultyBlobs struct {
 	name  string
 	inner transport.BlobStore

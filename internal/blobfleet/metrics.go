@@ -6,7 +6,7 @@ import "faust/internal/obs"
 // gauges (aliveness, up/down) are registered per Failover instance,
 // labeled with the backend name, because backends are configuration, not
 // code. Every Failover also keeps instance-local atomics (Stats) so
-// tests and the E21 bench can assert without scraping.
+// tests can assert without scraping.
 var (
 	fmFailovers = map[string]*obs.Counter{
 		"put": obs.Default().Counter("faust_blob_failover_total", "op", "put"),

@@ -42,8 +42,7 @@ func init() {
 // VerifyBatch returns.
 type VerifyJob struct {
 	// Ring is the keyring to verify against. Jobs in one batch may carry
-	// different rings (a shared dispatcher drains several shards into one
-	// batch). A nil ring fails the job.
+	// different rings. A nil ring fails the job.
 	Ring    *Keyring
 	Signer  int
 	Domain  byte
@@ -131,8 +130,7 @@ func ensureWorkers(n int) {
 
 // VerifyBatch checks every job and sets its OK field. Batches of one (or
 // a pool bounded to a single worker) verify inline on the caller's
-// goroutine — the fast path costs exactly one ed25519.Verify and no
-// synchronization. Wider batches fan out: the caller participates too, so
+// goroutine — one ed25519.Verify and no synchronization. Wider batches fan out: the caller participates too, so
 // the batch completes even when every pool worker is busy elsewhere.
 //
 //faustlint:hotpath

@@ -131,8 +131,8 @@ func WithChunkCacheBudget(n int) Option {
 
 // WithNodeCacheBudget bounds the bytes (encoded size) of verified tree
 // nodes kept for reuse across reads (default 16 MiB). Zero disables node
-// caching, making every remote read fetch its full path — the cold-read
-// configuration the E19 experiment measures.
+// caching, making every remote read fetch its full path (the cold-read
+// configuration).
 func WithNodeCacheBudget(n int) Option {
 	return func(s *Store) { s.nodeBudget = n }
 }

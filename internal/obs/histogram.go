@@ -12,14 +12,13 @@ import (
 // larger values fall into one of 2^subBits linear sub-buckets per power of
 // two, bounding the relative quantile error by 2^-subBits (≈1.6% with
 // subBits = 6). Observations are single atomic adds; snapshots are
-// mergeable across histograms (and across processes, if serialized), which
-// is what lets faust-bench aggregate per-worker recordings into one tail
-// estimate.
+// mergeable across histograms (and across processes, if serialized), so
+// per-worker recordings aggregate into one tail estimate.
 // Observations are striped across histLanes to keep concurrent observers
 // off each other's cache lines: with one shared lane, every Observe from
 // every goroutine hammers the same count/sum words, and that true sharing
-// costs several percent of throughput on the crypto-bound hot path (E20
-// measures it). The lane is picked from the low bits of the observed value
+// costs several percent of throughput on the crypto-bound hot path (the
+// retired E20 measured it). The lane is picked from the low bits of the observed value
 // itself — nanosecond timings have effectively uniform low bits, so this
 // spreads load without needing any goroutine identity.
 type Histogram struct {

@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// enabled gates every observation site. It defaults to on; benchmarks flip
-// it off to measure instrumentation overhead (see cmd/faust-bench E20).
+// enabled gates every observation site. It defaults to on; flipping it
+// off is how instrumentation overhead is measured.
 // Reads are a single atomic load, so the gate itself is nearly free.
 var enabled atomic.Bool
 

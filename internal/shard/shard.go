@@ -5,10 +5,10 @@
 // and, optionally, its own store.Persistent backend in a per-shard data
 // directory; shards share nothing but the process. The Router implements
 // transport.ShardResolver, so a transport.TCPServer serves all shards from
-// a single listener: the v2 handshake names the shard, legacy clients land
-// on transport.DefaultShard, and every shard gets its own dispatcher
+// a single listener: the handshake names the shard (transport.DialTCP
+// names transport.DefaultShard), and every shard gets its own dispatcher
 // goroutine in the transport — per-shard handler atomicity with cross-shard
-// parallelism (see the E17 experiment in cmd/faust-bench).
+// parallelism.
 //
 // Shards are instantiated lazily on first resolution: a declared (or
 // template-matched) shard costs nothing until a client connects, at which

@@ -16,9 +16,9 @@ import (
 var _ transport.BatchCore = (*Persistent)(nil)
 
 // TestBufferedApplyMatchesUnbatched drives the same SUBMIT stream
-// through the per-op path and the buffered path and requires identical
-// applied state, an identical WAL (recovery reproduces the state), and
-// one shared flush per batch.
+// through HandleSubmit (the batch of one) and through batches of eight
+// and requires identical applied state and a complete WAL (recovery
+// reproduces the state).
 func TestBufferedApplyMatchesUnbatched(t *testing.T) {
 	const n, ops = 3, 24
 	mkSubmits := func() []Record {
@@ -78,9 +78,8 @@ type flushFailBackend struct{ MemBackend }
 func (b *flushFailBackend) Flush() error { return fmt.Errorf("fsync: input/output error") }
 
 // TestFlushBatchFailureSticky: a failed batch flush must poison the
-// wrapper exactly like a per-op flush failure — the error surfaces to
-// the dispatcher (which suppresses the batch's replies) and every later
-// operation is refused.
+// wrapper — the error surfaces to the dispatcher (which suppresses the
+// batch's replies) and every later operation is refused.
 func TestFlushBatchFailureSticky(t *testing.T) {
 	ps, err := Open(ustor.NewServer(2), &flushFailBackend{}, Options{})
 	if err != nil {
@@ -105,5 +104,22 @@ func TestFlushBatchFailureSticky(t *testing.T) {
 	}
 	if err := ps.FlushBatch(); err == nil {
 		t.Fatal("FlushBatch cleared a sticky failure")
+	}
+}
+
+// TestHandleSubmitWithholdsReplyOnFlushFailure: the batch-of-one adapter
+// obeys the same contract as the dispatcher — no reply for an op whose
+// flush failed, and the failure sticks.
+func TestHandleSubmitWithholdsReplyOnFlushFailure(t *testing.T) {
+	ps, err := Open(ustor.NewServer(2), &flushFailBackend{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := submitRecord(0, 1)
+	if r := ps.HandleSubmit(context.Background(), rec.From, rec.Msg.(*wire.Submit)); r != nil {
+		t.Fatal("HandleSubmit replied to an operation it could not flush")
+	}
+	if ps.Err() == nil {
+		t.Fatal("flush failure did not stick")
 	}
 }

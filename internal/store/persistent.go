@@ -109,52 +109,25 @@ func (p *Persistent) N() int {
 	return -1
 }
 
-// HandleSubmit implements transport.ServerCore: log, apply, and flush the
-// group-commit batch before the reply escapes — one sync then covers this
-// SUBMIT plus every record buffered ahead of it. The flush runs outside
-// p.mu: the backend orders and coalesces concurrent flushes itself, so
-// submitters arriving while a sync is in flight append behind it and
-// share the next one instead of serializing on the wrapper lock.
+// HandleSubmit implements transport.ServerCore as the batch of one:
+// HandleSubmitBuffered, then FlushBatch before the reply escapes — one sync
+// covers this SUBMIT plus every record buffered ahead of it. The
+// transport's dispatcher never calls it (it drives the two halves itself
+// so a whole batch shares the flush); it serves callers that hold the
+// core directly.
 func (p *Persistent) HandleSubmit(ctx context.Context, from int, s *wire.Submit) *wire.Reply {
-	p.mu.Lock()
-	if p.broken != nil {
-		p.mu.Unlock()
-		return nil
-	}
-	_, ha := trace.Child(ctx, "wal.append")
-	err := p.backend.Append(Record{From: from, Msg: s})
-	ha.End()
-	if err != nil {
-		p.broken = err
-		p.mu.Unlock()
-		return nil
-	}
-	reply := p.core.HandleSubmit(ctx, from, s)
-	p.bumpLocked()
-	broken := p.broken != nil // snapshot rotation failed: stay silent
-	p.mu.Unlock()
-	if broken {
-		return nil
-	}
-	_, hf := trace.Child(ctx, "wal.fsync")
-	err = p.backend.Flush()
-	hf.End()
-	if err != nil {
-		p.mu.Lock()
-		p.broken = err
-		p.mu.Unlock()
+	reply := p.HandleSubmitBuffered(ctx, from, s)
+	if p.FlushBatch() != nil {
 		return nil
 	}
 	return reply
 }
 
-// HandleSubmitBuffered is the batch-pipeline variant of HandleSubmit: it
-// logs and applies the SUBMIT but leaves the backend flush to a later
-// FlushBatch call, so a whole dispatcher batch shares one fsync. The
-// caller (the transport's batched dispatcher) MUST withhold the returned
-// reply until FlushBatch succeeds — the durability contract is unchanged,
-// only the flush is amortized. A nil reply means this op must not be
-// acknowledged regardless of the flush outcome.
+// HandleSubmitBuffered logs and applies the SUBMIT but leaves the backend
+// flush to a later FlushBatch call, so a whole dispatcher batch shares one
+// fsync. The caller (the transport's dispatcher) MUST withhold the
+// returned reply until FlushBatch succeeds. A nil reply means this op must
+// not be acknowledged regardless of the flush outcome.
 func (p *Persistent) HandleSubmitBuffered(ctx context.Context, from int, s *wire.Submit) *wire.Reply {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -177,19 +150,18 @@ func (p *Persistent) HandleSubmitBuffered(ctx context.Context, from int, s *wire
 }
 
 // FlushBatch syncs every record buffered by HandleSubmitBuffered calls
-// since the last flush. On failure the wrapper goes sticky-broken exactly
-// as a per-op flush failure would, and the caller must suppress every
-// reply the failed batch produced.
+// since the last flush. On failure the wrapper goes sticky-broken and the
+// caller must suppress every reply the failed batch produced. The flush
+// runs outside p.mu: the backend orders and coalesces concurrent flushes
+// itself, so submitters arriving while a sync is in flight append behind
+// it and share the next one instead of serializing on the wrapper lock.
 func (p *Persistent) FlushBatch() error {
 	p.mu.Lock()
-	if p.broken != nil {
-		err := p.broken
-		p.mu.Unlock()
-		return err
-	}
+	broken := p.broken
 	p.mu.Unlock()
-	// Flush outside p.mu, mirroring HandleSubmit: the backend coalesces
-	// concurrent flushes itself.
+	if broken != nil {
+		return broken
+	}
 	if err := p.backend.Flush(); err != nil {
 		p.mu.Lock()
 		p.broken = err

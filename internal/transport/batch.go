@@ -12,28 +12,27 @@ import (
 
 // Batched dispatch pipeline, shared by the TCP and in-memory transports.
 //
-// The pre-batching dispatchers popped one envelope at a time: one
-// signature verify (when enabled), one HandleSubmit, one WAL fsync (under
-// persistence) and one reply write per operation. Under load the inbox
-// holds many queued operations, and every per-op cost that can legally be
-// amortized across them should be. The pipeline stages a drained batch:
+// Under load the inbox holds many queued operations, and every per-op
+// cost that can legally be amortized across them should be. One dispatcher
+// goroutine per sink runs one loop with one body over whatever a drain
+// returned:
 //
 //	drain     popBatch takes everything queued, up to the -max-batch cap,
 //	          preserving arrival (and therefore per-connection FIFO) order
 //	verify    SUBMIT signatures of the whole batch check in parallel on
 //	          crypto's worker pool — a forged one rejects only its own op
 //	apply     verified ops run sequentially against the single-writer
-//	          core, exactly as the paper's atomic handlers require; cores
-//	          implementing BatchCore buffer their WAL appends
-//	flush     each touched BatchCore makes the whole batch durable with
-//	          one fsync instead of one per op
+//	          core, exactly as the paper's atomic handlers require; a
+//	          BatchCore buffers its WAL appends
+//	flush     a BatchCore makes the whole batch durable with one fsync
+//	          instead of one per op
 //	reply     replies coalesce into one framed write per destination
 //
-// A batch of one skips the machinery entirely (dispatchOne), so idle or
-// low-concurrency deployments keep the pre-batching latency profile.
-// Batches never reorder: ops apply in arrival order and per-client reply
-// order is preserved, so the reliable-FIFO contract the protocol assumes
-// is untouched.
+// A batch of one is a small batch, not a second code path: it verifies
+// inline (crypto.VerifyBatch does not fan out below two jobs), flushes
+// once and sends one reply. Batches never reorder: ops apply in arrival
+// order and per-client reply order is preserved, so the reliable-FIFO
+// contract the protocol assumes is untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
 // transport was not configured otherwise. Large enough to amortize fsync
@@ -46,8 +45,8 @@ const DefaultMaxBatch = 64
 // histogram then records the batch's first traced SUBMIT as its exemplar.
 const oversizedBatch = 32
 
-// batchSink is the transport-specific half of the pipeline: which core
-// and (optional) verification keyring own an envelope, and how replies
+// batchSink is the transport-specific half of the pipeline: the core and
+// (optional) verification keyring a dispatcher serves, and how replies
 // leave the server. shardRT implements it for TCP, Network for the
 // in-memory transport, which is what lets both run the same dispatch
 // engine — and the same drain-after-close semantics.
@@ -57,12 +56,10 @@ type batchSink interface {
 	sinkName() string
 	// countOp accounts one dispatched envelope (per-tenant op counters).
 	countOp()
-	// sendReply delivers one reply to client `to`; sendReplies delivers a
-	// batch's replies for `to` in order, coalesced into as few transport
-	// writes as possible. Delivery failures are the destination's problem
-	// (dead connection, closed outbox) — the dispatcher never blocks on
-	// them.
-	sendReply(to int, m wire.Message)
+	// sendReplies delivers a batch's replies for client `to` in order,
+	// coalesced into as few transport writes as possible. Delivery
+	// failures are the destination's problem (dead connection, closed
+	// outbox) — the dispatcher never blocks on them.
 	sendReplies(to int, msgs []wire.Message)
 	// dropUnknown accounts a message kind the core cannot handle.
 	dropUnknown()
@@ -84,13 +81,13 @@ type BatchCore interface {
 
 // verify-job markers for batchOp.job.
 const (
-	jobNone     = -1 // no verification configured for this op's sink
+	jobNone     = -1 // no verification configured for this dispatcher
 	jobRejected = -2 // rejected before verification (sender id mismatch)
 )
 
 // batchOp is the pipeline's per-SUBMIT state across stages. Ops stay
 // index-aligned with their batch envelopes; COMMIT and generic messages
-// leave their slot zeroed apart from done-keeping.
+// use their slot for done-keeping only (job stays jobNone).
 type batchOp struct {
 	ctx      context.Context
 	h        trace.Handle
@@ -98,34 +95,44 @@ type batchOp struct {
 	tid      trace.TraceID
 	job      int
 	reply    *wire.Reply
-	bc       BatchCore
 	isSubmit bool
+	buffered bool // applied through HandleSubmitBuffered: reply waits for FlushBatch
 	done     bool
 }
 
-// dispatchScratch is one dispatcher goroutine's reusable buffers: the
-// steady state allocates nothing per batch beyond what crypto's pool
-// needs for fan-out.
-type dispatchScratch struct {
+// dispatcher is one dispatcher goroutine's state: the sink it serves,
+// with its core's optional extensions resolved once, and the reusable
+// buffers — the steady state allocates nothing per batch beyond what
+// crypto's pool needs for fan-out.
+type dispatcher struct {
+	sink batchSink
+	core ServerCore
+	bc   BatchCore       // core as a BatchCore, nil when it is not one
+	ring *crypto.Keyring // nil = no SUBMIT verification
+
 	batch   []envelope
 	ops     []batchOp
 	jobs    []crypto.VerifyJob
 	payload []byte
-	cores   []BatchCore
-	failed  []BatchCore
 	msgs    []wire.Message
+}
+
+func newDispatcher(sink batchSink) *dispatcher {
+	d := &dispatcher{sink: sink, core: sink.sinkCore(), ring: sink.sinkRing()}
+	d.bc, _ = d.core.(BatchCore)
+	return d
 }
 
 // dispatchBatches is the dispatcher event loop both transports run: drain
 // a batch, pipeline it, repeat until the inbox closes and empties.
-func dispatchBatches(q *fifo[envelope], maxBatch int) {
+func dispatchBatches(q *fifo[envelope], sink batchSink, maxBatch int) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	sc := &dispatchScratch{}
+	d := newDispatcher(sink)
 	for {
-		batch, ok := q.popBatch(maxBatch, sc.batch[:0])
-		sc.batch = batch
+		batch, ok := q.popBatch(maxBatch, d.batch[:0])
+		d.batch = batch
 		if len(batch) == 0 {
 			if !ok {
 				return
@@ -133,11 +140,7 @@ func dispatchBatches(q *fifo[envelope], maxBatch int) {
 			continue
 		}
 		observeBatchSize(batch)
-		if len(batch) == 1 {
-			dispatchOne(&batch[0], sc)
-		} else {
-			runBatch(batch, sc)
-		}
+		d.runBatch(batch)
 	}
 }
 
@@ -163,99 +166,45 @@ const submitRejectDetail = "SUBMIT signature verification failed"
 
 // rejectSubmit accounts one refused SUBMIT: metrics plus a protocol
 // event, mirroring how handshake preflight rejections are surfaced.
-func rejectSubmit(sink batchSink, from int) {
+func (d *dispatcher) rejectSubmit(from int) {
 	tmVerifyRejects.Inc()
-	obs.Default().Events().Record(obs.EventSubmitReject, from, sink.sinkName(), submitRejectDetail)
+	obs.Default().Events().Record(obs.EventSubmitReject, from, d.sink.sinkName(), submitRejectDetail)
 }
 
-// verifySubmit checks one SUBMIT inline (fast path): the sender must
-// claim its own identity — otherwise a replayed honest SUBMIT would
-// verify under the victim's key — and the signature must cover exactly
-// the payload the client signed.
-func verifySubmit(ring *crypto.Keyring, from int, m *wire.Submit, sc *dispatchScratch) bool {
-	if m.Inv.Client != from {
-		return false
-	}
-	sc.payload = wire.AppendSubmitPayload(sc.payload[:0], m.Inv.Op, m.Inv.Reg, m.T, m.Inv.Trace)
-	return ring.Verify(from, m.Inv.SubmitSig, crypto.DomainSubmit, sc.payload)
-}
-
-// dispatchOne is the batch-of-one fast path: the pre-batching dispatch
-// body, plus the optional inline signature check. No buffered apply, no
-// batch flush — a persistent core takes its usual append-apply-fsync
-// route through HandleSubmit, so low-concurrency latency is unchanged.
-func dispatchOne(e *envelope, sc *dispatchScratch) {
-	e.sink.countOp()
-	switch m := e.msg.(type) {
-	case *wire.Submit:
-		ctx, h := joinWireTrace(context.Background(), m.Inv.Trace, true, spanSrvSubmit)
-		trace.Event(ctx, spanQueue, e.enq)
-		start := obs.StartTimer()
-		if ring := e.sink.sinkRing(); ring != nil {
-			var vstart time.Time
-			if trace.Enabled() {
-				vstart = time.Now()
-			}
-			ok := verifySubmit(ring, e.from, m, sc)
-			trace.Event(ctx, spanVerify, vstart)
-			if !ok {
-				rejectSubmit(e.sink, e.from)
-				tmSubmitNs.ObserveSinceExemplar(start, exemplarID(m.Inv.Trace))
-				h.End()
-				return
-			}
-		}
-		reply := e.sink.sinkCore().HandleSubmit(ctx, e.from, m)
-		tmSubmitNs.ObserveSinceExemplar(start, exemplarID(m.Inv.Trace))
-		h.End()
-		if reply != nil {
-			e.sink.sendReply(e.from, reply)
-		}
-	case *wire.Commit:
-		start := obs.StartTimer()
-		e.sink.sinkCore().HandleCommit(context.Background(), e.from, m)
-		tmCommitNs.ObserveSince(start)
-	default:
-		if gc, ok := e.sink.sinkCore().(GenericCore); ok {
-			gc.HandleMessage(e.from, e.msg)
-			return
-		}
-		e.sink.dropUnknown()
-	}
-}
-
-// runBatch pipelines a drained batch of two or more envelopes through
+// runBatch pipelines a drained batch of one or more envelopes through
 // verify, apply, flush and coalesced reply.
 //
 //faustlint:hotpath
-func runBatch(batch []envelope, sc *dispatchScratch) {
-	ops := sc.ops[:0]
-	jobs := sc.jobs[:0]
-	payload := sc.payload[:0]
+func (d *dispatcher) runBatch(batch []envelope) {
+	ops := d.ops[:0]
+	jobs := d.jobs[:0]
+	payload := d.payload[:0]
 
 	// Stage 1 — classify: join traces, stamp queue waits, and build the
-	// verification jobs. Job payloads slice into one shared scratch
-	// buffer; each slice is taken immediately after its append, so later
-	// growth cannot disturb it.
+	// verification jobs. The sender must claim its own identity —
+	// otherwise a replayed honest SUBMIT would verify under the victim's
+	// key — and the signature must cover exactly the payload the client
+	// signed. Job payloads slice into one shared scratch buffer; each
+	// slice is taken immediately after its append, so later growth cannot
+	// disturb it.
 	for i := range batch {
 		e := &batch[i]
-		e.sink.countOp()
-		var op batchOp
+		d.sink.countOp()
+		op := batchOp{job: jobNone}
 		if m, isSubmit := e.msg.(*wire.Submit); isSubmit {
 			op.isSubmit = true
-			op.job = jobNone
 			op.ctx, op.h = joinWireTrace(context.Background(), m.Inv.Trace, true, spanSrvSubmit)
 			trace.Event(op.ctx, spanQueue, e.enq)
 			op.start = obs.StartTimer()
 			op.tid = exemplarID(m.Inv.Trace)
-			if ring := e.sink.sinkRing(); ring != nil {
+			if d.ring != nil {
 				if m.Inv.Client != e.from {
 					op.job = jobRejected
 				} else {
 					pstart := len(payload)
 					payload = wire.AppendSubmitPayload(payload, m.Inv.Op, m.Inv.Reg, m.T, m.Inv.Trace)
 					jobs = append(jobs, crypto.VerifyJob{
-						Ring:    ring,
+						Ring:    d.ring,
 						Signer:  e.from,
 						Domain:  crypto.DomainSubmit,
 						Sig:     m.Inv.SubmitSig,
@@ -267,8 +216,9 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 		}
 		ops = append(ops, op)
 	}
-	sc.jobs = jobs
-	sc.payload = payload
+	d.ops = ops
+	d.jobs = jobs
+	d.payload = payload
 
 	// Stage 2 — verify the whole batch at once, fanning out across the
 	// shared worker pool when it is wide enough to pay off.
@@ -286,104 +236,84 @@ func runBatch(batch []envelope, sc *dispatchScratch) {
 	}
 
 	// Stage 3 — apply in arrival order. SUBMITs against a BatchCore
-	// buffer their WAL append; everything else behaves as on the fast
-	// path. A message kind with server-push semantics (GenericCore) is a
-	// barrier: the prefix must flush and reply first, or its handler
-	// could push messages that overtake replies owed to the same client.
+	// buffer their WAL append; a plain ServerCore has no durability
+	// barrier to share, so its HandleSubmit is the whole apply. A message
+	// kind with server-push semantics (GenericCore) is a barrier: the
+	// prefix must flush and reply first, or its handler could push
+	// messages that overtake replies owed to the same client.
 	for i := range batch {
 		e := &batch[i]
 		op := &ops[i]
 		switch m := e.msg.(type) {
 		case *wire.Submit:
 			if op.job == jobRejected || (op.job >= 0 && !jobs[op.job].OK) {
-				rejectSubmit(e.sink, e.from)
+				d.rejectSubmit(e.from)
 				continue
 			}
-			if bc, ok := e.sink.sinkCore().(BatchCore); ok {
-				op.reply = bc.HandleSubmitBuffered(op.ctx, e.from, m)
-				op.bc = bc
+			if d.bc != nil {
+				op.reply = d.bc.HandleSubmitBuffered(op.ctx, e.from, m)
+				op.buffered = true
 			} else {
-				op.reply = e.sink.sinkCore().HandleSubmit(op.ctx, e.from, m)
+				op.reply = d.core.HandleSubmit(op.ctx, e.from, m)
 			}
 		case *wire.Commit:
 			start := obs.StartTimer()
-			e.sink.sinkCore().HandleCommit(context.Background(), e.from, m)
+			d.core.HandleCommit(context.Background(), e.from, m)
 			tmCommitNs.ObserveSince(start)
 		default:
-			flushAndSend(batch[:i], ops[:i], sc)
-			if gc, ok := e.sink.sinkCore().(GenericCore); ok {
+			d.flushAndSend(batch[:i], ops[:i])
+			if gc, ok := d.core.(GenericCore); ok {
 				gc.HandleMessage(e.from, e.msg)
 				continue
 			}
-			e.sink.dropUnknown()
+			d.sink.dropUnknown()
 		}
 	}
 
-	// Stages 4+5 — flush every touched BatchCore once, then send the
-	// batch's replies coalesced per destination.
-	flushAndSend(batch, ops, sc)
-
-	for i := range ops {
-		op := &ops[i]
-		if !op.isSubmit {
-			continue
-		}
-		tmSubmitNs.ObserveSinceExemplar(op.start, op.tid)
-		op.h.End()
-	}
+	// Stages 4+5 — flush the BatchCore once, then send the batch's
+	// replies coalesced per destination.
+	d.flushAndSend(batch, ops)
 }
 
 // flushAndSend settles every not-yet-done op in the prefix: batch-flush
-// the distinct BatchCores touched (suppressing replies of a core whose
-// flush failed — its clients must observe silence, exactly like the
-// sticky-broken single-op path), then deliver replies grouped by
-// destination in arrival order. Idempotent per op via the done flag, so
-// the mid-batch barrier and the final call compose.
+// the core if the prefix buffered anything (suppressing every reply the
+// flush covered when it fails — the clients must observe silence, and the
+// core has poisoned itself), close the SUBMITs' spans and latency
+// observations, then deliver replies grouped by destination in arrival
+// order. Idempotent per op via the done flag, so the mid-batch barrier
+// and the final call compose.
 //
 //faustlint:hotpath
-func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
-	cores := sc.cores[:0]
-	for i := range ops {
-		op := &ops[i]
-		if op.done || op.bc == nil {
-			continue
-		}
-		seen := false
-		for _, c := range cores {
-			if c == op.bc {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			cores = append(cores, op.bc)
-		}
+func (d *dispatcher) flushAndSend(batch []envelope, ops []batchOp) {
+	first := 0
+	for first < len(ops) && (ops[first].done || !ops[first].buffered) {
+		first++
 	}
-	sc.cores = cores
-	if len(cores) > 0 {
+	if first < len(ops) {
 		var fstart time.Time
 		if trace.Enabled() {
 			fstart = time.Now()
 		}
-		failed := sc.failed[:0]
-		for _, bc := range cores {
-			if err := bc.FlushBatch(); err != nil {
-				failed = append(failed, bc)
-			}
-		}
-		sc.failed = failed
-		for i := range ops {
+		err := d.bc.FlushBatch()
+		for i := first; i < len(ops); i++ {
 			op := &ops[i]
-			if op.done || op.bc == nil {
+			if op.done || !op.buffered {
 				continue
 			}
-			for _, fc := range failed {
-				if fc == op.bc {
-					op.reply = nil
-					break
-				}
+			if err != nil {
+				op.reply = nil
 			}
 			trace.Event(op.ctx, spanBatchFlush, fstart)
+		}
+	}
+
+	// Before any reply leaves: a client holding its reply must find the
+	// server's half of the operation's trace complete.
+	for i := range ops {
+		op := &ops[i]
+		if op.isSubmit && !op.done {
+			tmSubmitNs.ObserveSinceExemplar(op.start, op.tid)
+			op.h.End()
 		}
 	}
 
@@ -393,23 +323,20 @@ func flushAndSend(batch []envelope, ops []batchOp, sc *dispatchScratch) {
 			continue
 		}
 		op.done = true
-		if !op.isSubmit || op.reply == nil {
+		if op.reply == nil {
 			continue
 		}
-		e := &batch[i]
-		msgs := append(sc.msgs[:0], wire.Message(op.reply))
+		from := batch[i].from
+		msgs := append(d.msgs[:0], wire.Message(op.reply))
 		for j := i + 1; j < len(ops); j++ {
 			oj := &ops[j]
-			if oj.done || oj.reply == nil {
+			if oj.done || oj.reply == nil || batch[j].from != from {
 				continue
 			}
-			ej := &batch[j]
-			if ej.sink == e.sink && ej.from == e.from {
-				msgs = append(msgs, oj.reply)
-				oj.done = true
-			}
+			msgs = append(msgs, oj.reply)
+			oj.done = true
 		}
-		sc.msgs = msgs
-		e.sink.sendReplies(e.from, msgs)
+		d.msgs = msgs
+		d.sink.sendReplies(from, msgs)
 	}
 }

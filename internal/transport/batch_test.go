@@ -87,6 +87,91 @@ func (c *batchRecCore) FlushBatch() error {
 	return c.flushErr
 }
 
+// quietCore is a ServerCore that allocates nothing: every SUBMIT is
+// answered with the same preallocated reply. quietBatchCore adds the
+// BatchCore half. quietSink counts what the dispatcher hands it.
+type quietCore struct{ reply wire.Reply }
+
+func (c *quietCore) HandleSubmit(context.Context, int, *wire.Submit) *wire.Reply { return &c.reply }
+func (c *quietCore) HandleCommit(context.Context, int, *wire.Commit)             {}
+
+type quietBatchCore struct {
+	quietCore
+	flushes int
+}
+
+func (c *quietBatchCore) HandleSubmitBuffered(context.Context, int, *wire.Submit) *wire.Reply {
+	return &c.reply
+}
+func (c *quietBatchCore) FlushBatch() error { c.flushes++; return nil }
+
+type quietSink struct {
+	core ServerCore
+	ring *crypto.Keyring
+	sent int
+}
+
+func (s *quietSink) sinkCore() ServerCore                   { return s.core }
+func (s *quietSink) sinkRing() *crypto.Keyring              { return s.ring }
+func (s *quietSink) sinkName() string                       { return "" }
+func (s *quietSink) countOp()                               {}
+func (s *quietSink) dropUnknown()                           {}
+func (s *quietSink) sendReplies(_ int, msgs []wire.Message) { s.sent += len(msgs) }
+
+// TestAllocBudgetDispatchBatchOfOne pins what the dispatcher itself costs
+// a lone SUBMIT once its scratch is warm: nothing — no per-op closure, no
+// interface boxing, no scratch regrowth — with the verifying BatchCore
+// set-up of reg-tcp-wal and with the plain unverified core of faust-mem.
+// Runs without -race in CI (race instrumentation changes alloc counts).
+func TestAllocBudgetDispatchBatchOfOne(t *testing.T) {
+	ring, signers := crypto.NewTestKeyring(1, 3)
+	batchCore := &quietBatchCore{}
+	for name, sink := range map[string]*quietSink{
+		"verified BatchCore": {core: batchCore, ring: ring},
+		"plain ServerCore":   {core: &quietCore{}},
+	} {
+		d := newDispatcher(sink)
+		batch := []envelope{{from: 0, msg: signedSubmit(signers[0], 0, 1)}}
+		const runs = 200
+		got := testing.AllocsPerRun(runs, func() {
+			observeBatchSize(batch)
+			d.runBatch(batch)
+		})
+		if got != 0 {
+			t.Errorf("%s: a batch of one costs %.0f allocations in the dispatcher, want 0", name, got)
+		}
+		if sink.sent != runs+1 { // AllocsPerRun warms up with one extra call
+			t.Errorf("%s: %d replies sent for %d batches", name, sink.sent, runs+1)
+		}
+	}
+	if batchCore.flushes != 201 {
+		t.Errorf("flushes = %d, want one per batch of one (201)", batchCore.flushes)
+	}
+}
+
+// TestVerifiedTracedBatchWithCommit: a COMMIT sharing a batch with a
+// verified SUBMIT has no verification job and no trace context — the
+// verify stage must not stamp a span on it (it used to dereference the
+// COMMIT's nil context as soon as tracing and verification were both on).
+func TestVerifiedTracedBatchWithCommit(t *testing.T) {
+	trace.SetEnabled(true)
+	trace.Configure(1, 0)
+	t.Cleanup(func() {
+		trace.SetEnabled(false)
+		trace.Configure(0, 0)
+		trace.Default().Reset()
+	})
+	ring, signers := crypto.NewTestKeyring(1, 3)
+	sink := &quietSink{core: &quietCore{}, ring: ring}
+	newDispatcher(sink).runBatch([]envelope{
+		{from: 0, msg: &wire.Commit{}},
+		{from: 0, msg: signedSubmit(signers[0], 0, 1)},
+	})
+	if sink.sent != 1 {
+		t.Fatalf("replies sent = %d, want the SUBMIT's one", sink.sent)
+	}
+}
+
 // genCore extends recCore with GenericCore: every generic message is
 // answered by pushing a PROBE back to its sender.
 type genCore struct {
@@ -125,7 +210,8 @@ func mustRecvReply(t *testing.T, link Link, wantC int) {
 
 // TestMemoryBatchGroupApply parks the dispatcher in the first op's
 // handler, queues nine more, and requires the release to drain them as
-// ONE batch: nine buffered applies, one flush, replies in FIFO order.
+// ONE batch: ten buffered applies and two flushes — the parked batch of
+// one, then the nine together — with replies in FIFO order.
 func TestMemoryBatchGroupApply(t *testing.T) {
 	core := &batchRecCore{}
 	core.arm()
@@ -150,11 +236,11 @@ func TestMemoryBatchGroupApply(t *testing.T) {
 
 	core.mu.Lock()
 	defer core.mu.Unlock()
-	if core.buffered != 9 {
-		t.Fatalf("buffered applies = %d, want 9 (one batch)", core.buffered)
+	if core.buffered != 10 {
+		t.Fatalf("buffered applies = %d, want 10 (every SUBMIT takes the batch route)", core.buffered)
 	}
-	if core.flushes != 1 {
-		t.Fatalf("flushes = %d, want 1 (amortized)", core.flushes)
+	if core.flushes != 2 {
+		t.Fatalf("flushes = %d, want 2 (the batch of one, then nine amortized)", core.flushes)
 	}
 	for i, op := range core.applied {
 		if op[1] != i {
@@ -194,9 +280,53 @@ func TestBatchRespectsMaxBatchCap(t *testing.T) {
 	}
 }
 
+// waitFlushes polls the double until it has seen n FlushBatch calls.
+func waitFlushes(t *testing.T, core *batchRecCore, n int) {
+	t.Helper()
+	waitFor(t, 2*time.Second, func() bool {
+		core.mu.Lock()
+		defer core.mu.Unlock()
+		return core.flushes >= n
+	}, "timed out waiting for the batch flush")
+}
+
+// requireSilence stops the network and fails on anything still queued
+// for the client.
+func requireSilence(t *testing.T, nw *Network, link Link) {
+	t.Helper()
+	nw.Stop()
+	if m, err := link.Recv(); err == nil {
+		t.Fatalf("got %v, want silence", m)
+	}
+}
+
+// TestBatchOfOneTakesTheBatchRoute: a lone SUBMIT is a batch like any
+// other — exactly one HandleSubmitBuffered and one FlushBatch, never a
+// direct HandleSubmit — and a failed flush withholds its reply too.
+func TestBatchOfOneTakesTheBatchRoute(t *testing.T) {
+	for _, flushErr := range []error{nil, errors.New("sync failed")} {
+		core := &batchRecCore{flushErr: flushErr}
+		nw := NewNetwork(1, core)
+		link := nw.ClientLink(0)
+		if err := link.Send(&wire.Submit{T: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if flushErr == nil {
+			mustRecvReply(t, link, 7)
+		}
+		waitFlushes(t, core, 1)
+		requireSilence(t, nw, link)
+
+		if core.buffered != 1 || core.flushes != 1 || len(core.applied) != 1 {
+			t.Fatalf("flushErr=%v: buffered/flushes/applied = %d/%d/%d, want 1/1/1",
+				flushErr, core.buffered, core.flushes, len(core.applied))
+		}
+	}
+}
+
 // TestBatchFlushFailureSuppressesReplies: when FlushBatch fails, every
-// reply of that batch must be withheld — clients may never observe an
-// operation whose durability point was not reached.
+// reply that flush covered must be withheld — clients may never observe
+// an operation whose durability point was not reached.
 func TestBatchFlushFailureSuppressesReplies(t *testing.T) {
 	core := &batchRecCore{flushErr: errors.New("sync failed")}
 	core.arm()
@@ -214,30 +344,10 @@ func TestBatchFlushFailureSuppressesReplies(t *testing.T) {
 	}
 	close(core.gate)
 
-	// The first op took the fast path (plain HandleSubmit, no batch
-	// flush), so its reply arrives; the batched four must be silent.
-	mustRecvReply(t, link, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		core.mu.Lock()
-		f := core.flushes
-		core.mu.Unlock()
-		if f >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for the batch flush")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	nw.Stop()
-	for {
-		m, err := link.Recv()
-		if err != nil {
-			break // drained
-		}
-		t.Fatalf("got %v after a failed batch flush, want silence", m)
-	}
+	// Two failed flushes — the parked batch of one, then the four queued
+	// behind it — and not one reply.
+	waitFlushes(t, core, 2)
+	requireSilence(t, nw, link)
 }
 
 // TestBatchForgedSignatureMidBatch forms one deterministic batch holding
@@ -289,20 +399,19 @@ func TestBatchForgedSignatureMidBatch(t *testing.T) {
 		t.Fatalf("verify rejects = %d, want 2", d)
 	}
 
-	// The fast path (batch of one) must reject the same way: a lone
-	// forged op is silent, the valid op after it still replies.
+	// A batch of one rejects the same way: a lone forged op is silent,
+	// the valid op after it still replies.
 	bad := signedSubmit(signers[0], 0, 100)
 	bad.Inv.SubmitSig[0] ^= 0xff
 	if err := link.Send(bad); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, 2*time.Second, func() bool { return tmVerifyRejects.Value()-rejectsBefore == 3 },
+		"the lone forged SUBMIT was never rejected")
 	if err := link.Send(signedSubmit(signers[0], 0, 101)); err != nil {
 		t.Fatal(err)
 	}
 	mustRecvReply(t, link, 101)
-	if d := tmVerifyRejects.Value() - rejectsBefore; d != 3 {
-		t.Fatalf("verify rejects after fast-path forgery = %d, want 3", d)
-	}
 }
 
 // TestBatchGenericBarrierOrdering: a generic message inside a batch is a

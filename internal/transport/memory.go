@@ -77,8 +77,8 @@ func WithVerifier(ring *crypto.Keyring) Option {
 }
 
 // WithMaxBatch caps how many queued messages the dispatcher drains per
-// batch (default DefaultMaxBatch). 1 disables batching — every op takes
-// the fast path — which is the ablation baseline of the E22 experiment.
+// batch (default DefaultMaxBatch). 1 disables batching: every drain is
+// a batch of one.
 func WithMaxBatch(n int) Option {
 	return func(nw *Network) { nw.maxBatch = n }
 }
@@ -176,7 +176,7 @@ func (nw *Network) delayPump(l *memoryLink) {
 // network's inbox. Handlers still run one at a time in arrival order.
 func (nw *Network) dispatch() {
 	defer nw.wg.Done()
-	dispatchBatches(nw.inbox, nw.maxBatch)
+	dispatchBatches(nw.inbox, nw, nw.maxBatch)
 }
 
 // batchSink implementation: the whole in-memory network is one sink.
@@ -186,16 +186,6 @@ func (nw *Network) sinkRing() *crypto.Keyring { return nw.ring }
 func (nw *Network) sinkName() string          { return "" }
 func (nw *Network) countOp()                  {}
 func (nw *Network) dropUnknown()              { nw.dropped.Add(1) }
-func (nw *Network) sendReply(to int, m wire.Message) {
-	if nw.metrics {
-		atomic.AddInt64(&nw.stats.ServerToClientMsgs, 1)
-		atomic.AddInt64(&nw.stats.ServerToClientBytes, int64(wire.EncodedSize(m)))
-	}
-	if !nw.outboxes[to].push(m) {
-		nw.dropped.Add(1)
-	}
-}
-
 func (nw *Network) sendReplies(to int, msgs []wire.Message) {
 	if nw.metrics {
 		atomic.AddInt64(&nw.stats.ServerToClientMsgs, int64(len(msgs)))
@@ -278,7 +268,7 @@ func (l *memoryLink) Send(m wire.Message) error {
 		atomic.AddInt64(&l.nw.stats.ClientToServerMsgs, 1)
 		atomic.AddInt64(&l.nw.stats.ClientToServerBytes, int64(wire.EncodedSize(m)))
 	}
-	e := envelope{sink: l.nw, from: l.id, msg: m, enq: traceStamp(m)}
+	e := envelope{from: l.id, msg: m, enq: traceStamp(m)}
 	if l.sendQ != nil {
 		if !l.sendQ.push(e) {
 			return ErrClosed

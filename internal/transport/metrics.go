@@ -24,17 +24,17 @@ var (
 	tmHandshakeRej = obs.Default().Counter("faust_transport_handshakes_total", "result", "rejected")
 
 	// Dispatcher-side handler latency: the time one SUBMIT (or COMMIT)
-	// spends in the dispatch pipeline, excluding queueing — for a batched
-	// SUBMIT that is verify + apply + shared flush + reply enqueue, for a
-	// batch of one it is the bare handler as before. Shared by the TCP
-	// dispatchers and the in-memory network's dispatcher so both
-	// transports report comparable numbers.
+	// spends in the dispatch pipeline, excluding queueing and the reply
+	// write — for a SUBMIT that is its batch's verify + apply + shared
+	// flush, at any batch size. Shared by the TCP dispatchers and the
+	// in-memory network's dispatcher so both transports report comparable
+	// numbers.
 	tmSubmitNs = obs.Default().Histogram("faust_ustor_op_latency_ns", "op", "submit")
 	tmCommitNs = obs.Default().Histogram("faust_ustor_op_latency_ns", "op", "commit")
 
-	// Batched dispatch: how many envelopes each inbox drain took (1 =
-	// fast path; the distribution shows how much amortization load
-	// actually buys) and how many SUBMITs the opt-in signature check
+	// Batched dispatch: how many envelopes each inbox drain took (the
+	// distribution shows how much amortization load actually buys) and
+	// how many SUBMITs the opt-in signature check
 	// turned away. Oversized drains pin a trace exemplar on the size
 	// histogram — see observeBatchSize.
 	tmBatchSize     = obs.Default().Histogram("faust_dispatch_batch_size")
@@ -57,7 +57,7 @@ func init() {
 	r.Help("faust_transport_frames_total", "framed messages moved on TCP connections")
 	r.Help("faust_transport_handshakes_total", "TCP handshake outcomes")
 	r.Help("faust_ustor_op_latency_ns", "server-side handler latency per dispatched operation, nanoseconds")
-	r.Help("faust_dispatch_batch_size", "envelopes drained per dispatcher batch (1 = unbatched fast path)")
+	r.Help("faust_dispatch_batch_size", "envelopes drained per dispatcher batch")
 	r.Help("faust_verify_reject_total", "SUBMITs dropped by dispatcher-side signature verification")
 	r.Help("faust_blob_inflight", "blob-channel requests currently in flight (client side)")
 	r.Help("faust_blob_requests_total", "blob-channel requests served (server side)")

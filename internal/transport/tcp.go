@@ -18,20 +18,13 @@ import (
 )
 
 // TCP framing: every message is a 4-byte big-endian length followed by the
-// canonical wire encoding. The first frame a client sends is a handshake.
-//
-// Two handshake versions coexist on one listener:
-//
-//	v1 (legacy): exactly 4 bytes carrying the client ID. The connection is
-//	    bound to the default shard and receives no acknowledgment — the
-//	    byte stream is identical to the pre-shard protocol, so old clients
-//	    interoperate unchanged.
-//	v2: a frame of magic (4 bytes) | client ID (u32) | shard name length
-//	    (u16) | shard name. The server answers with one ack frame — a
-//	    status byte (0 = accepted) followed by an error message when
-//	    rejected — so v2 dialers fail fast on unknown shards or
-//	    out-of-range IDs. v2 frames are always at least 10 bytes, so the
-//	    two versions cannot be confused.
+// canonical wire encoding. The first frame a client sends is the
+// handshake: magic (4 bytes) | client ID (u32) | shard name length (u16) |
+// shard name. The server answers with one ack frame — a status byte (0 =
+// accepted) followed by an error message when rejected — so dialers fail
+// fast on unknown shards or out-of-range IDs. Anything else, including the
+// bare 4-byte client ID of the pre-shard protocol, is refused by closing
+// the connection.
 //
 // The transport deliberately uses no TLS: the protocol's guarantees come
 // from client-side signatures and are designed for an untrusted server —
@@ -40,30 +33,31 @@ import (
 
 const maxFrame = 1 << 24 // 16 MiB per message is far beyond protocol needs
 
-// DefaultShard is the shard name legacy (v1) handshakes bind to and the
-// name under which ServeTCP registers its single core.
+// DefaultShard is the shard DialTCP binds to and the name under which
+// ServeTCP registers its single core.
 const DefaultShard = "default"
 
-// helloMagic prefixes every v2 handshake frame.
+// helloMagic prefixes every protocol-connection handshake frame.
 var helloMagic = [4]byte{0xFA, 0x57, 'H', '2'}
 
 // blobMagic prefixes the handshake of a bulk blob-channel connection:
 // magic (4 bytes) | shard name length (u16) | shard name. The server
-// answers with the same ack frame as a v2 hello. Blob connections carry
-// only BLOB_* messages, served directly on the connection goroutine —
-// bulk transfers never queue behind the shard dispatcher.
+// answers with the same ack frame as a protocol hello. Blob connections
+// carry only BLOB_* messages, served directly on the connection goroutine
+// — bulk transfers never queue behind the shard dispatcher.
 var blobMagic = [4]byte{0xFA, 0x57, 'B', '1'}
 
 const (
-	legacyHelloLen  = 4
-	v2HelloMinLen   = 10 // magic + id + name length, before the name bytes
+	helloMinLen     = 10 // magic + id + name length, before the name bytes
 	maxShardNameLen = 128
 )
 
-// defaultHandshakeTimeout bounds how long an accepted connection may take
-// to present its hello frame. Without a bound, a half-open connection
-// would pin a goroutine forever (and, before the pre-handshake tracking
-// existed, deadlock Stop).
+// defaultHandshakeTimeout bounds a handshake on both ends: how long an
+// accepted connection may take to present its hello frame, and how long a
+// dialer waits to connect and be acked. Without a bound, a half-open
+// connection would pin a goroutine forever (and, before the pre-handshake
+// tracking existed, deadlock Stop), and a peer that accepts and stays
+// silent would park the dialer.
 const defaultHandshakeTimeout = 10 * time.Second
 
 // writeFrame writes a length-prefixed frame as a single Write call so
@@ -104,27 +98,24 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// parseHello classifies and decodes a handshake frame.
-func parseHello(hello []byte) (shardName string, id int, v2 bool, err error) {
-	if len(hello) == legacyHelloLen {
-		return DefaultShard, int(binary.BigEndian.Uint32(hello)), false, nil
-	}
-	if len(hello) < v2HelloMinLen || !bytes.Equal(hello[:4], helloMagic[:]) {
-		return "", 0, false, fmt.Errorf("transport: malformed handshake frame (%d bytes)", len(hello))
+// parseHello decodes a protocol-connection handshake frame.
+func parseHello(hello []byte) (shardName string, id int, err error) {
+	if len(hello) < helloMinLen || !bytes.Equal(hello[:4], helloMagic[:]) {
+		return "", 0, fmt.Errorf("transport: malformed handshake frame (%d bytes)", len(hello))
 	}
 	id = int(binary.BigEndian.Uint32(hello[4:8]))
 	nameLen := int(binary.BigEndian.Uint16(hello[8:10]))
-	if nameLen == 0 || nameLen > maxShardNameLen || len(hello) != v2HelloMinLen+nameLen {
-		return "", 0, true, fmt.Errorf("transport: malformed v2 handshake (name length %d in %d-byte frame)", nameLen, len(hello))
+	if nameLen == 0 || nameLen > maxShardNameLen || len(hello) != helloMinLen+nameLen {
+		return "", 0, fmt.Errorf("transport: malformed handshake (name length %d in %d-byte frame)", nameLen, len(hello))
 	}
-	return string(hello[v2HelloMinLen:]), id, true, nil
+	return string(hello[helloMinLen:]), id, nil
 }
 
-// ShardResolver maps the shard name from a v2 handshake (or DefaultShard
-// for legacy hellos) to the server core that owns it. Implementations may
-// create shards lazily; returning an error rejects the handshake with the
-// error text as the v2 ack message. ResolveShard must return the same core
-// for the same name for the lifetime of the server.
+// ShardResolver maps the shard name from a handshake to the server core
+// that owns it. Implementations may create shards lazily; returning an
+// error rejects the handshake with the error text as the ack message.
+// ResolveShard must return the same core for the same name for the
+// lifetime of the server.
 type ShardResolver interface {
 	ResolveShard(name string) (ServerCore, error)
 }
@@ -165,19 +156,9 @@ func WithHandshakeTimeout(d time.Duration) TCPOption {
 	return func(s *TCPServer) { s.handshakeTimeout = d }
 }
 
-// WithSharedDispatcher routes every shard through one global dispatcher
-// goroutine instead of one per shard, restoring the pre-shard serialization
-// across tenants. It exists as the ablation baseline for the multi-shard
-// scaling experiment (E17); production servers want the default. The
-// batched pipeline runs here too: one drained batch may span several
-// shards, each op applying against (and flushing) its own shard's core.
-func WithSharedDispatcher() TCPOption {
-	return func(s *TCPServer) { s.shared = true }
-}
-
 // WithTCPMaxBatch caps how many queued envelopes a dispatcher drains per
-// batch (default DefaultMaxBatch); 1 disables batching entirely. Wired to
-// the faust-server -max-batch flag.
+// batch (default DefaultMaxBatch); 1 makes every batch one. Wired to the
+// faust-server -max-batch flag.
 func WithTCPMaxBatch(n int) TCPOption {
 	return func(s *TCPServer) { s.maxBatch = n }
 }
@@ -257,11 +238,9 @@ func (c *serverConn) writeMsg(m wire.Message) error {
 }
 
 // shardRT is the per-shard runtime inside a TCPServer: the resolved core,
-// its inbox (own queue per shard, or the server's shared one), the
-// optional verification keyring, and the connection registry for
-// push-backs. It is the TCP transport's batchSink: messages arrive in
-// envelopes pointing at their shardRT, so one (possibly shared)
-// dispatcher serves any number of shards.
+// its inbox, the optional verification keyring, and the connection
+// registry for push-backs. It is the TCP transport's batchSink: each
+// shard's inbox is drained by that shard's own dispatcher goroutine.
 type shardRT struct {
 	name  string
 	core  ServerCore
@@ -286,12 +265,11 @@ func (rt *shardRT) push(to int, m wire.Message) error {
 
 // batchSink implementation.
 
-func (rt *shardRT) sinkCore() ServerCore             { return rt.core }
-func (rt *shardRT) sinkRing() *crypto.Keyring        { return rt.ring }
-func (rt *shardRT) sinkName() string                 { return rt.name }
-func (rt *shardRT) countOp()                         { rt.ops.Inc() }
-func (rt *shardRT) dropUnknown()                     {}
-func (rt *shardRT) sendReply(to int, m wire.Message) { _ = rt.push(to, m) }
+func (rt *shardRT) sinkCore() ServerCore      { return rt.core }
+func (rt *shardRT) sinkRing() *crypto.Keyring { return rt.ring }
+func (rt *shardRT) sinkName() string          { return rt.name }
+func (rt *shardRT) countOp()                  { rt.ops.Inc() }
+func (rt *shardRT) dropUnknown()              {}
 
 // sendReplies writes a batch's replies for one client as a single framed
 // write: one connection-lock round and one syscall per destination per
@@ -314,8 +292,6 @@ type TCPServer struct {
 	resolver         ShardResolver
 	ln               net.Listener
 	handshakeTimeout time.Duration
-	shared           bool
-	sharedInbox      *fifo[envelope] // non-nil iff shared
 	maxBatch         int
 	ring             *crypto.Keyring // server-wide verification fallback
 
@@ -338,7 +314,7 @@ type shardSlot struct {
 }
 
 // ServeTCP starts serving a single core on ln under the default shard name
-// — the legacy single-tenant deployment. It returns immediately; use Stop
+// — the single-tenant deployment. It returns immediately; use Stop
 // to shut down. The core's pusher (GenericCore) is attached before ServeTCP
 // returns.
 func ServeTCP(ln net.Listener, core ServerCore, opts ...TCPOption) *TCPServer {
@@ -366,11 +342,6 @@ func ServeTCPSharded(ln net.Listener, resolver ShardResolver, opts ...TCPOption)
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.shared {
-		s.sharedInbox = newFIFO[envelope]()
-		s.wg.Add(1)
-		go s.dispatchQueue(s.sharedInbox)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -430,12 +401,8 @@ func (s *TCPServer) Stop() {
 		_ = c.Close()
 	}
 
-	if s.sharedInbox != nil {
-		s.sharedInbox.close()
-	} else {
-		for _, rt := range rts {
-			rt.inbox.close()
-		}
+	for _, rt := range rts {
+		rt.inbox.close()
 	}
 	s.wg.Wait()
 }
@@ -523,7 +490,7 @@ func (s *TCPServer) createShard(name string) (*shardRT, error) {
 	rt := &shardRT{
 		name:  name,
 		core:  core,
-		inbox: s.sharedInbox,
+		inbox: newFIFO[envelope](),
 		ring:  s.ring,
 		ops:   shardOpsCounter(name),
 		conns: make(map[int]*serverConn),
@@ -532,10 +499,6 @@ func (s *TCPServer) createShard(name string) (*shardRT, error) {
 		if ring := vr.ResolveVerifier(name); ring != nil {
 			rt.ring = ring
 		}
-	}
-	ownInbox := rt.inbox == nil
-	if ownInbox {
-		rt.inbox = newFIFO[envelope]()
 	}
 	if gc, ok := core.(GenericCore); ok {
 		gc.AttachPusher(rt.push)
@@ -546,10 +509,8 @@ func (s *TCPServer) createShard(name string) (*shardRT, error) {
 		return nil, errStopped
 	}
 	s.shards[name] = rt
-	if ownInbox {
-		s.wg.Add(1)
-		go s.dispatchQueue(rt.inbox)
-	}
+	s.wg.Add(1)
+	go s.dispatchShard(rt)
 	s.mu.Unlock()
 	return rt, nil
 }
@@ -570,7 +531,7 @@ func checkID(name string, core ServerCore, id int) error {
 	return nil
 }
 
-// writeAck sends the v2 handshake acknowledgment: status 0, or status 1
+// writeAck sends the handshake acknowledgment: status 0, or status 1
 // plus the rejection reason.
 func writeAck(conn net.Conn, rejection error) error {
 	if rejection == nil {
@@ -600,7 +561,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.serveBlobConn(conn, br, hello)
 		return
 	}
-	name, id, v2, err := parseHello(hello)
+	name, id, err := parseHello(hello)
 	if err != nil {
 		s.dropPending(conn)
 		_ = conn.Close()
@@ -617,10 +578,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			err = checkID(name, rt.core, id)
 		}
 	}
-	if v2 {
-		if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
-			err = ackErr
-		}
+	if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
+		err = ackErr
 	}
 	if err != nil {
 		tmHandshakeRej.Inc()
@@ -659,7 +618,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if !rt.inbox.push(envelope{sink: rt, from: id, msg: msg, enq: traceStamp(msg)}) {
+		if !rt.inbox.push(envelope{from: id, msg: msg, enq: traceStamp(msg)}) {
 			return
 		}
 	}
@@ -667,7 +626,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 
 // parseBlobHello decodes a blob-channel handshake frame.
 func parseBlobHello(hello []byte) (shardName string, err error) {
-	if len(hello) < v2HelloMinLen-4 || !bytes.Equal(hello[:4], blobMagic[:]) {
+	if len(hello) < helloMinLen-4 || !bytes.Equal(hello[:4], blobMagic[:]) {
 		return "", fmt.Errorf("transport: malformed blob handshake frame (%d bytes)", len(hello))
 	}
 	nameLen := int(binary.BigEndian.Uint16(hello[4:6]))
@@ -775,12 +734,11 @@ func (s *TCPServer) register(rt *shardRT, id int, sc *serverConn) bool {
 	return true
 }
 
-// dispatchQueue is a shard's event loop (or the global one under
-// WithSharedDispatcher): the shared batched engine over this inbox.
-// Handlers still run one at a time in arrival order.
-func (s *TCPServer) dispatchQueue(q *fifo[envelope]) {
+// dispatchShard is a shard's event loop: the shared batched engine over
+// the shard's inbox. Handlers still run one at a time in arrival order.
+func (s *TCPServer) dispatchShard(rt *shardRT) {
 	defer s.wg.Done()
-	dispatchBatches(q, s.maxBatch)
+	dispatchBatches(rt.inbox, rt, s.maxBatch)
 }
 
 // tcpLink is the client-side Link over one TCP connection.
@@ -793,61 +751,67 @@ type tcpLink struct {
 
 var _ Link = (*tcpLink)(nil)
 
-// DialTCP connects client id to a TCPServer at addr with the legacy (v1)
-// handshake, binding the connection to the server's default shard. The
-// server sends no acknowledgment; a rejected ID (out of the shard's range)
-// surfaces as an error on the first Recv.
+// DialTCP connects client id to the default shard of a TCPServer at addr:
+// DialTCPShard with an empty shard name.
 func DialTCP(addr string, id int) (Link, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
-	}
-	var hello [legacyHelloLen]byte
-	binary.BigEndian.PutUint32(hello[:], uint32(id))
-	if err := writeFrame(conn, hello[:]); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
-	return &tcpLink{conn: conn, br: bufio.NewReader(conn)}, nil
+	return DialTCPShard(addr, "", id)
 }
 
-// DialTCPShard connects client id to the named shard of a TCPServer at
-// addr with the v2 handshake and waits for the server's acknowledgment, so
-// unknown shards and out-of-range IDs fail here rather than on the first
-// operation. An empty shard name dials the default shard.
-func DialTCPShard(addr, shard string, id int) (Link, error) {
+// dialHello connects to addr, sends the handshake frame — prefix (magic,
+// plus the client id on a protocol connection) | shard name length (u16) |
+// shard name — and waits for the server's ack. Connect, send and ack
+// together are bounded by timeout — a peer that accepts and stays silent
+// fails the dial instead of parking it — and the deadline is cleared
+// before the connection is handed back. kind names the handshake in
+// errors. An empty shard name targets the default shard.
+func dialHello(addr string, prefix []byte, shard, kind string, timeout time.Duration) (net.Conn, *bufio.Reader, error) {
 	if shard == "" {
 		shard = DefaultShard
 	}
 	if len(shard) > maxShardNameLen {
-		return nil, fmt.Errorf("transport: shard name %d bytes long, limit %d", len(shard), maxShardNameLen)
+		return nil, nil, fmt.Errorf("transport: shard name %d bytes long, limit %d", len(shard), maxShardNameLen)
 	}
-	conn, err := net.Dial("tcp", addr)
+	deadline := time.Now().Add(timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
+		return nil, nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	hello := make([]byte, 0, v2HelloMinLen+len(shard))
-	hello = append(hello, helloMagic[:]...)
-	hello = binary.BigEndian.AppendUint32(hello, uint32(id))
+	_ = conn.SetDeadline(deadline) // an unsupported deadline only loses the bound
+	hello := make([]byte, 0, helloMinLen+len(shard))
+	hello = append(hello, prefix...)
 	hello = binary.BigEndian.AppendUint16(hello, uint16(len(shard)))
 	hello = append(hello, shard...)
-	if err := writeFrame(conn, hello); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
 	br := bufio.NewReader(conn)
-	ack, err := readFrame(br)
+	err = writeFrame(conn, hello)
+	var ack []byte
+	if err == nil {
+		ack, err = readFrame(br)
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("transport: %s: %w", kind, err)
+	case len(ack) < 1:
+		err = fmt.Errorf("transport: empty %s ack", kind)
+	case ack[0] != 0:
+		err = fmt.Errorf("transport: server rejected %s: %s", kind, ack[1:])
+	}
 	if err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("transport: handshake ack: %w", err)
+		return nil, nil, err
 	}
-	if len(ack) < 1 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: empty handshake ack")
-	}
-	if ack[0] != 0 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: server rejected handshake: %s", ack[1:])
+	_ = conn.SetDeadline(time.Time{})
+	return conn, br, nil
+}
+
+// DialTCPShard connects client id to the named shard of a TCPServer at
+// addr and waits for the server's acknowledgment, so unknown shards and
+// out-of-range IDs fail here rather than on the first operation. An empty
+// shard name dials the default shard.
+func DialTCPShard(addr, shard string, id int) (Link, error) {
+	prefix := binary.BigEndian.AppendUint32(helloMagic[:4:4], uint32(id))
+	conn, br, err := dialHello(addr, prefix, shard, "handshake", defaultHandshakeTimeout)
+	if err != nil {
+		return nil, err
 	}
 	return &tcpLink{conn: conn, br: br}, nil
 }
@@ -861,37 +825,9 @@ func DialTCPShard(addr, shard string, id int) (Link, error) {
 // are matched as they arrive, so a batch of fetches from several
 // goroutines pays one round trip rather than one per blob.
 func DialTCPBlob(addr, shard string) (BlobChannel, error) {
-	if shard == "" {
-		shard = DefaultShard
-	}
-	if len(shard) > maxShardNameLen {
-		return nil, fmt.Errorf("transport: shard name %d bytes long, limit %d", len(shard), maxShardNameLen)
-	}
-	conn, err := net.Dial("tcp", addr)
+	conn, br, err := dialHello(addr, blobMagic[:], shard, "blob handshake", defaultHandshakeTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
-	}
-	hello := make([]byte, 0, 6+len(shard))
-	hello = append(hello, blobMagic[:]...)
-	hello = binary.BigEndian.AppendUint16(hello, uint16(len(shard)))
-	hello = append(hello, shard...)
-	if err := writeFrame(conn, hello); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: blob handshake: %w", err)
-	}
-	br := bufio.NewReader(conn)
-	ack, err := readFrame(br)
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: blob handshake ack: %w", err)
-	}
-	if len(ack) < 1 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: empty blob handshake ack")
-	}
-	if ack[0] != 0 {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: server rejected blob channel: %s", ack[1:])
+		return nil, err
 	}
 	c := &tcpBlobChannel{conn: conn, pending: make(map[uint32]chan wire.Message)}
 	go c.readLoop(br)

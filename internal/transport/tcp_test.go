@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -288,27 +290,21 @@ func TestTCPDuplicateHandshake(t *testing.T) {
 func TestTCPOutOfRangeID(t *testing.T) {
 	srv, addr := startTCP(t, &sizedEchoCore{n: 2})
 
-	// Legacy handshake: no ack; the server just closes the conn.
-	link, err := DialTCP(addr, 7)
-	if err != nil {
-		t.Fatal(err)
+	// Rejected in the ack, so the dial itself fails — through DialTCP and
+	// through DialTCPShard alike.
+	if _, err := DialTCP(addr, 7); err == nil {
+		t.Fatal("DialTCP accepted out-of-range id 7")
 	}
-	defer link.Close()
-	if _, err := link.Recv(); err == nil {
-		t.Fatal("server accepted out-of-range legacy id 7")
-	}
-	if got := srv.ActiveConns(); got != 0 {
-		t.Fatalf("ActiveConns = %d after rejected handshake, want 0", got)
-	}
-
-	// v2 handshake: rejected in the ack, so Dial itself fails.
 	if _, err := DialTCPShard(addr, DefaultShard, 7); err == nil {
 		t.Fatal("DialTCPShard accepted out-of-range id 7")
 	}
-	// In-range v2 dial works against the same server.
-	ok, err := DialTCPShard(addr, DefaultShard, 1)
+	if got := srv.ActiveConns(); got != 0 {
+		t.Fatalf("ActiveConns = %d after rejected handshakes, want 0", got)
+	}
+	// An in-range dial works against the same server.
+	ok, err := DialTCP(addr, 1)
 	if err != nil {
-		t.Fatalf("in-range v2 dial: %v", err)
+		t.Fatalf("in-range dial: %v", err)
 	}
 	defer ok.Close()
 	if err := ok.Send(&wire.Submit{T: 5}); err != nil {
@@ -319,11 +315,89 @@ func TestTCPOutOfRangeID(t *testing.T) {
 	}
 }
 
-// TestTCPUnknownShardRejected: the v2 ack carries the resolver's error.
+// TestTCPUnknownShardRejected: the ack carries the resolver's error.
 func TestTCPUnknownShardRejected(t *testing.T) {
 	_, addr := startTCP(t, &echoCore{})
 	if _, err := DialTCPShard(addr, "no-such-shard", 0); err == nil {
 		t.Fatal("dial to unknown shard succeeded")
+	}
+}
+
+// TestTCPBareIDHelloRefused: the pre-shard hello — a 4-byte frame holding
+// only the client id — is no longer a handshake. The server closes the
+// connection without an ack and registers nothing.
+func TestTCPBareIDHelloRefused(t *testing.T) {
+	srv, addr := startTCP(t, &echoCore{})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := writeFrame(raw, []byte{0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a 4-byte hello = (%d, %v), want the connection closed", n, err)
+	}
+	if got := srv.ActiveConns(); got != 0 {
+		t.Fatalf("ActiveConns = %d after a refused hello, want 0", got)
+	}
+}
+
+// TestDialBoundedAgainstSilentPeer: a peer that accepts and never writes
+// must fail the dial at the handshake timeout instead of parking it in
+// the ack read forever — for protocol and blob connections alike.
+func TestDialBoundedAgainstSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open and silent until the test ends
+		}
+	}()
+	for _, prefix := range [][]byte{append(helloMagic[:4:4], 0, 0, 0, 0), blobMagic[:]} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := dialHello(ln.Addr().String(), prefix, "", "handshake", 50*time.Millisecond)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("dial against a silent peer = %v, want a timeout", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("dial against a silent peer never returned")
+		}
+	}
+}
+
+// TestDialClearsHandshakeDeadline: the bound covers the handshake only —
+// a link that idles past it still works.
+func TestDialClearsHandshakeDeadline(t *testing.T) {
+	_, addr := startTCP(t, &echoCore{})
+	const timeout = 50 * time.Millisecond
+	conn, br, err := dialHello(addr, append(helloMagic[:4:4], 0, 0, 0, 0), "", "handshake", timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &tcpLink{conn: conn, br: br}
+	defer link.Close()
+	time.Sleep(2 * timeout)
+	if err := link.Send(&wire.Submit{T: 4}); err != nil {
+		t.Fatalf("send after idling past the handshake timeout: %v", err)
+	}
+	if _, err := link.Recv(); err != nil {
+		t.Fatalf("recv after idling past the handshake timeout: %v", err)
 	}
 }
 

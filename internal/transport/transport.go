@@ -8,6 +8,12 @@
 // the cmd/ tools. Both preserve per-link FIFO order and never drop
 // messages while open; that is exactly the reliability the protocol
 // assumes.
+//
+// On the server side both run one dispatch engine (batch.go): one
+// dispatcher goroutine per core drains its inbox in arrival-order batches
+// and puts every batch — a batch of one included — through one body:
+// verify, apply, flush, reply. The TCP transport has one handshake, acked
+// by the server and bounded by a timeout on both ends (tcp.go).
 package transport
 
 import (
@@ -67,14 +73,10 @@ type GenericCore interface {
 	AttachPusher(push func(to int, m wire.Message) error)
 }
 
-// envelope tags a message with its sender and destination for a server
-// inbox. sink is the transport-specific runtime (a TCP shard, the
-// in-memory network) the batched dispatcher applies the message against —
-// one inbox may serve several sinks under a shared dispatcher. enq is
-// the enqueue stamp for the dispatcher queue-wait span; it is zero when
+// envelope tags a message with its sender for a server inbox. enq is the
+// enqueue stamp for the dispatcher queue-wait span; it is zero when
 // tracing is off so the disabled path never reads the clock.
 type envelope struct {
-	sink batchSink
 	from int
 	msg  wire.Message
 	enq  time.Time

@@ -273,8 +273,8 @@ func (s *KVStream) nextPut(key string) KVOp {
 
 // KeyName returns the canonical zero-padded key for index i. KV streams
 // generate keys through it, and benchmarks/prefill helpers that address
-// the same namespaces (faust-bench E18/E19, the kv benchmarks) share it
-// so a prefilled key space and a generated stream line up exactly.
+// the same namespaces share it so a prefilled key space and a generated
+// stream line up exactly.
 func KeyName(i int) string { return fmt.Sprintf("key-%06d", i) }
 
 // key picks the target key, Zipf-skewed when configured. Keys are

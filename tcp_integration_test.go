@@ -140,8 +140,8 @@ func TestTCPEndToEndFAUSTStability(t *testing.T) {
 // proves (1) shards are fully isolated — the same client identity writes
 // different values into different shards and reads them back unmixed,
 // (2) each persistent shard keeps its own data directory and recovers its
-// own state across a restart, and (3) legacy single-tenant clients
-// interoperate with v2 clients through the default shard.
+// own state across a restart, and (3) DialTCP, which names no shard, and
+// DialTCPShard naming "default" reach the same default shard.
 func TestTCPMultiShardIsolation(t *testing.T) {
 	const n = 2
 	base := t.TempDir()
@@ -180,11 +180,11 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 	// is an independent protocol participant.
 	alpha0 := ustor.NewClient(0, ring, signers[0], dialShard(addr, "alpha", 0))
 	beta0 := ustor.NewClient(0, ring, signers[0], dialShard(addr, "beta", 0))
-	legacyLink, err := transport.DialTCP(addr, 0) // legacy v1 hello -> default shard
+	defLink, err := transport.DialTCP(addr, 0) // no shard named -> default shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	def0 := ustor.NewClient(0, ring, signers[0], legacyLink)
+	def0 := ustor.NewClient(0, ring, signers[0], defLink)
 
 	if err := alpha0.Write([]byte("alpha-secret")); err != nil {
 		t.Fatalf("alpha write: %v", err)
@@ -193,7 +193,7 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 		t.Fatalf("beta write: %v", err)
 	}
 	if err := def0.Write([]byte("default-value")); err != nil {
-		t.Fatalf("legacy write: %v", err)
+		t.Fatalf("default-shard write: %v", err)
 	}
 
 	// Cross-shard isolation: register 0 of each shard holds that shard's
@@ -207,8 +207,8 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 		t.Fatalf("beta read = %q, %v; want beta-value", v, err)
 	}
 
-	// Legacy/v2 interop on the default shard: a v2 client naming
-	// "default" shares state with the legacy-hello client.
+	// The default shard by either dialer: a client naming "default"
+	// shares state with the DialTCP client.
 	def1 := ustor.NewClient(1, ring, signers[1], dialShard(addr, transport.DefaultShard, 1))
 	if v, err := def1.Read(0); err != nil || string(v) != "default-value" {
 		t.Fatalf("default-shard read = %q, %v; want default-value", v, err)

@@ -141,7 +141,7 @@ func TestTracePropagationMemoryTransport(t *testing.T) {
 }
 
 // TestTracePropagationTCPWithRedial runs the same proof over real TCP
-// against a persistent shard (adding WAL append/fsync spans to the
+// against a persistent shard (adding WAL append and batch-flush spans to the
 // chain), then kills the client's blob connection between two puts: the
 // second put's trace must record the blob.redial recovery and still
 // join the server-side work under the client's trace ID.
@@ -215,7 +215,7 @@ func TestTracePropagationTCPWithRedial(t *testing.T) {
 	// shard; the always-failing primary adds retries and failover.
 	assertTrace(t, first, []string{
 		"kv.put", "sign", "rpc", "verify",
-		"srv.submit", "queue", "apply", "wal.append", "wal.fsync",
+		"srv.submit", "queue", "apply", "wal.append", "batch.flush",
 		"blob.rpc", "srv.blob.put",
 		"fleet.put:*", "fleet.retry",
 	})
@@ -243,7 +243,7 @@ func TestTracePropagationTCPWithRedial(t *testing.T) {
 	assertTrace(t, second, []string{
 		"kv.put", "srv.submit", "blob.rpc", "blob.redial", "srv.blob.put",
 	})
-	if !spanNames(second)["wal.fsync"] {
+	if !spanNames(second)["batch.flush"] {
 		t.Fatalf("second trace lost the WAL chain: %v", keys(spanNames(second)))
 	}
 
