@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper-level experiments (DESIGN.md,
-// E2-E14). Each benchmark maps to one experiment row; cmd/faust-bench
-// prints the corresponding human-readable tables, and EXPERIMENTS.md
-// records paper-claim vs measured. Run with:
+// Benchmarks regenerating the paper-level experiments (E2-E14). Each
+// benchmark maps to one experiment row; cmd/faust-bench prints the
+// corresponding human-readable tables, README "Performance" has the
+// measured numbers and README "Retired experiments" the verdicts of the
+// experiments no longer run. Run with:
 //
 //	go test -bench=. -benchmem
 package faust

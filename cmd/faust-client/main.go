@@ -175,7 +175,7 @@ func (s *session) kvStore() (*kv.Store, error) {
 	// bounced server or dropped connection doesn't strand the KV session.
 	ch := transport.NewRedialBlobChannel(func() (transport.BlobChannel, error) {
 		return transport.DialTCPBlob(s.server, s.shard)
-	}, transport.RedialOptions{})
+	})
 	st, err := kv.Open(s.uc, ch)
 	if err != nil {
 		_ = ch.Close()

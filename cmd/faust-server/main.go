@@ -239,7 +239,7 @@ func main() {
 
 	// Instantiate the default shard eagerly so recovery cost is paid at
 	// boot and its outcome is visible; named shards stay lazy.
-	if _, err := router.ResolveShard(transport.DefaultShard); err != nil {
+	if _, err := router.ResolveShard(transport.DefaultShard, -1); err != nil {
 		log.Fatalf("faust-server: opening default shard: %v", err)
 	}
 	defInfo, _ := router.Info(transport.DefaultShard)

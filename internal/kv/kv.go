@@ -162,16 +162,6 @@ func WithTreeFanout(leaf, interior int) Option {
 	}
 }
 
-// WithFetchParallelism bounds the concurrent blob fetches/uploads a
-// single operation issues (default DefaultFetchParallelism; minimum 1).
-func WithFetchParallelism(n int) Option {
-	return func(s *Store) {
-		if n >= 1 {
-			s.fetchPar = n
-		}
-	}
-}
-
 // Item is one key/value pair for PutBatch.
 type Item struct {
 	Key   string
@@ -199,7 +189,6 @@ type Store struct {
 	chunkBudget int
 	nodeBudget  int
 	valBudget   int
-	fetchPar    int
 	shape       treeShape
 
 	wmu sync.Mutex // serializes mutations of the own namespace
@@ -237,7 +226,6 @@ func Open(reg Register, blobs transport.BlobChannel, opts ...Option) (*Store, er
 		chunkBudget: 64 << 20,
 		nodeBudget:  16 << 20,
 		valBudget:   64 << 20,
-		fetchPar:    DefaultFetchParallelism,
 		shape:       treeShape{leafMax: DefaultLeafFanout, intMax: DefaultInteriorFanout},
 		chunkCache:  make(map[string][]byte),
 		nodeCache:   make(map[string]*node),
@@ -796,8 +784,8 @@ func (s *Store) remoteKeys(ctx context.Context, rr *rootRecord) ([]string, error
 }
 
 // loadTree fetches and verifies the owner's entire tree at Open, level
-// by level (so the fetch parallelism stays bounded at fetchPar, never
-// compounding across depths), linking the nodes in memory so later
+// by level (so the fetch parallelism stays bounded at
+// DefaultFetchParallelism, never compounding across depths), linking the nodes in memory so later
 // operations run without node fetches. The structure checks are the
 // same every remote read performs. Children are linked on COPIES of the
 // decoded nodes: cached nodes are shared and immutable, the owner tree
@@ -1024,17 +1012,14 @@ func (s *Store) cacheChunk(hash, chunk []byte) {
 	s.chunkBytes += len(chunk)
 }
 
-// forEachParallel runs f(0..n-1) with at most s.fetchPar invocations in
-// flight and returns the first error (after letting started calls
+// forEachParallel runs f(0..n-1) with at most DefaultFetchParallelism
+// invocations in flight and returns the first error (after letting started calls
 // finish, so no goroutine outlives the operation).
 func (s *Store) forEachParallel(n int, f func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
-	par := s.fetchPar
-	if par > n {
-		par = n
-	}
+	par := min(DefaultFetchParallelism, n)
 	if par <= 1 {
 		for i := 0; i < n; i++ {
 			if err := f(i); err != nil {

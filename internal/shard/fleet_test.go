@@ -29,10 +29,11 @@ func TestRouterBlobFleet(t *testing.T) {
 	}
 	defer r.Close()
 
-	blobs, err := r.ResolveBlobs("p")
+	sh, err := r.ResolveShard("p", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blobs := sh.Blobs
 	if _, ok := blobs.(*blobfleet.Failover); !ok {
 		t.Fatalf("shard blob store is %T, want *blobfleet.Failover", blobs)
 	}
@@ -59,10 +60,11 @@ func TestRouterBlobFleet(t *testing.T) {
 	}
 
 	// An in-memory shard still gets a fleet (dir entries degraded to mem).
-	mblobs, err := r.ResolveBlobs("m")
+	sh, err = r.ResolveShard("m", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mblobs := sh.Blobs
 	if _, ok := mblobs.(*blobfleet.Failover); !ok {
 		t.Fatalf("memory shard blob store is %T, want *blobfleet.Failover", mblobs)
 	}
@@ -82,10 +84,11 @@ func TestRouterWithoutFleetKeepsLegacyStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	blobs, err := r.ResolveBlobs("a")
+	sh, err := r.ResolveShard("a", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blobs := sh.Blobs
 	if _, ok := blobs.(*transport.MemBlobs); !ok {
 		t.Fatalf("legacy in-memory shard blob store is %T, want *transport.MemBlobs", blobs)
 	}

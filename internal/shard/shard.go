@@ -6,14 +6,17 @@
 // directory; shards share nothing but the process. The Router implements
 // transport.ShardResolver, so a transport.TCPServer serves all shards from
 // a single listener: the handshake names the shard (transport.DialTCP
-// names transport.DefaultShard), and every shard gets its own dispatcher
-// goroutine in the transport — per-shard handler atomicity with cross-shard
-// parallelism.
+// names transport.DefaultShard), one ResolveShard call hands the
+// transport the shard's transport.Shard — core, verification ring, blob
+// store — and every shard gets its own dispatcher goroutine in the
+// transport: per-shard handler atomicity with cross-shard parallelism.
 //
 // Shards are instantiated lazily on first resolution: a declared (or
 // template-matched) shard costs nothing until a client connects, at which
-// point its state is recovered from disk if it persists. Close snapshots
-// and releases every instantiated persistent shard.
+// point its state is recovered from disk if it persists. A resolution the
+// spec refuses (unknown or invalid name, out-of-range client id) is
+// refused before anything is instantiated. Close snapshots and releases
+// every instantiated persistent shard.
 package shard
 
 import (
@@ -32,21 +35,19 @@ import (
 	"faust/internal/ustor"
 )
 
-// Router-level observability: how many tenants are live and how often
-// preflight turns handshakes away before they can cost anything. (The
-// per-tenant op counters live in the transport dispatcher, which labels
-// them with the shard name this router resolved.)
+// Router-level observability: how many tenants are live. (Refused
+// handshakes are counted by the transport; the per-tenant op counters
+// live in the transport dispatcher, which labels them with the shard name
+// this router resolved.)
 var (
-	rmShardsOpen       = obs.Default().Gauge("faust_shards_open")
-	rmShardsCreated    = obs.Default().Counter("faust_shards_created_total")
-	rmPreflightRejects = obs.Default().Counter("faust_shard_preflight_rejects_total")
+	rmShardsOpen    = obs.Default().Gauge("faust_shards_open")
+	rmShardsCreated = obs.Default().Counter("faust_shards_created_total")
 )
 
 func init() {
 	r := obs.Default()
 	r.Help("faust_shards_open", "shard instances currently instantiated")
 	r.Help("faust_shards_created_total", "shard instantiations since process start")
-	r.Help("faust_shard_preflight_rejects_total", "handshakes rejected by shard preflight validation")
 }
 
 // Spec declares one shard.
@@ -87,11 +88,12 @@ type Options struct {
 	BlobFleet  *blobfleet.FleetSpec
 	BlobFaults *blobfleet.FaultPlan
 	// VerifyKeyring, when non-nil, supplies each shard's public keyring
-	// for dispatcher-side SUBMIT-signature verification (see the
-	// transport.VerifierResolver extension). It is called once per shard
-	// instantiation with the shard's name and group size; returning nil
-	// leaves that shard unverified. Admission hygiene only — the
-	// protocol's guarantees stay client-enforced.
+	// for dispatcher-side SUBMIT-signature verification (transport.Shard's
+	// Ring). It is called once per shard instantiation with the shard's
+	// name and group size; returning nil leaves the shard to the
+	// transport's server-wide transport.WithVerifyKeyring ring, if any.
+	// Admission hygiene only — the protocol's guarantees stay
+	// client-enforced.
 	VerifyKeyring func(name string, n int) *crypto.Keyring
 }
 
@@ -139,11 +141,8 @@ type Router struct {
 }
 
 var (
-	_ transport.ShardResolver    = (*Router)(nil)
-	_ transport.ShardPreflight   = (*Router)(nil)
-	_ transport.BlobResolver     = (*Router)(nil)
-	_ transport.VerifierResolver = (*Router)(nil)
-	_ transport.BlobStore        = (*store.FileBlobs)(nil)
+	_ transport.ShardResolver = (*Router)(nil)
+	_ transport.BlobStore     = (*store.FileBlobs)(nil)
 )
 
 // ValidName reports whether a shard name is acceptable: 1-64 bytes of
@@ -167,7 +166,7 @@ func ValidName(name string) bool {
 
 // NewRouter validates the declared specs and returns a router. No shard is
 // instantiated yet; each is created (and, if persistent, recovered) on its
-// first ResolveShard.
+// first ResolveShard. The spec table is immutable from here on.
 func NewRouter(specs []Spec, opts Options) (*Router, error) {
 	r := &Router{
 		opts:     opts,
@@ -208,95 +207,76 @@ func (r *Router) validateSpec(sp Spec) error {
 	return nil
 }
 
-// PreflightShard implements transport.ShardPreflight: it validates a
-// handshake's shard name and client id against the declared spec (or the
-// lazy template) WITHOUT instantiating the shard, so rejected handshakes
-// cannot force shard creation — otherwise an attacker cycling fresh names
-// with bad ids could grow goroutines, FDs and directories without bound.
-func (r *Router) PreflightShard(name string, id int) error {
-	if err := r.preflight(name, id); err != nil {
-		rmPreflightRejects.Inc()
-		return err
-	}
-	return nil
-}
-
-func (r *Router) preflight(name string, id int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return errors.New("shard: router closed")
-	}
-	var n int
-	switch {
-	case r.open[name] != nil:
-		n = r.open[name].info.N
-	case r.hasSpec(name):
-		n = r.specs[name].N
-	case r.opts.Default != nil:
-		if !ValidName(name) {
-			return fmt.Errorf("shard: invalid shard name %q", name)
-		}
-		n = r.opts.Default.N
-	default:
-		return fmt.Errorf("shard: unknown shard %q", name)
-	}
-	if id < 0 || id >= n {
-		return fmt.Errorf("shard: client id %d out of range for shard %q (n=%d)", id, name, n)
-	}
-	return nil
-}
-
-func (r *Router) hasSpec(name string) bool {
-	_, ok := r.specs[name]
-	return ok
-}
+// errClosed refuses resolutions after Close.
+var errClosed = errors.New("shard: router closed")
 
 // ResolveShard implements transport.ShardResolver: it returns the named
-// shard's core, instantiating the shard on first use. Unknown names are
-// created from Options.Default when set, rejected otherwise. The creation
-// itself — including recovery of a persistent shard's WAL — runs outside
-// r.mu, so preflights and resolutions of other shards proceed while one
-// shard recovers; concurrent resolutions of the same name share the one
+// shard's core, verification ring and blob store, instantiating the shard
+// on first use. The name and client id (negative: none — a blob channel,
+// or a server opening a shard at boot) are validated against the
+// declared spec or the Options.Default template BEFORE anything is
+// instantiated, so a refused handshake cannot force shard creation —
+// otherwise an attacker cycling fresh names with bad ids could grow
+// goroutines, FDs and directories without bound.
+func (r *Router) ResolveShard(name string, id int) (transport.Shard, error) {
+	sp, err := r.specFor(name)
+	if err != nil {
+		return transport.Shard{}, err
+	}
+	if id >= sp.N {
+		return transport.Shard{}, fmt.Errorf("shard: client id %d out of range for shard %q (n=%d)", id, name, sp.N)
+	}
+	inst, err := r.instantiate(sp)
+	if err != nil {
+		return transport.Shard{}, err
+	}
+	return transport.Shard{Core: inst.core, Ring: inst.ring, Blobs: inst.blobs}, nil
+}
+
+// specFor returns the spec a name resolves to: the declared one, or one
+// derived from Options.Default. It reads only immutable configuration.
+func (r *Router) specFor(name string) (Spec, error) {
+	if sp, ok := r.specs[name]; ok {
+		return sp, nil
+	}
+	d := r.opts.Default
+	if d == nil {
+		return Spec{}, fmt.Errorf("shard: unknown shard %q", name)
+	}
+	if !ValidName(name) {
+		return Spec{}, fmt.Errorf("shard: invalid shard name %q", name)
+	}
+	return Spec{Name: name, N: d.N, Persist: d.Persist}, nil
+}
+
+// instantiate returns sp's live instance, creating it on first use. The
+// creation — including recovery of a persistent shard's WAL — runs
+// outside r.mu, so resolutions of other shards proceed while one shard
+// recovers; concurrent resolutions of the same name share the one
 // in-flight creation.
-func (r *Router) ResolveShard(name string) (transport.ServerCore, error) {
+func (r *Router) instantiate(sp Spec) (*instance, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, errors.New("shard: router closed")
+		return nil, errClosed
 	}
-	if inst, ok := r.open[name]; ok {
+	if inst, ok := r.open[sp.Name]; ok {
 		r.mu.Unlock()
-		return inst.core, nil
+		return inst, nil
 	}
-	if pc, ok := r.creating[name]; ok {
+	if pc, ok := r.creating[sp.Name]; ok {
 		r.mu.Unlock()
 		<-pc.done
-		if pc.err != nil {
-			return nil, pc.err
-		}
-		return pc.inst.core, nil
-	}
-	sp, declared := r.specs[name]
-	if !declared {
-		if r.opts.Default == nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("shard: unknown shard %q", name)
-		}
-		if !ValidName(name) {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("shard: invalid shard name %q", name)
-		}
-		sp = Spec{Name: name, N: r.opts.Default.N, Persist: r.opts.Default.Persist}
+		return pc.inst, pc.err
 	}
 	pc := &pendingCreate{done: make(chan struct{})}
-	r.creating[name] = pc
+	r.creating[sp.Name] = pc
 	r.mu.Unlock()
 
 	inst, err := r.create(sp)
 
 	r.mu.Lock()
-	delete(r.creating, name)
+	delete(r.creating, sp.Name)
 	if err == nil {
 		if r.closed {
 			// Close ran while this shard was being created; it could not
@@ -305,9 +285,9 @@ func (r *Router) ResolveShard(name string) (transport.ServerCore, error) {
 				_ = inst.ps.Close()
 			}
 			inst.closeBlobs()
-			inst, err = nil, errors.New("shard: router closed")
+			inst, err = nil, errClosed
 		} else {
-			r.open[name] = inst
+			r.open[sp.Name] = inst
 			rmShardsCreated.Inc()
 			rmShardsOpen.Set(int64(len(r.open)))
 		}
@@ -315,10 +295,7 @@ func (r *Router) ResolveShard(name string) (transport.ServerCore, error) {
 	r.mu.Unlock()
 	pc.inst, pc.err = inst, err
 	close(pc.done)
-	if err != nil {
-		return nil, err
-	}
-	return inst.core, nil
+	return inst, err
 }
 
 // create instantiates one shard, recovering persistent state if any.
@@ -399,38 +376,6 @@ func (inst *instance) closeBlobs() {
 	if inst.fleet != nil {
 		_ = inst.fleet.Close()
 	}
-}
-
-// ResolveBlobs implements transport.BlobResolver: it returns the named
-// shard's blob store, instantiating the shard on first use exactly like
-// ResolveShard (same lazy-creation slot, same default template rules).
-func (r *Router) ResolveBlobs(name string) (transport.BlobStore, error) {
-	if _, err := r.ResolveShard(name); err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inst, ok := r.open[name]
-	if !ok {
-		return nil, fmt.Errorf("shard: shard %q closed", name)
-	}
-	return inst.blobs, nil
-}
-
-// ResolveVerifier implements transport.VerifierResolver: it returns the
-// named shard's SUBMIT-verification keyring, nil when the shard is
-// unverified (no Options.VerifyKeyring, or it declined this shard). The
-// transport consults it after ResolveShard on the same handshake, so the
-// instance always exists by the time this runs; a racing Close simply
-// yields nil, which downgrades to no verification — never a wrong ring.
-func (r *Router) ResolveVerifier(name string) *crypto.Keyring {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inst, ok := r.open[name]
-	if !ok {
-		return nil
-	}
-	return inst.ring
 }
 
 // FleetStatus reports an instantiated shard's blob fleet backends, in

@@ -2,13 +2,18 @@ package shard
 
 import (
 	"context"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"faust/internal/crypto"
+	"faust/internal/obs"
 	"faust/internal/store"
 	"faust/internal/transport"
+	"faust/internal/ustor"
 	"faust/internal/wire"
 )
 
@@ -25,30 +30,36 @@ func TestValidName(t *testing.T) {
 	}
 }
 
+// resolveCore resolves a shard without a client id and returns its core.
+func resolveCore(r *Router, name string) (transport.ServerCore, error) {
+	sh, err := r.ResolveShard(name, -1)
+	return sh.Core, err
+}
+
 func TestRouterResolveDeclared(t *testing.T) {
 	r, err := NewRouter([]Spec{{Name: "a", N: 2}, {Name: "b", N: 3}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreA, err := r.ResolveShard("a")
+	coreA, err := resolveCore(r, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreA2, err := r.ResolveShard("a")
+	coreA2, err := resolveCore(r, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coreA != coreA2 {
 		t.Fatal("ResolveShard not idempotent")
 	}
-	coreB, err := r.ResolveShard("b")
+	coreB, err := resolveCore(r, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coreA == coreB {
 		t.Fatal("distinct shards share a core")
 	}
-	if _, err := r.ResolveShard("nope"); err == nil {
+	if _, err := resolveCore(r, "nope"); err == nil {
 		t.Fatal("unknown shard resolved without a default template")
 	}
 	// Isolation: a submit to shard a must not appear in shard b.
@@ -67,14 +78,14 @@ func TestRouterLazyDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := r.ResolveShard("on-demand")
+	core, err := resolveCore(r, "on-demand")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := core.(interface{ N() int }).N(); n != 4 {
 		t.Fatalf("lazy shard n = %d, want 4", n)
 	}
-	if _, err := r.ResolveShard("bad/name"); err == nil {
+	if _, err := resolveCore(r, "bad/name"); err == nil {
 		t.Fatal("invalid lazy shard name accepted")
 	}
 	infos := r.OpenShards()
@@ -114,11 +125,11 @@ func TestRouterPersistencePerShardDirs(t *testing.T) {
 		return r
 	}
 	r := open()
-	coreA, err := r.ResolveShard("alpha")
+	coreA, err := resolveCore(r, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ResolveShard("beta"); err != nil {
+	if _, err := resolveCore(r, "beta"); err != nil {
 		t.Fatal(err)
 	}
 	sub := &wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0}, Value: []byte("persist-me")}
@@ -139,14 +150,14 @@ func TestRouterPersistencePerShardDirs(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ResolveShard("alpha"); err == nil {
+	if _, err := resolveCore(r, "alpha"); err == nil {
 		t.Fatal("closed router resolved a shard")
 	}
 
 	// Reopen: alpha must recover its submit, beta must stay empty.
 	r2 := open()
 	defer r2.Close()
-	coreA2, err := r2.ResolveShard("alpha")
+	coreA2, err := resolveCore(r2, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestRouterPersistencePerShardDirs(t *testing.T) {
 	if got := coreA2.(*store.Persistent).ExportState(); string(got) != string(preClose) {
 		t.Fatal("alpha state after recovery differs from pre-close state")
 	}
-	coreB2, err := r2.ResolveShard("beta")
+	coreB2, err := resolveCore(r2, "beta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,7 @@ func TestRouterCustomDirOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.ResolveShard("legacy"); err != nil {
+	if _, err := resolveCore(r, "legacy"); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := r.Info("legacy")
@@ -188,41 +199,127 @@ func TestRouterCustomDirOverride(t *testing.T) {
 
 func TestRouterImplementsResolver(t *testing.T) {
 	var _ transport.ShardResolver = (*Router)(nil)
-	var _ transport.ShardPreflight = (*Router)(nil)
 }
 
-// TestPreflightShard: handshake validation must not instantiate shards —
-// otherwise rejected handshakes could grow state without bound.
-func TestPreflightShard(t *testing.T) {
+// TestResolveShardRefusesBeforeInstantiating: names and client ids the
+// spec refuses are refused before anything is instantiated — otherwise
+// rejected handshakes could grow state without bound.
+func TestResolveShardRefusesBeforeInstantiating(t *testing.T) {
 	r, err := NewRouter([]Spec{{Name: "a", N: 2}}, Options{Default: &Spec{N: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PreflightShard("a", 1); err != nil {
-		t.Fatalf("declared in-range: %v", err)
-	}
-	if err := r.PreflightShard("a", 2); err == nil {
-		t.Fatal("declared out-of-range id accepted")
-	}
-	if err := r.PreflightShard("lazy", 2); err != nil {
-		t.Fatalf("template in-range: %v", err)
-	}
-	if err := r.PreflightShard("lazy", 3); err == nil {
-		t.Fatal("template out-of-range id accepted")
-	}
-	if err := r.PreflightShard("bad/name", 0); err == nil {
-		t.Fatal("invalid lazy name accepted")
+	defer r.Close()
+	for _, bad := range []struct {
+		name string
+		id   int
+	}{
+		{"a", 2},        // declared, out of range
+		{"lazy", 3},     // template, out of range
+		{"bad/name", 0}, // invalid lazy name
+	} {
+		if _, err := r.ResolveShard(bad.name, bad.id); err == nil {
+			t.Errorf("ResolveShard(%q, %d) accepted", bad.name, bad.id)
+		}
 	}
 	if got := r.OpenShards(); len(got) != 0 {
-		t.Fatalf("preflight instantiated shards: %+v", got)
+		t.Fatalf("refused resolutions instantiated shards: %+v", got)
+	}
+	for _, ok := range []struct {
+		name string
+		id   int
+	}{{"a", 1}, {"lazy", 2}, {"lazy", -1}} {
+		if sh, err := r.ResolveShard(ok.name, ok.id); err != nil || sh.Core == nil || sh.Blobs == nil {
+			t.Errorf("ResolveShard(%q, %d) = %+v, %v", ok.name, ok.id, sh, err)
+		}
+	}
+	if got := r.OpenShards(); len(got) != 2 {
+		t.Fatalf("OpenShards = %+v, want a and lazy", got)
 	}
 
 	strict, err := NewRouter([]Spec{{Name: "a", N: 2}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := strict.PreflightShard("unknown", 0); err == nil {
+	if _, err := strict.ResolveShard("unknown", 0); err == nil {
 		t.Fatal("unknown shard accepted without a template")
+	}
+	if got := strict.OpenShards(); len(got) != 0 {
+		t.Fatalf("refused resolution instantiated shards: %+v", got)
+	}
+}
+
+// TestRouterVerifyKeyringOverTCP serves a router whose VerifyKeyring
+// arms one shard and declines the other: the armed shard drops a SUBMIT
+// forged under its ring, the declining one falls back to the server-wide
+// WithVerifyKeyring ring and drops a SUBMIT forged under that — and each
+// shard's honest client completes its writes behind the forgery.
+func TestRouterVerifyKeyringOverTCP(t *testing.T) {
+	const n = 2
+	shardRing, shardSigners := crypto.NewTestKeyring(n, 41)
+	serverRing, serverSigners := crypto.NewTestKeyring(n, 42)
+	r, err := NewRouter([]Spec{{Name: "armed", N: n}, {Name: "fallback", N: n}}, Options{
+		VerifyKeyring: func(name string, _ int) *crypto.Keyring {
+			if name == "armed" {
+				return shardRing
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.ServeTCPSharded(ln, r, transport.WithVerifyKeyring(serverRing))
+	defer srv.Stop()
+
+	rejects := obs.Default().Counter("faust_verify_reject_total")
+	for _, tc := range []struct {
+		shard          string
+		ring           *crypto.Keyring
+		honest, forger *crypto.Signer
+	}{
+		{"armed", shardRing, shardSigners[0], serverSigners[0]},
+		{"fallback", serverRing, serverSigners[0], shardSigners[0]},
+	} {
+		link, err := transport.DialTCPShard(ln.Addr().String(), tc.shard, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := rejects.Value()
+		// Signed by a key the shard's ring does not hold for client 0.
+		forged := &wire.Submit{T: 1, Inv: wire.Invocation{Client: 0, Op: wire.OpWrite, Reg: 0}}
+		forged.Inv.SubmitSig = tc.forger.Sign(crypto.DomainSubmit, wire.SubmitPayload(wire.OpWrite, 0, 1, nil))
+		if err := link.Send(forged); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		// Two writes: a reply to the forgery could pass for the first
+		// one's, never for both.
+		go func() {
+			c := ustor.NewClient(0, tc.ring, tc.honest, link)
+			err := c.Write([]byte("honest-1"))
+			if err == nil {
+				err = c.Write([]byte("honest-2"))
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: honest writes behind the forgery: %v", tc.shard, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: honest writes behind the forgery never completed", tc.shard)
+		}
+		if got := rejects.Value() - before; got != 1 {
+			t.Fatalf("%s: %d SUBMITs rejected, want the forged one", tc.shard, got)
+		}
+		_ = link.Close()
 	}
 }
 

@@ -10,12 +10,17 @@ import (
 	"faust/internal/wire"
 )
 
-// Batched dispatch pipeline, shared by the TCP and in-memory transports.
+// The hub: the server half the TCP and in-memory transports share —
+// everything but the socket.
 //
-// Under load the inbox holds many queued operations, and every per-op
-// cost that can legally be amortized across them should be. One dispatcher
-// goroutine per sink runs one loop with one body over whatever a drain
-// returned:
+// A hub is one core's inbox and dispatcher. Messages enter only through
+// hub.admit (the TCP read loop, an in-memory link, the delay pump) and
+// leave only through the hub's deliver func — the transport's one
+// delivery method, which both the dispatcher's coalesced replies and a
+// GenericCore's pushes go through. Under load the inbox holds many queued
+// operations, and every per-op cost that can legally be amortized across
+// them should be. The dispatcher goroutine runs one loop with one body
+// over whatever a drain returned:
 //
 //	drain     popBatch takes everything queued, up to the -max-batch cap,
 //	          preserving arrival (and therefore per-connection FIFO) order
@@ -44,26 +49,6 @@ const DefaultMaxBatch = 64
 // queue-pressure evidence worth linking to a trace: the batch-size
 // histogram then records the batch's first traced SUBMIT as its exemplar.
 const oversizedBatch = 32
-
-// batchSink is the transport-specific half of the pipeline: the core and
-// (optional) verification keyring a dispatcher serves, and how replies
-// leave the server. shardRT implements it for TCP, Network for the
-// in-memory transport, which is what lets both run the same dispatch
-// engine — and the same drain-after-close semantics.
-type batchSink interface {
-	sinkCore() ServerCore
-	sinkRing() *crypto.Keyring
-	sinkName() string
-	// countOp accounts one dispatched envelope (per-tenant op counters).
-	countOp()
-	// sendReplies delivers a batch's replies for client `to` in order,
-	// coalesced into as few transport writes as possible. Delivery
-	// failures are the destination's problem (dead connection, closed
-	// outbox) — the dispatcher never blocks on them.
-	sendReplies(to int, msgs []wire.Message)
-	// dropUnknown accounts a message kind the core cannot handle.
-	dropUnknown()
-}
 
 // BatchCore is an optional ServerCore extension for cores whose
 // durability barrier can cover many operations at once. The dispatcher
@@ -100,15 +85,25 @@ type batchOp struct {
 	done     bool
 }
 
-// dispatcher is one dispatcher goroutine's state: the sink it serves,
-// with its core's optional extensions resolved once, and the reusable
-// buffers — the steady state allocates nothing per batch beyond what
-// crypto's pool needs for fan-out.
-type dispatcher struct {
-	sink batchSink
-	core ServerCore
-	bc   BatchCore       // core as a BatchCore, nil when it is not one
-	ring *crypto.Keyring // nil = no SUBMIT verification
+// hub is one core's inbox and dispatcher. The transport fills in the
+// exported-to-it half — name, core, ring, count, deliver — and startHub
+// the rest; the scratch buffers below belong to the dispatcher goroutine
+// and are reused across batches, so the steady state allocates nothing
+// per batch beyond what crypto's pool needs for fan-out.
+type hub struct {
+	name  string // shard name for events; "" in memory
+	core  ServerCore
+	ring  *crypto.Keyring // nil = no SUBMIT verification
+	count *obs.Counter    // per-shard dispatched-op counter; nil in memory
+	// deliver sends messages to client `to` in order, as few transport
+	// writes as possible. Failures are the destination's problem (dead
+	// connection, closed outbox): the dispatcher never blocks on them.
+	deliver func(to int, msgs []wire.Message) error
+
+	inbox *fifo[envelope]
+	bc    BatchCore   // core as a BatchCore, nil when it is not one
+	gc    GenericCore // core as a GenericCore, nil when it is not one
+	done  chan struct{}
 
 	batch   []envelope
 	ops     []batchOp
@@ -117,22 +112,46 @@ type dispatcher struct {
 	msgs    []wire.Message
 }
 
-func newDispatcher(sink batchSink) *dispatcher {
-	d := &dispatcher{sink: sink, core: sink.sinkCore(), ring: sink.sinkRing()}
-	d.bc, _ = d.core.(BatchCore)
-	return d
-}
-
-// dispatchBatches is the dispatcher event loop both transports run: drain
-// a batch, pipeline it, repeat until the inbox closes and empties.
-func dispatchBatches(q *fifo[envelope], sink batchSink, maxBatch int) {
+// startHub completes h — inbox, the core's optional extensions, a
+// GenericCore's pusher as a one-message deliver — and starts its
+// dispatcher, which drains batches of at most maxBatch envelopes
+// (DefaultMaxBatch when maxBatch <= 0) until stop.
+func startHub(h *hub, maxBatch int) *hub {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	d := newDispatcher(sink)
+	h.inbox = newFIFO[envelope]()
+	h.done = make(chan struct{})
+	h.bc, _ = h.core.(BatchCore)
+	if h.gc, _ = h.core.(GenericCore); h.gc != nil {
+		h.gc.AttachPusher(func(to int, m wire.Message) error { return h.deliver(to, []wire.Message{m}) })
+	}
+	go h.run(maxBatch)
+	return h
+}
+
+// admit queues a message from client `from` for the dispatcher: the one
+// place a message enters a server. False once the hub has stopped.
+func (h *hub) admit(from int, m wire.Message) bool {
+	return h.inbox.push(envelope{from: from, msg: m, enq: traceStamp(m)})
+}
+
+// stop closes the inbox and waits until the dispatcher has drained
+// everything admitted before.
+func (h *hub) stop() {
+	h.inbox.close()
+	<-h.done
+}
+
+// run is the dispatcher event loop: drain a batch, pipeline it, repeat
+// until the inbox closes and empties.
+//
+//faustlint:hotpath
+func (h *hub) run(maxBatch int) {
+	defer close(h.done)
 	for {
-		batch, ok := q.popBatch(maxBatch, d.batch[:0])
-		d.batch = batch
+		batch, ok := h.inbox.popBatch(maxBatch, h.batch[:0])
+		h.batch = batch
 		if len(batch) == 0 {
 			if !ok {
 				return
@@ -140,7 +159,7 @@ func dispatchBatches(q *fifo[envelope], sink batchSink, maxBatch int) {
 			continue
 		}
 		observeBatchSize(batch)
-		d.runBatch(batch)
+		h.runBatch(batch)
 	}
 }
 
@@ -165,20 +184,23 @@ func observeBatchSize(batch []envelope) {
 const submitRejectDetail = "SUBMIT signature verification failed"
 
 // rejectSubmit accounts one refused SUBMIT: metrics plus a protocol
-// event, mirroring how handshake preflight rejections are surfaced.
-func (d *dispatcher) rejectSubmit(from int) {
+// event, mirroring how refused handshakes are surfaced.
+func (h *hub) rejectSubmit(from int) {
 	tmVerifyRejects.Inc()
-	obs.Default().Events().Record(obs.EventSubmitReject, from, d.sink.sinkName(), submitRejectDetail)
+	obs.Default().Events().Record(obs.EventSubmitReject, from, h.name, submitRejectDetail)
 }
 
 // runBatch pipelines a drained batch of one or more envelopes through
 // verify, apply, flush and coalesced reply.
 //
 //faustlint:hotpath
-func (d *dispatcher) runBatch(batch []envelope) {
-	ops := d.ops[:0]
-	jobs := d.jobs[:0]
-	payload := d.payload[:0]
+func (h *hub) runBatch(batch []envelope) {
+	if h.count != nil {
+		h.count.Add(int64(len(batch)))
+	}
+	ops := h.ops[:0]
+	jobs := h.jobs[:0]
+	payload := h.payload[:0]
 
 	// Stage 1 — classify: join traces, stamp queue waits, and build the
 	// verification jobs. The sender must claim its own identity —
@@ -189,7 +211,6 @@ func (d *dispatcher) runBatch(batch []envelope) {
 	// disturb it.
 	for i := range batch {
 		e := &batch[i]
-		d.sink.countOp()
 		op := batchOp{job: jobNone}
 		if m, isSubmit := e.msg.(*wire.Submit); isSubmit {
 			op.isSubmit = true
@@ -197,14 +218,14 @@ func (d *dispatcher) runBatch(batch []envelope) {
 			trace.Event(op.ctx, spanQueue, e.enq)
 			op.start = obs.StartTimer()
 			op.tid = exemplarID(m.Inv.Trace)
-			if d.ring != nil {
+			if h.ring != nil {
 				if m.Inv.Client != e.from {
 					op.job = jobRejected
 				} else {
 					pstart := len(payload)
 					payload = wire.AppendSubmitPayload(payload, m.Inv.Op, m.Inv.Reg, m.T, m.Inv.Trace)
 					jobs = append(jobs, crypto.VerifyJob{
-						Ring:    d.ring,
+						Ring:    h.ring,
 						Signer:  e.from,
 						Domain:  crypto.DomainSubmit,
 						Sig:     m.Inv.SubmitSig,
@@ -216,9 +237,9 @@ func (d *dispatcher) runBatch(batch []envelope) {
 		}
 		ops = append(ops, op)
 	}
-	d.ops = ops
-	d.jobs = jobs
-	d.payload = payload
+	h.ops = ops
+	h.jobs = jobs
+	h.payload = payload
 
 	// Stage 2 — verify the whole batch at once, fanning out across the
 	// shared worker pool when it is wide enough to pay off.
@@ -247,32 +268,30 @@ func (d *dispatcher) runBatch(batch []envelope) {
 		switch m := e.msg.(type) {
 		case *wire.Submit:
 			if op.job == jobRejected || (op.job >= 0 && !jobs[op.job].OK) {
-				d.rejectSubmit(e.from)
+				h.rejectSubmit(e.from)
 				continue
 			}
-			if d.bc != nil {
-				op.reply = d.bc.HandleSubmitBuffered(op.ctx, e.from, m)
+			if h.bc != nil {
+				op.reply = h.bc.HandleSubmitBuffered(op.ctx, e.from, m)
 				op.buffered = true
 			} else {
-				op.reply = d.core.HandleSubmit(op.ctx, e.from, m)
+				op.reply = h.core.HandleSubmit(op.ctx, e.from, m)
 			}
 		case *wire.Commit:
 			start := obs.StartTimer()
-			d.core.HandleCommit(context.Background(), e.from, m)
+			h.core.HandleCommit(context.Background(), e.from, m)
 			tmCommitNs.ObserveSince(start)
 		default:
-			d.flushAndSend(batch[:i], ops[:i])
-			if gc, ok := d.core.(GenericCore); ok {
-				gc.HandleMessage(e.from, e.msg)
-				continue
+			h.flushAndSend(batch[:i], ops[:i])
+			if h.gc != nil {
+				h.gc.HandleMessage(e.from, e.msg)
 			}
-			d.sink.dropUnknown()
 		}
 	}
 
 	// Stages 4+5 — flush the BatchCore once, then send the batch's
 	// replies coalesced per destination.
-	d.flushAndSend(batch, ops)
+	h.flushAndSend(batch, ops)
 }
 
 // flushAndSend settles every not-yet-done op in the prefix: batch-flush
@@ -284,7 +303,7 @@ func (d *dispatcher) runBatch(batch []envelope) {
 // and the final call compose.
 //
 //faustlint:hotpath
-func (d *dispatcher) flushAndSend(batch []envelope, ops []batchOp) {
+func (h *hub) flushAndSend(batch []envelope, ops []batchOp) {
 	first := 0
 	for first < len(ops) && (ops[first].done || !ops[first].buffered) {
 		first++
@@ -294,7 +313,7 @@ func (d *dispatcher) flushAndSend(batch []envelope, ops []batchOp) {
 		if trace.Enabled() {
 			fstart = time.Now()
 		}
-		err := d.bc.FlushBatch()
+		err := h.bc.FlushBatch()
 		for i := first; i < len(ops); i++ {
 			op := &ops[i]
 			if op.done || !op.buffered {
@@ -327,7 +346,7 @@ func (d *dispatcher) flushAndSend(batch []envelope, ops []batchOp) {
 			continue
 		}
 		from := batch[i].from
-		msgs := append(d.msgs[:0], wire.Message(op.reply))
+		msgs := append(h.msgs[:0], wire.Message(op.reply))
 		for j := i + 1; j < len(ops); j++ {
 			oj := &ops[j]
 			if oj.done || oj.reply == nil || batch[j].from != from {
@@ -336,7 +355,7 @@ func (d *dispatcher) flushAndSend(batch []envelope, ops []batchOp) {
 			msgs = append(msgs, oj.reply)
 			oj.done = true
 		}
-		d.msgs = msgs
-		d.sink.sendReplies(from, msgs)
+		h.msgs = msgs
+		_ = h.deliver(from, msgs)
 	}
 }

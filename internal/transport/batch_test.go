@@ -89,7 +89,7 @@ func (c *batchRecCore) FlushBatch() error {
 
 // quietCore is a ServerCore that allocates nothing: every SUBMIT is
 // answered with the same preallocated reply. quietBatchCore adds the
-// BatchCore half. quietSink counts what the dispatcher hands it.
+// BatchCore half.
 type quietCore struct{ reply wire.Reply }
 
 func (c *quietCore) HandleSubmit(context.Context, int, *wire.Submit) *wire.Reply { return &c.reply }
@@ -105,18 +105,16 @@ func (c *quietBatchCore) HandleSubmitBuffered(context.Context, int, *wire.Submit
 }
 func (c *quietBatchCore) FlushBatch() error { c.flushes++; return nil }
 
-type quietSink struct {
-	core ServerCore
-	ring *crypto.Keyring
-	sent int
+// quietHub is a hub over core whose dispatcher is not started — tests
+// drive runBatch directly — and whose deliver counts into *sent.
+func quietHub(core ServerCore, ring *crypto.Keyring, sent *int) *hub {
+	h := &hub{core: core, ring: ring, deliver: func(_ int, msgs []wire.Message) error {
+		*sent += len(msgs)
+		return nil
+	}}
+	h.bc, _ = core.(BatchCore)
+	return h
 }
-
-func (s *quietSink) sinkCore() ServerCore                   { return s.core }
-func (s *quietSink) sinkRing() *crypto.Keyring              { return s.ring }
-func (s *quietSink) sinkName() string                       { return "" }
-func (s *quietSink) countOp()                               {}
-func (s *quietSink) dropUnknown()                           {}
-func (s *quietSink) sendReplies(_ int, msgs []wire.Message) { s.sent += len(msgs) }
 
 // TestAllocBudgetDispatchBatchOfOne pins what the dispatcher itself costs
 // a lone SUBMIT once its scratch is warm: nothing — no per-op closure, no
@@ -126,22 +124,26 @@ func (s *quietSink) sendReplies(_ int, msgs []wire.Message) { s.sent += len(msgs
 func TestAllocBudgetDispatchBatchOfOne(t *testing.T) {
 	ring, signers := crypto.NewTestKeyring(1, 3)
 	batchCore := &quietBatchCore{}
-	for name, sink := range map[string]*quietSink{
-		"verified BatchCore": {core: batchCore, ring: ring},
-		"plain ServerCore":   {core: &quietCore{}},
+	for name, setup := range map[string]struct {
+		core ServerCore
+		ring *crypto.Keyring
+	}{
+		"verified BatchCore": {batchCore, ring},
+		"plain ServerCore":   {&quietCore{}, nil},
 	} {
-		d := newDispatcher(sink)
+		sent := 0
+		h := quietHub(setup.core, setup.ring, &sent)
 		batch := []envelope{{from: 0, msg: signedSubmit(signers[0], 0, 1)}}
 		const runs = 200
 		got := testing.AllocsPerRun(runs, func() {
 			observeBatchSize(batch)
-			d.runBatch(batch)
+			h.runBatch(batch)
 		})
 		if got != 0 {
 			t.Errorf("%s: a batch of one costs %.0f allocations in the dispatcher, want 0", name, got)
 		}
-		if sink.sent != runs+1 { // AllocsPerRun warms up with one extra call
-			t.Errorf("%s: %d replies sent for %d batches", name, sink.sent, runs+1)
+		if sent != runs+1 { // AllocsPerRun warms up with one extra call
+			t.Errorf("%s: %d replies sent for %d batches", name, sent, runs+1)
 		}
 	}
 	if batchCore.flushes != 201 {
@@ -162,13 +164,13 @@ func TestVerifiedTracedBatchWithCommit(t *testing.T) {
 		trace.Default().Reset()
 	})
 	ring, signers := crypto.NewTestKeyring(1, 3)
-	sink := &quietSink{core: &quietCore{}, ring: ring}
-	newDispatcher(sink).runBatch([]envelope{
+	sent := 0
+	quietHub(&quietCore{}, ring, &sent).runBatch([]envelope{
 		{from: 0, msg: &wire.Commit{}},
 		{from: 0, msg: signedSubmit(signers[0], 0, 1)},
 	})
-	if sink.sent != 1 {
-		t.Fatalf("replies sent = %d, want the SUBMIT's one", sink.sent)
+	if sent != 1 {
+		t.Fatalf("replies sent = %d, want the SUBMIT's one", sent)
 	}
 }
 
@@ -678,7 +680,7 @@ func testDrainSpansAfterClose(t *testing.T, inboxOf func(core *recCore) (*fifo[e
 func TestMemoryDrainSpansAfterClose(t *testing.T) {
 	testDrainSpansAfterClose(t, func(core *recCore) (*fifo[envelope], func(wire.Message) error, func()) {
 		nw := NewNetwork(1, core)
-		return nw.inbox, nw.ClientLink(0).Send, nw.Stop
+		return nw.hub.inbox, nw.ClientLink(0).Send, nw.Stop
 	})
 }
 
@@ -696,6 +698,6 @@ func TestTCPDrainSpansAfterClose(t *testing.T) {
 		if rt == nil {
 			t.Fatal("default shard runtime missing after handshake")
 		}
-		return rt.inbox, link.Send, srv.Stop
+		return rt.hub.inbox, link.Send, srv.Stop
 	})
 }

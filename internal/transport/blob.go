@@ -108,13 +108,6 @@ type BlobChannel interface {
 	Close() error
 }
 
-// BlobResolver is an optional ShardResolver extension mapping a shard
-// name to that shard's blob store. A TCP server whose resolver implements
-// it accepts blob-channel handshakes; otherwise they are rejected.
-type BlobResolver interface {
-	ResolveBlobs(name string) (BlobStore, error)
-}
-
 // errBlobNotFound wraps fs.ErrNotExist with the hash for diagnostics.
 func errBlobNotFound(hash []byte) error {
 	return fmt.Errorf("blob %x: %w", shortHash(hash), fs.ErrNotExist)

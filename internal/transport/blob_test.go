@@ -7,26 +7,22 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
+	"strings"
 	"testing"
 
 	"faust/internal/crypto"
 )
 
-// fakeBlobResolver serves one shared core and, for known shard names, a
-// blob store. It stands in for shard.Router (which lives above transport).
-type fakeBlobResolver struct {
+// fakeResolver serves one shared core under every name and, for known
+// shard names, a blob store. It stands in for shard.Router (which lives
+// above transport).
+type fakeResolver struct {
 	core  ServerCore
 	blobs map[string]BlobStore
 }
 
-func (f *fakeBlobResolver) ResolveShard(string) (ServerCore, error) { return f.core, nil }
-
-func (f *fakeBlobResolver) ResolveBlobs(name string) (BlobStore, error) {
-	bs, ok := f.blobs[name]
-	if !ok {
-		return nil, fmt.Errorf("no blobs for shard %q", name)
-	}
-	return bs, nil
+func (f *fakeResolver) ResolveShard(name string, _ int) (Shard, error) {
+	return Shard{Core: f.core, Blobs: f.blobs[name]}, nil
 }
 
 // TestMemBlobChannel exercises the in-memory bulk channel: put/get round
@@ -92,7 +88,7 @@ func TestMemBlobsUnverified(t *testing.T) {
 // TestTCPBlobChannel runs the bulk channel over a real TCP loopback
 // server next to protocol connections on the same listener.
 func TestTCPBlobChannel(t *testing.T) {
-	resolver := &fakeBlobResolver{
+	resolver := &fakeResolver{
 		core:  &echoCore{},
 		blobs: map[string]BlobStore{DefaultShard: NewMemBlobs()},
 	}
@@ -135,10 +131,10 @@ func TestTCPBlobChannel(t *testing.T) {
 	}
 }
 
-// TestTCPBlobChannelRejected: unknown shards and resolvers without blob
-// support reject the handshake with the reason in the ack.
+// TestTCPBlobChannelRejected: shards without a blob store reject the
+// blob handshake with the reason in the ack.
 func TestTCPBlobChannelRejected(t *testing.T) {
-	resolver := &fakeBlobResolver{
+	resolver := &fakeResolver{
 		core:  &echoCore{},
 		blobs: map[string]BlobStore{DefaultShard: NewMemBlobs()},
 	}
@@ -148,11 +144,11 @@ func TestTCPBlobChannelRejected(t *testing.T) {
 	}
 	srv := ServeTCPSharded(ln, resolver)
 	defer srv.Stop()
-	if _, err := DialTCPBlob(ln.Addr().String(), "no-such-shard"); err == nil {
-		t.Fatal("blob channel to unknown shard accepted")
+	if _, err := DialTCPBlob(ln.Addr().String(), "no-such-shard"); err == nil || !strings.Contains(err.Error(), ErrNoBlobStore.Error()) {
+		t.Fatalf("blob channel to a shard without a blob store = %v, want refused with the reason", err)
 	}
 
-	// A resolver without BlobResolver support rejects every blob dial.
+	// A server whose shards have no blob stores refuses every blob dial.
 	ln2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +164,7 @@ func TestTCPBlobChannelRejected(t *testing.T) {
 // goroutines at once: requests are pipelined (IDs on the wire) and every
 // response must reach the caller that issued it, with the right bytes.
 func TestTCPBlobChannelPipelined(t *testing.T) {
-	resolver := &fakeBlobResolver{
+	resolver := &fakeResolver{
 		core:  &echoCore{},
 		blobs: map[string]BlobStore{DefaultShard: NewMemBlobs()},
 	}
@@ -241,7 +237,7 @@ func TestTCPBlobChannelPipelined(t *testing.T) {
 // under pipelined requests, every blocked caller is released with an
 // error instead of hanging.
 func TestTCPBlobChannelFailureReleasesInFlight(t *testing.T) {
-	resolver := &fakeBlobResolver{
+	resolver := &fakeResolver{
 		core:  &echoCore{},
 		blobs: map[string]BlobStore{DefaultShard: NewMemBlobs()},
 	}
@@ -281,7 +277,7 @@ func TestTCPBlobChannelFailureReleasesInFlight(t *testing.T) {
 // TestTCPBlobChannelStop: Stop closes live blob connections so the
 // server shuts down promptly and later requests fail.
 func TestTCPBlobChannelStop(t *testing.T) {
-	resolver := &fakeBlobResolver{
+	resolver := &fakeResolver{
 		core:  &echoCore{},
 		blobs: map[string]BlobStore{DefaultShard: NewMemBlobs()},
 	}

@@ -11,20 +11,20 @@ import (
 )
 
 // Network is an in-memory star network connecting n clients to one server
-// core over reliable FIFO links. A single dispatcher goroutine drains
-// client messages in arrival-order batches and runs the core's handlers
-// one at a time, exactly as Algorithm 2 assumes (batching changes how
-// much the dispatcher takes per drain, never the application order).
+// core over reliable FIFO links. It is a hub (batch.go) with per-client
+// outboxes for a socket: links admit their messages into the hub, whose
+// one dispatcher goroutine drains them in arrival-order batches and runs
+// the core's handlers one at a time, exactly as Algorithm 2 assumes
+// (batching changes how much the dispatcher takes per drain, never the
+// application order); replies and pushes leave through deliver.
 type Network struct {
 	n        int
-	core     ServerCore
-	inbox    *fifo[envelope]
+	hub      *hub
 	outboxes []*fifo[wire.Message]
 	links    []*memoryLink
 
 	metrics  bool
 	stats    Stats
-	ring     *crypto.Keyring
 	maxBatch int
 
 	blobs BlobStore // nil = no bulk channel
@@ -33,9 +33,7 @@ type Network struct {
 	delayRand *rand.Rand
 	delayMu   sync.Mutex
 
-	wg       sync.WaitGroup
 	stopped  atomic.Bool
-	dropped  atomic.Int64 // messages discarded after Stop, for tests
 	pumpGate sync.WaitGroup
 }
 
@@ -73,7 +71,7 @@ func WithDelay(max time.Duration, seed int64) Option {
 // server is the untrusted party); it is admission hygiene, and it gives
 // the batch pipeline its parallel verification stage.
 func WithVerifier(ring *crypto.Keyring) Option {
-	return func(nw *Network) { nw.ring = ring }
+	return func(nw *Network) { nw.hub.ring = ring }
 }
 
 // WithMaxBatch caps how many queued messages the dispatcher drains per
@@ -91,18 +89,17 @@ type memoryLink struct {
 	closed atomic.Bool
 	// sendQ serializes this client's messages through the optional delay
 	// pump so per-client FIFO order survives randomized delays.
-	sendQ *fifo[envelope]
+	sendQ *fifo[wire.Message]
 }
 
 var _ Link = (*memoryLink)(nil)
 
 // NewNetwork creates an in-memory network with n client links attached to
-// the given server core and starts the dispatcher.
+// the given server core and starts its hub.
 func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 	nw := &Network{
 		n:        n,
-		core:     core,
-		inbox:    newFIFO[envelope](),
+		hub:      &hub{core: core},
 		outboxes: make([]*fifo[wire.Message], n),
 		links:    make([]*memoryLink, n),
 		maxBatch: DefaultMaxBatch,
@@ -115,29 +112,32 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 		nw.links[i] = &memoryLink{nw: nw, id: i, in: nw.outboxes[i]}
 		if nw.delayMax > 0 {
 			l := nw.links[i]
-			l.sendQ = newFIFO[envelope]()
+			l.sendQ = newFIFO[wire.Message]()
 			nw.pumpGate.Add(1)
 			go nw.delayPump(l)
 		}
 	}
-	if gc, ok := core.(GenericCore); ok {
-		gc.AttachPusher(nw.push)
-	}
-	nw.wg.Add(1)
-	go nw.dispatch()
+	nw.hub.deliver = nw.deliver
+	startHub(nw.hub, nw.maxBatch)
 	return nw
 }
 
-// push delivers a core-initiated message to client `to`, with metrics.
-func (nw *Network) push(to int, m wire.Message) error {
+// deliver is the network's one delivery method, for the dispatcher's
+// replies and a GenericCore's pushes alike: account the messages, then
+// queue them on client `to`'s outbox in one lock round.
+func (nw *Network) deliver(to int, msgs []wire.Message) error {
 	if to < 0 || to >= nw.n {
 		return ErrClosed
 	}
 	if nw.metrics {
-		atomic.AddInt64(&nw.stats.ServerToClientMsgs, 1)
-		atomic.AddInt64(&nw.stats.ServerToClientBytes, int64(wire.EncodedSize(m)))
+		atomic.AddInt64(&nw.stats.ServerToClientMsgs, int64(len(msgs)))
+		var bytes int64
+		for _, m := range msgs {
+			bytes += int64(wire.EncodedSize(m))
+		}
+		atomic.AddInt64(&nw.stats.ServerToClientBytes, bytes)
 	}
-	if !nw.outboxes[to].push(m) {
+	if !nw.outboxes[to].pushAll(msgs) {
 		return ErrClosed
 	}
 	return nil
@@ -148,7 +148,7 @@ func (nw *Network) push(to int, m wire.Message) error {
 func (nw *Network) delayPump(l *memoryLink) {
 	defer nw.pumpGate.Done()
 	for {
-		e, ok := l.sendQ.pop()
+		m, ok := l.sendQ.pop()
 		if !ok {
 			return
 		}
@@ -158,45 +158,11 @@ func (nw *Network) delayPump(l *memoryLink) {
 		if d > 0 {
 			time.Sleep(d)
 		}
-		if !e.enq.IsZero() {
-			// The queue span measures inbox wait, not simulated network
-			// delay: restamp after the delay has elapsed.
-			e.enq = time.Now()
-		}
-		if !nw.inbox.push(e) {
-			// The network stopped while this message was in its delay
-			// window; account it like any other post-Stop discard.
-			nw.dropped.Add(1)
+		// Admitted after the delay, so the queue span measures inbox
+		// wait, not simulated network delay.
+		if !nw.hub.admit(l.id, m) {
 			return
 		}
-	}
-}
-
-// dispatch is the server event loop: the shared batched engine over this
-// network's inbox. Handlers still run one at a time in arrival order.
-func (nw *Network) dispatch() {
-	defer nw.wg.Done()
-	dispatchBatches(nw.inbox, nw, nw.maxBatch)
-}
-
-// batchSink implementation: the whole in-memory network is one sink.
-
-func (nw *Network) sinkCore() ServerCore      { return nw.core }
-func (nw *Network) sinkRing() *crypto.Keyring { return nw.ring }
-func (nw *Network) sinkName() string          { return "" }
-func (nw *Network) countOp()                  {}
-func (nw *Network) dropUnknown()              { nw.dropped.Add(1) }
-func (nw *Network) sendReplies(to int, msgs []wire.Message) {
-	if nw.metrics {
-		atomic.AddInt64(&nw.stats.ServerToClientMsgs, int64(len(msgs)))
-		var bytes int64
-		for _, m := range msgs {
-			bytes += int64(wire.EncodedSize(m))
-		}
-		atomic.AddInt64(&nw.stats.ServerToClientBytes, bytes)
-	}
-	if !nw.outboxes[to].pushAll(msgs) {
-		nw.dropped.Add(int64(len(msgs)))
 	}
 }
 
@@ -238,9 +204,8 @@ func (nw *Network) Stats() Stats {
 	}
 }
 
-// Stop shuts the network down: all links close, blocked Recv calls return
-// ErrClosed, and the dispatcher exits after draining nothing further.
-// Stop is idempotent.
+// Stop shuts the network down: all links close, the hub drains what it
+// admitted, then blocked Recv calls return ErrClosed. Stop is idempotent.
 func (nw *Network) Stop() {
 	if nw.stopped.Swap(true) {
 		return
@@ -252,8 +217,7 @@ func (nw *Network) Stop() {
 		}
 	}
 	nw.pumpGate.Wait()
-	nw.inbox.close()
-	nw.wg.Wait()
+	nw.hub.stop()
 	for _, q := range nw.outboxes {
 		q.close()
 	}
@@ -268,14 +232,13 @@ func (l *memoryLink) Send(m wire.Message) error {
 		atomic.AddInt64(&l.nw.stats.ClientToServerMsgs, 1)
 		atomic.AddInt64(&l.nw.stats.ClientToServerBytes, int64(wire.EncodedSize(m)))
 	}
-	e := envelope{from: l.id, msg: m, enq: traceStamp(m)}
 	if l.sendQ != nil {
-		if !l.sendQ.push(e) {
+		if !l.sendQ.push(m) {
 			return ErrClosed
 		}
 		return nil
 	}
-	if !l.nw.inbox.push(e) {
+	if !l.nw.hub.admit(l.id, m) {
 		return ErrClosed
 	}
 	return nil

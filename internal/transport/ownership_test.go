@@ -119,7 +119,7 @@ func TestTCPBlobRetainedDataOutlivesTheStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCPSharded(ln, &fakeBlobResolver{core: &echoCore{}, blobs: map[string]BlobStore{"s": NewMemBlobs()}})
+	srv := ServeTCPSharded(ln, &fakeResolver{core: &echoCore{}, blobs: map[string]BlobStore{"s": NewMemBlobs()}})
 	defer srv.Stop()
 	ch, err := DialTCPBlob(ln.Addr().String(), "s")
 	if err != nil {

@@ -31,25 +31,20 @@ import (
 // consume before its error is surfaced.
 const DefaultRedialAttempts = 3
 
-// RedialOptions tunes a RedialBlobChannel.
-type RedialOptions struct {
-	// Attempts caps redials per operation (DefaultRedialAttempts if <= 0).
-	Attempts int
-	// Backoff is the sleep before redial k, doubling each time and capped
-	// at BackoffCap. Defaults: 50ms, capped at 1s.
-	Backoff    time.Duration
-	BackoffCap time.Duration
-	// Sleep replaces time.Sleep in tests.
-	Sleep func(time.Duration)
-}
+// The sleep before redial k starts at redialBackoff and doubles each
+// time, capped at redialBackoffCap.
+const (
+	redialBackoff    = 50 * time.Millisecond
+	redialBackoffCap = time.Second
+)
 
 // RedialBlobChannel is a BlobChannel that survives connection drops by
 // redialing. Safe for concurrent use; concurrent operations share one
 // underlying channel (and its pipelining) and one of them performs the
 // redial while the others wait for it.
 type RedialBlobChannel struct {
-	dial func() (BlobChannel, error)
-	opts RedialOptions
+	dial  func() (BlobChannel, error)
+	sleep func(time.Duration) // time.Sleep; tests swap it
 
 	mu     sync.Mutex
 	ch     BlobChannel // nil until first use or after a discard
@@ -62,20 +57,8 @@ var _ BlobChannel = (*RedialBlobChannel)(nil)
 // NewRedialBlobChannel wraps a dial function (typically a closure over
 // DialTCPBlob) in a redial-on-failure channel. The first connection is
 // dialed lazily on first use.
-func NewRedialBlobChannel(dial func() (BlobChannel, error), opts RedialOptions) *RedialBlobChannel {
-	if opts.Attempts <= 0 {
-		opts.Attempts = DefaultRedialAttempts
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = time.Second
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
-	return &RedialBlobChannel{dial: dial, opts: opts}
+func NewRedialBlobChannel(dial func() (BlobChannel, error)) *RedialBlobChannel {
+	return &RedialBlobChannel{dial: dial, sleep: time.Sleep}
 }
 
 // current returns the live channel and its generation, dialing if none
@@ -124,9 +107,9 @@ func retryable(err error) bool {
 // current()) is recorded as a blob.redial span of ctx's trace, so a
 // trace that survived a connection drop shows where the time went.
 func (r *RedialBlobChannel) do(ctx context.Context, op func(ch BlobChannel) error) error {
-	backoff := r.opts.Backoff
+	backoff := redialBackoff
 	var lastErr error
-	for attempt := 0; attempt <= r.opts.Attempts; attempt++ {
+	for attempt := 0; attempt <= DefaultRedialAttempts; attempt++ {
 		ch, gen, err := r.current()
 		if err != nil {
 			if !retryable(err) {
@@ -142,16 +125,14 @@ func (r *RedialBlobChannel) do(ctx context.Context, op func(ch BlobChannel) erro
 			r.discard(gen)
 		}
 		tmBlobRedials.Inc()
-		if attempt < r.opts.Attempts {
+		if attempt < DefaultRedialAttempts {
 			redialStart := time.Now()
-			r.opts.Sleep(backoff)
+			r.sleep(backoff)
 			trace.Event(ctx, spanRedial, redialStart)
-			if backoff *= 2; backoff > r.opts.BackoffCap {
-				backoff = r.opts.BackoffCap
-			}
+			backoff = min(2*backoff, redialBackoffCap)
 		}
 	}
-	return fmt.Errorf("transport: blob channel still failing after %d redials: %w", r.opts.Attempts, lastErr)
+	return fmt.Errorf("transport: blob channel still failing after %d redials: %w", DefaultRedialAttempts, lastErr)
 }
 
 // PutBlob implements BlobChannel.

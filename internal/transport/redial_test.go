@@ -60,7 +60,8 @@ func TestRedialSurvivesConnectionDrops(t *testing.T) {
 		dials++
 		// Every connection dies after 3 operations.
 		return &flakyBlobChannel{store: store, failAfter: 3}, nil
-	}, RedialOptions{Sleep: func(time.Duration) {}})
+	})
+	r.sleep = func(time.Duration) {}
 	defer r.Close()
 
 	// 20 operations across connections that die every 3 ops: the redial
@@ -94,7 +95,8 @@ func TestRedialBoundedAttempts(t *testing.T) {
 		dials++
 		// Dead on arrival, every time.
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: 0}, nil
-	}, RedialOptions{Attempts: 2, Sleep: func(time.Duration) {}})
+	})
+	r.sleep = func(time.Duration) {}
 	defer r.Close()
 
 	err := r.PutBlob(context.Background(), crypto.Hash([]byte("x")), []byte("x"))
@@ -104,8 +106,8 @@ func TestRedialBoundedAttempts(t *testing.T) {
 	if !errors.Is(err, ErrBlobChannelBroken) {
 		t.Fatalf("final error %v does not wrap ErrBlobChannelBroken", err)
 	}
-	if dials != 3 { // initial + 2 redials
-		t.Fatalf("dials = %d, want 3 (1 initial + 2 redials)", dials)
+	if dials != 1+DefaultRedialAttempts {
+		t.Fatalf("dials = %d, want %d (1 initial + %d redials)", dials, 1+DefaultRedialAttempts, DefaultRedialAttempts)
 	}
 }
 
@@ -114,7 +116,8 @@ func TestRedialPassesServerAnswersThrough(t *testing.T) {
 	r := NewRedialBlobChannel(func() (BlobChannel, error) {
 		dials++
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: -1}, nil
-	}, RedialOptions{Sleep: func(time.Duration) {}})
+	})
+	r.sleep = func(time.Duration) {}
 	defer r.Close()
 
 	// A missing blob is a server-side answer: no redial may happen.
@@ -135,7 +138,8 @@ func TestRedialFailedDialRetries(t *testing.T) {
 			return nil, errors.New("connection refused")
 		}
 		return &flakyBlobChannel{store: store, failAfter: -1}, nil
-	}, RedialOptions{Sleep: func(time.Duration) {}})
+	})
+	r.sleep = func(time.Duration) {}
 	defer r.Close()
 
 	data := []byte("eventually")
@@ -147,7 +151,8 @@ func TestRedialFailedDialRetries(t *testing.T) {
 func TestRedialClosed(t *testing.T) {
 	r := NewRedialBlobChannel(func() (BlobChannel, error) {
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: -1}, nil
-	}, RedialOptions{Sleep: func(time.Duration) {}})
+	})
+	r.sleep = func(time.Duration) {}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

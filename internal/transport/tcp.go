@@ -52,13 +52,12 @@ const (
 	maxShardNameLen = 128
 )
 
-// defaultHandshakeTimeout bounds a handshake on both ends: how long an
-// accepted connection may take to present its hello frame, and how long a
-// dialer waits to connect and be acked. Without a bound, a half-open
-// connection would pin a goroutine forever (and, before the pre-handshake
-// tracking existed, deadlock Stop), and a peer that accepts and stays
-// silent would park the dialer.
-const defaultHandshakeTimeout = 10 * time.Second
+// handshakeTimeout bounds a handshake on both ends: how long an accepted
+// connection may take to present its hello frame, and how long a dialer
+// waits to connect and be acked. Without a bound, a half-open connection
+// would pin a goroutine forever, and a peer that accepts and stays silent
+// would park the dialer. A variable only so tests can shorten it.
+var handshakeTimeout = 10 * time.Second
 
 // writeFrame writes a length-prefixed frame as a single Write call so
 // concurrent writers guarded by a per-connection lock can never interleave
@@ -111,34 +110,47 @@ func parseHello(hello []byte) (shardName string, id int, err error) {
 	return string(hello[helloMinLen:]), id, nil
 }
 
-// ShardResolver maps the shard name from a handshake to the server core
-// that owns it. Implementations may create shards lazily; returning an
-// error rejects the handshake with the error text as the ack message.
-// ResolveShard must return the same core for the same name for the
-// lifetime of the server.
+// Shard is what a ShardResolver hands the transport for one shard: the
+// core its dispatcher serves, the ring its SUBMITs are verified against
+// (nil falls back to the server-wide WithVerifyKeyring ring, or no
+// verification) and the store behind its bulk blob channel (nil refuses
+// blob dials).
+type Shard struct {
+	Core  ServerCore
+	Ring  *crypto.Keyring
+	Blobs BlobStore
+}
+
+// ShardResolver maps a handshake to the shard that owns it. id is the
+// client id of a protocol handshake, negative when there is none (a blob
+// channel, or a caller opening a shard ahead of traffic). A resolver must
+// validate name and id BEFORE instantiating anything, so a refused
+// handshake costs nothing — a lazily creating resolver is never made to
+// materialize a shard for a connection it refuses. An error rejects the
+// handshake with its text as the ack message. ResolveShard must return
+// the same shard for the same name for the lifetime of the server.
 type ShardResolver interface {
-	ResolveShard(name string) (ServerCore, error)
+	ResolveShard(name string, id int) (Shard, error)
 }
 
-// ShardPreflight is an optional ShardResolver extension that validates a
-// handshake WITHOUT instantiating the shard. When the resolver implements
-// it, the server consults it before ResolveShard, so a rejected handshake
-// (bad name, out-of-range id) costs nothing — in particular, a lazily
-// creating resolver is never asked to materialize a shard for a
-// connection that is about to be refused.
-type ShardPreflight interface {
-	PreflightShard(name string, id int) error
-}
-
-// staticShards is a fixed name->core resolver.
+// staticShards is a fixed name->core resolver. It checks client ids
+// against a core's group size when the core exposes one (an `N() int`
+// method returning a non-negative count): without the check any 32-bit id
+// would insert a connection map entry — a trivial memory-exhaustion
+// vector.
 type staticShards map[string]ServerCore
 
-func (m staticShards) ResolveShard(name string) (ServerCore, error) {
+func (m staticShards) ResolveShard(name string, id int) (Shard, error) {
 	core, ok := m[name]
 	if !ok {
-		return nil, fmt.Errorf("transport: unknown shard %q", name)
+		return Shard{}, fmt.Errorf("transport: unknown shard %q", name)
 	}
-	return core, nil
+	if sized, ok := core.(interface{ N() int }); ok {
+		if n := sized.N(); n >= 0 && id >= n {
+			return Shard{}, fmt.Errorf("transport: client id %d out of range for shard %q (n=%d)", id, name, n)
+		}
+	}
+	return Shard{Core: core}, nil
 }
 
 // StaticShards builds a ShardResolver over a fixed shard table. The map is
@@ -148,14 +160,6 @@ func StaticShards(shards map[string]ServerCore) ShardResolver { return staticSha
 // TCPOption configures a TCPServer.
 type TCPOption func(*TCPServer)
 
-// WithHandshakeTimeout bounds how long an accepted connection may take to
-// complete its handshake (default 10s). Connections that exceed it are
-// closed; zero or negative disables the deadline (Stop still terminates
-// promptly because pre-handshake connections are tracked and closed).
-func WithHandshakeTimeout(d time.Duration) TCPOption {
-	return func(s *TCPServer) { s.handshakeTimeout = d }
-}
-
 // WithTCPMaxBatch caps how many queued envelopes a dispatcher drains per
 // batch (default DefaultMaxBatch); 1 makes every batch one. Wired to the
 // faust-server -max-batch flag.
@@ -164,20 +168,11 @@ func WithTCPMaxBatch(n int) TCPOption {
 }
 
 // WithVerifyKeyring arms server-side SUBMIT-signature verification with
-// one ring for every shard. A resolver implementing VerifierResolver
-// overrides it per shard. Admission hygiene only: the protocol's
-// guarantees remain client-enforced.
+// one ring for every shard; a resolver's Shard.Ring overrides it per
+// shard. Admission hygiene only: the protocol's guarantees remain
+// client-enforced.
 func WithVerifyKeyring(ring *crypto.Keyring) TCPOption {
 	return func(s *TCPServer) { s.ring = ring }
-}
-
-// VerifierResolver is an optional ShardResolver extension supplying a
-// per-shard public keyring for dispatcher-side SUBMIT verification. It is
-// consulted once per shard-runtime creation, after ResolveShard; nil
-// means this shard falls back to the server-wide WithVerifyKeyring ring
-// (or no verification).
-type VerifierResolver interface {
-	ResolveVerifier(name string) *crypto.Keyring
 }
 
 // writeFramedMsg frames and writes one message as a single Write call
@@ -232,85 +227,47 @@ type serverConn struct {
 	wmu  sync.Mutex // write-serialization lock: held across conn.Write by design
 }
 
-// writeMsg frames and writes one message atomically.
-func (c *serverConn) writeMsg(m wire.Message) error {
-	return writeFramedMsg(c.conn, &c.wmu, m)
-}
-
-// shardRT is the per-shard runtime inside a TCPServer: the resolved core,
-// its inbox, the optional verification keyring, and the connection
-// registry for push-backs. It is the TCP transport's batchSink: each
-// shard's inbox is drained by that shard's own dispatcher goroutine.
+// shardRT is the per-shard runtime inside a TCPServer: the shard's hub
+// and the registry of its clients' connections, which is all deliver
+// needs.
 type shardRT struct {
-	name  string
-	core  ServerCore
-	inbox *fifo[envelope]
-	ring  *crypto.Keyring
-	ops   *obs.Counter // per-tenant dispatched-op counter
+	hub *hub
 
 	mu    sync.Mutex
 	conns map[int]*serverConn
 }
 
-// push delivers a server-initiated message to client `to` of this shard.
-func (rt *shardRT) push(to int, m wire.Message) error {
+// deliver is the shard's one delivery method, for the dispatcher's
+// replies and a GenericCore's pushes alike: one framed write on client
+// `to`'s registered connection.
+func (rt *shardRT) deliver(to int, msgs []wire.Message) error {
 	rt.mu.Lock()
 	sc := rt.conns[to]
 	rt.mu.Unlock()
 	if sc == nil {
-		return fmt.Errorf("transport: client %d not connected to shard %q", to, rt.name)
+		return fmt.Errorf("transport: client %d not connected to shard %q", to, rt.hub.name)
 	}
-	return sc.writeMsg(m)
+	return writeFramedMsgs(sc.conn, &sc.wmu, msgs)
 }
 
-// batchSink implementation.
-
-func (rt *shardRT) sinkCore() ServerCore      { return rt.core }
-func (rt *shardRT) sinkRing() *crypto.Keyring { return rt.ring }
-func (rt *shardRT) sinkName() string          { return rt.name }
-func (rt *shardRT) countOp()                  { rt.ops.Inc() }
-func (rt *shardRT) dropUnknown()              {}
-
-// sendReplies writes a batch's replies for one client as a single framed
-// write: one connection-lock round and one syscall per destination per
-// batch instead of one per reply.
-func (rt *shardRT) sendReplies(to int, msgs []wire.Message) {
-	rt.mu.Lock()
-	sc := rt.conns[to]
-	rt.mu.Unlock()
-	if sc == nil {
-		return
-	}
-	_ = writeFramedMsgs(sc.conn, &sc.wmu, msgs)
-}
-
-// TCPServer hosts one or more server cores on a TCP listener. Each shard's
-// messages are serialized through that shard's dispatcher goroutine,
-// preserving the atomic event handler semantics of Algorithm 2 within the
-// shard while distinct shards execute in parallel.
+// TCPServer hosts one or more server cores on a TCP listener. Every shard
+// is a hub (batch.go) whose socket is the connections that named it: the
+// read loop admits each decoded frame into the shard's hub, whose
+// dispatcher goroutine serializes the shard's handlers — the atomic event
+// handler semantics of Algorithm 2 within the shard, while distinct
+// shards execute in parallel.
 type TCPServer struct {
-	resolver         ShardResolver
-	ln               net.Listener
-	handshakeTimeout time.Duration
-	maxBatch         int
-	ring             *crypto.Keyring // server-wide verification fallback
+	resolver ShardResolver
+	ln       net.Listener
+	maxBatch int
+	ring     *crypto.Keyring // server-wide verification fallback
 
 	mu        sync.Mutex
 	stopped   bool
 	pending   map[net.Conn]struct{} // accepted, handshake not yet complete
 	blobConns map[net.Conn]struct{} // post-handshake blob-channel connections
-	shards    map[string]*shardRT   // successfully created runtimes
-	slots     map[string]*shardSlot // creation slots, including in-flight ones
-	wg        sync.WaitGroup
-}
-
-// shardSlot tracks one shard runtime's creation so concurrent handshakes
-// for the same name share a single ResolveShard call — which may do real
-// work (WAL recovery) — without holding the server mutex across it.
-type shardSlot struct {
-	ready chan struct{} // closed once rt/err are set
-	rt    *shardRT
-	err   error
+	shards    map[string]*shardRT
+	wg        sync.WaitGroup // accept loop and connection goroutines
 }
 
 // ServeTCP starts serving a single core on ln under the default shard name
@@ -319,26 +276,22 @@ type shardSlot struct {
 // returns.
 func ServeTCP(ln net.Listener, core ServerCore, opts ...TCPOption) *TCPServer {
 	s := ServeTCPSharded(ln, StaticShards(map[string]ServerCore{DefaultShard: core}), opts...)
-	// Pre-resolve the default shard so AttachPusher runs before any
-	// traffic, matching the single-core server's historic behavior.
-	_, _ = s.shardFor(DefaultShard)
+	_, _ = s.runtimeFor(DefaultShard, Shard{Core: core})
 	return s
 }
 
 // ServeTCPSharded starts serving every shard the resolver can produce.
-// Shard runtimes (dispatcher goroutine, connection registry, AttachPusher)
-// are created on the first handshake that names them. It returns
-// immediately; use Stop to shut down.
+// Shard runtimes (hub, connection registry, AttachPusher) are created on
+// the first handshake that names them. It returns immediately; use Stop
+// to shut down.
 func ServeTCPSharded(ln net.Listener, resolver ShardResolver, opts ...TCPOption) *TCPServer {
 	s := &TCPServer{
-		resolver:         resolver,
-		ln:               ln,
-		handshakeTimeout: defaultHandshakeTimeout,
-		maxBatch:         DefaultMaxBatch,
-		pending:          make(map[net.Conn]struct{}),
-		blobConns:        make(map[net.Conn]struct{}),
-		shards:           make(map[string]*shardRT),
-		slots:            make(map[string]*shardSlot),
+		resolver:  resolver,
+		ln:        ln,
+		maxBatch:  DefaultMaxBatch,
+		pending:   make(map[net.Conn]struct{}),
+		blobConns: make(map[net.Conn]struct{}),
+		shards:    make(map[string]*shardRT),
 	}
 	for _, o := range opts {
 		o(s)
@@ -368,7 +321,8 @@ func (s *TCPServer) ActiveConns() int {
 }
 
 // Stop closes the listener and all connections — including ones still in
-// the handshake — and waits for every goroutine to exit.
+// the handshake — drains every shard's hub and waits for every goroutine
+// to exit.
 func (s *TCPServer) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -400,9 +354,8 @@ func (s *TCPServer) Stop() {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-
 	for _, rt := range rts {
-		rt.inbox.close()
+		rt.hub.stop()
 	}
 	s.wg.Wait()
 }
@@ -445,90 +398,27 @@ func (s *TCPServer) dropPending(conn net.Conn) {
 // errStopped rejects work arriving after Stop.
 var errStopped = fmt.Errorf("transport: server stopped")
 
-// shardFor returns the runtime for a shard name, creating it — dispatcher
-// goroutine, connection registry, pusher attachment — on first use. The
-// resolver call runs outside the server mutex (lazy persistent shards
-// replay their WAL here), so handshakes, teardowns and Stop on other
-// shards are never blocked behind one shard's recovery; concurrent
-// handshakes for the same name share one creation via its slot.
-func (s *TCPServer) shardFor(name string) (*shardRT, error) {
+// runtimeFor returns the runtime of a resolved shard, starting its hub on
+// first use. Concurrent first handshakes may each resolve the shard (the
+// resolver returns the same shard for a name and owns any expensive
+// creation, such as WAL recovery), but only the first to get here starts
+// a hub: the shard's core has exactly one dispatcher.
+func (s *TCPServer) runtimeFor(name string, sh Shard) (*shardRT, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return nil, errStopped
 	}
-	if slot, ok := s.slots[name]; ok {
-		s.mu.Unlock()
-		<-slot.ready
-		return slot.rt, slot.err
+	if rt := s.shards[name]; rt != nil {
+		return rt, nil
 	}
-	slot := &shardSlot{ready: make(chan struct{})}
-	s.slots[name] = slot
-	s.mu.Unlock()
-
-	rt, err := s.createShard(name)
-	if err != nil {
-		// Drop the slot so a later handshake may retry (the failure could
-		// be transient); waiters already parked on it still see the error.
-		s.mu.Lock()
-		delete(s.slots, name)
-		s.mu.Unlock()
-		slot.err = err
-		close(slot.ready)
-		return nil, err
+	if sh.Ring == nil {
+		sh.Ring = s.ring
 	}
-	slot.rt = rt
-	close(slot.ready)
-	return rt, nil
-}
-
-func (s *TCPServer) createShard(name string) (*shardRT, error) {
-	core, err := s.resolver.ResolveShard(name)
-	if err != nil {
-		return nil, err
-	}
-	rt := &shardRT{
-		name:  name,
-		core:  core,
-		inbox: newFIFO[envelope](),
-		ring:  s.ring,
-		ops:   shardOpsCounter(name),
-		conns: make(map[int]*serverConn),
-	}
-	if vr, ok := s.resolver.(VerifierResolver); ok {
-		if ring := vr.ResolveVerifier(name); ring != nil {
-			rt.ring = ring
-		}
-	}
-	if gc, ok := core.(GenericCore); ok {
-		gc.AttachPusher(rt.push)
-	}
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil, errStopped
-	}
+	rt := &shardRT{conns: make(map[int]*serverConn)}
+	rt.hub = startHub(&hub{name: name, core: sh.Core, ring: sh.Ring, count: shardOpsCounter(name), deliver: rt.deliver}, s.maxBatch)
 	s.shards[name] = rt
-	s.wg.Add(1)
-	go s.dispatchShard(rt)
-	s.mu.Unlock()
 	return rt, nil
-}
-
-// checkID validates the handshake client ID against the core's group size
-// when the core exposes one (an `N() int` method returning a non-negative
-// count). Without the check any 32-bit ID would insert a connection map
-// entry — a trivial memory-exhaustion vector.
-func checkID(name string, core ServerCore, id int) error {
-	if id < 0 {
-		return fmt.Errorf("transport: negative client id %d", id)
-	}
-	if sized, ok := core.(interface{ N() int }); ok {
-		if n := sized.N(); n >= 0 && id >= n {
-			return fmt.Errorf("transport: client id %d out of range for shard %q (n=%d)", id, name, n)
-		}
-	}
-	return nil
 }
 
 // writeAck sends the handshake acknowledgment: status 0, or status 1
@@ -544,11 +434,31 @@ func writeAck(conn net.Conn, rejection error) error {
 	return writeFrame(conn, buf)
 }
 
+// ack answers a handshake for client id (negative: a blob channel) of the
+// named shard. A refusal — or an ack that cannot be written — is counted,
+// recorded as a preflight-reject event and drops the connection; ack
+// reports whether the handshake stands.
+func (s *TCPServer) ack(conn net.Conn, id int, name string, err error) bool {
+	if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
+		err = ackErr
+	}
+	if err == nil {
+		tmHandshakeOK.Inc()
+		return true
+	}
+	tmHandshakeRej.Inc()
+	obs.Default().Events().Record(obs.EventPreflightReject, id, name, err.Error())
+	s.dropPending(conn)
+	_ = conn.Close()
+	return false
+}
+
+// serveConn runs one accepted connection: the handshake — one resolver
+// call — then, on a protocol connection, the read loop that admits every
+// frame into the shard's hub.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	if s.handshakeTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
-	}
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
 	hello, err := readFrame(br)
 	if err != nil {
@@ -568,24 +478,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		return
 	}
 	var rt *shardRT
-	// Preflight first, when the resolver supports it: a rejected handshake
-	// must not be able to force shard instantiation.
-	if pf, ok := s.resolver.(ShardPreflight); ok {
-		err = pf.PreflightShard(name, id)
-	}
+	sh, err := s.resolver.ResolveShard(name, id)
 	if err == nil {
-		if rt, err = s.shardFor(name); err == nil {
-			err = checkID(name, rt.core, id)
-		}
+		rt, err = s.runtimeFor(name, sh)
 	}
-	if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
-		err = ackErr
-	}
-	if err != nil {
-		tmHandshakeRej.Inc()
-		obs.Default().Events().Record(obs.EventPreflightReject, id, name, err.Error())
-		s.dropPending(conn)
-		_ = conn.Close()
+	if !s.ack(conn, id, name, err) {
 		return
 	}
 
@@ -594,7 +491,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	tmHandshakeOK.Inc()
 	tmConnsProto.Inc()
 	defer func() {
 		// Unregister only if this connection is still the current one for
@@ -618,7 +514,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if !rt.inbox.push(envelope{from: id, msg: msg, enq: traceStamp(msg)}) {
+		if !rt.hub.admit(id, msg) {
 			return
 		}
 	}
@@ -641,31 +537,21 @@ func parseBlobHello(hello []byte) (shardName string, err error) {
 // on this goroutine. The caller has already read the hello frame through
 // br, the connection's reader.
 func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte) {
-	var bs BlobStore
 	name, err := parseBlobHello(hello)
+	var sh Shard
 	if err == nil {
-		if br, ok := s.resolver.(BlobResolver); ok {
-			bs, err = br.ResolveBlobs(name)
-			if err == nil && bs == nil {
-				err = ErrNoBlobStore
-			}
-		} else {
-			err = ErrNoBlobStore
-		}
+		sh, err = s.resolver.ResolveShard(name, -1)
 	}
-	if ackErr := writeAck(conn, err); ackErr != nil && err == nil {
-		err = ackErr
+	if err == nil && sh.Blobs == nil {
+		err = ErrNoBlobStore
 	}
-	if err != nil || !s.registerBlobConn(conn) {
-		if err != nil {
-			tmHandshakeRej.Inc()
-			obs.Default().Events().Record(obs.EventPreflightReject, -1, name, err.Error())
-		}
-		s.dropPending(conn)
+	if !s.ack(conn, -1, name, err) {
+		return
+	}
+	if !s.registerBlobConn(conn) {
 		_ = conn.Close()
 		return
 	}
-	tmHandshakeOK.Inc()
 	tmConnsBlob.Inc()
 	defer func() {
 		s.mu.Lock()
@@ -687,7 +573,7 @@ func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte)
 			return
 		}
 		tmBlobReqs.Inc()
-		resp := serveBlobMsg(bs, msg)
+		resp := serveBlobMsg(sh.Blobs, msg)
 		if resp == nil {
 			return // non-blob message on a blob connection: protocol error
 		}
@@ -732,13 +618,6 @@ func (s *TCPServer) register(rt *shardRT, id int, sc *serverConn) bool {
 		_ = old.conn.Close()
 	}
 	return true
-}
-
-// dispatchShard is a shard's event loop: the shared batched engine over
-// the shard's inbox. Handlers still run one at a time in arrival order.
-func (s *TCPServer) dispatchShard(rt *shardRT) {
-	defer s.wg.Done()
-	dispatchBatches(rt.inbox, rt, s.maxBatch)
 }
 
 // tcpLink is the client-side Link over one TCP connection.
@@ -809,7 +688,7 @@ func dialHello(addr string, prefix []byte, shard, kind string, timeout time.Dura
 // shard name dials the default shard.
 func DialTCPShard(addr, shard string, id int) (Link, error) {
 	prefix := binary.BigEndian.AppendUint32(helloMagic[:4:4], uint32(id))
-	conn, br, err := dialHello(addr, prefix, shard, "handshake", defaultHandshakeTimeout)
+	conn, br, err := dialHello(addr, prefix, shard, "handshake", handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -817,15 +696,15 @@ func DialTCPShard(addr, shard string, id int) (Link, error) {
 }
 
 // DialTCPBlob opens a bulk blob channel to the named shard of a
-// TCPServer at addr. The server must host a blob store for the shard (a
-// resolver implementing BlobResolver); otherwise the handshake is
-// rejected with the reason. An empty shard name targets the default
+// TCPServer at addr. The server must host a blob store for the shard
+// (its resolver's Shard.Blobs); otherwise the handshake is rejected with
+// the reason. An empty shard name targets the default
 // shard. The channel is safe for concurrent use and pipelines concurrent
 // requests over the one connection: each carries a request ID, responses
 // are matched as they arrive, so a batch of fetches from several
 // goroutines pays one round trip rather than one per blob.
 func DialTCPBlob(addr, shard string) (BlobChannel, error) {
-	conn, br, err := dialHello(addr, blobMagic[:], shard, "blob handshake", defaultHandshakeTimeout)
+	conn, br, err := dialHello(addr, blobMagic[:], shard, "blob handshake", handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}

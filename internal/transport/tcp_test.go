@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,7 +209,10 @@ func TestTCPStopHalfOpenConn(t *testing.T) {
 // TestTCPHandshakeDeadline verifies that a connection which never sends a
 // hello is closed by the handshake deadline even without Stop.
 func TestTCPHandshakeDeadline(t *testing.T) {
-	_, addr := startTCP(t, &echoCore{}, WithHandshakeTimeout(50*time.Millisecond))
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 50 * time.Millisecond
+	srv, addr := startTCP(t, &echoCore{})
+	defer srv.Stop() // before the deferred restore: no server goroutine reads the variable after it
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -529,5 +534,91 @@ func TestTCPShardedRouting(t *testing.T) {
 	coreB.mu.Unlock()
 	if nA != 10 || nB != 10 {
 		t.Fatalf("submit counts = %d/%d, want 10/10", nA, nB)
+	}
+}
+
+// slowResolver resolves every name to one core after a pause, standing in
+// for a lazily creating resolver whose first resolution replays a WAL.
+type slowResolver struct {
+	core  ServerCore
+	pause time.Duration
+}
+
+func (r *slowResolver) ResolveShard(string, int) (Shard, error) {
+	time.Sleep(r.pause)
+	return Shard{Core: r.core}, nil
+}
+
+// overlapCore records whether two handler calls ever ran at once.
+type overlapCore struct {
+	active  atomic.Int32
+	overlap atomic.Bool
+}
+
+func (c *overlapCore) HandleSubmit(_ context.Context, _ int, s *wire.Submit) *wire.Reply {
+	if c.active.Add(1) > 1 {
+		c.overlap.Store(true)
+	}
+	time.Sleep(50 * time.Microsecond)
+	c.active.Add(-1)
+	return &wire.Reply{C: int(s.T), CVer: wire.ZeroSignedVersion(1), P: [][]byte{nil}}
+}
+
+func (c *overlapCore) HandleCommit(context.Context, int, *wire.Commit) {}
+
+// TestTCPConcurrentFirstHandshakesOneRuntime: sixteen first handshakes
+// racing to a shard nobody has opened yet, each resolving it slowly, must
+// end with one runtime for the shard — one dispatcher, so the core never
+// sees two handler calls at once.
+func TestTCPConcurrentFirstHandshakesOneRuntime(t *testing.T) {
+	const clients, ops = 16, 20
+	core := &overlapCore{}
+	resolver := &slowResolver{core: core, pause: 20 * time.Millisecond}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCPSharded(ln, resolver)
+	t.Cleanup(srv.Stop)
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			link, err := DialTCPShard(ln.Addr().String(), "lazy", c)
+			if err != nil {
+				t.Errorf("client %d dial: %v", c, err)
+				return
+			}
+			defer link.Close()
+			for i := 0; i < ops; i++ {
+				if err := link.Send(&wire.Submit{T: int64(i)}); err != nil {
+					t.Errorf("client %d send: %v", c, err)
+					return
+				}
+			}
+			for i := 0; i < ops; i++ {
+				m, err := link.Recv()
+				if err != nil {
+					t.Errorf("client %d recv: %v", c, err)
+					return
+				}
+				if got := m.(*wire.Reply).C; got != i {
+					t.Errorf("client %d reply %d out of order: %d", c, i, got)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	srv.mu.Lock()
+	runtimes := len(srv.shards)
+	srv.mu.Unlock()
+	if runtimes != 1 {
+		t.Fatalf("%d runtimes for one shard, want 1", runtimes)
+	}
+	if core.overlap.Load() {
+		t.Fatal("two handler calls overlapped: the shard has more than one dispatcher")
 	}
 }

@@ -9,11 +9,17 @@
 // messages while open; that is exactly the reliability the protocol
 // assumes.
 //
-// On the server side both run one dispatch engine (batch.go): one
-// dispatcher goroutine per core drains its inbox in arrival-order batches
-// and puts every batch — a batch of one included — through one body:
-// verify, apply, flush, reply. The TCP transport has one handshake, acked
-// by the server and bounded by a timeout on both ends (tcp.go).
+// On the server side the two share everything but the socket: each core
+// sits behind a hub (batch.go) whose admit is the one place a message
+// enters the server and whose dispatcher goroutine drains the inbox in
+// arrival-order batches, putting every batch — a batch of one included —
+// through one body: verify, apply, flush, reply. Replies and a
+// GenericCore's pushes leave through the transport's one delivery method:
+// Network.deliver queues on a client's outbox, shardRT.deliver writes
+// one frame batch on the client's connection. The TCP transport has one
+// handshake — one ShardResolver call, acked by the server and bounded by
+// a timeout on both ends (tcp.go) — and a bulk blob channel beside the
+// protocol connections (blob.go).
 package transport
 
 import (

@@ -262,7 +262,8 @@ func TestTCPMultiShardIsolation(t *testing.T) {
 
 // TestTCPRejectedHandshakeNoInstantiation: a handshake refused for an
 // out-of-range id must not leave a lazily created shard behind (goroutine,
-// WAL directory, dispatcher) — the preflight runs before instantiation.
+// WAL directory, dispatcher) — the resolver validates before it
+// instantiates.
 func TestTCPRejectedHandshakeNoInstantiation(t *testing.T) {
 	router, err := shard.NewRouter(nil, shard.Options{Default: &shard.Spec{N: 2}})
 	if err != nil {

@@ -4,9 +4,9 @@
 // The contract functions are identified by naming convention — Append*
 // / append* (append-style encoders writing into a caller buffer),
 // *Into (HashInto-style helpers filling caller storage), EncodedSize,
-// and the batch dispatch drain/verify functions (VerifyBatch, popBatch,
-// dispatchBatches) — plus any function opted in explicitly with a
-// //faustlint:hotpath marker comment. Inside a contract function the
+// and the batch dispatch drain/verify functions (VerifyBatch, popBatch)
+// — plus any function opted in explicitly with a //faustlint:hotpath
+// marker comment, as the dispatcher's loop and batch body are. Inside a contract function the
 // analyzer flags the allocation patterns that have crept into hot paths
 // before:
 //
@@ -49,7 +49,7 @@ var _ = directive.Register(Analyzer.Name)
 // dispatch pipeline of PR 10 binds its per-batch drain/verify functions
 // by exact name: these run once per dispatched batch at full load, so a
 // stray allocation multiplies by the op rate just like a codec miss.
-var contractName = regexp.MustCompile(`(?i)^(append.+|.+into|encodedsize|verifybatch|popbatch|dispatchbatches)$`)
+var contractName = regexp.MustCompile(`(?i)^(append.+|.+into|encodedsize|verifybatch|popbatch)$`)
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	dp := directive.New(pass)

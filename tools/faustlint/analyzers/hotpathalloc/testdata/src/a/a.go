@@ -39,13 +39,6 @@ func VerifyBatch(jobs []int) {
 	}
 }
 
-// dispatchBatches is bound by name: it is the dispatcher's drain loop.
-func dispatchBatches(inbox <-chan []byte) {
-	for b := range inbox {
-		_ = string(b) // want `string/\[\]byte conversion copies on the dispatchBatches hot path`
-	}
-}
-
 // popBatch is bound by name; appending into the caller's buffer is fine.
 func popBatch(q [][]byte, buf [][]byte) [][]byte {
 	return append(buf, q...)

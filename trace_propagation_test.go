@@ -194,7 +194,7 @@ func TestTracePropagationTCPWithRedial(t *testing.T) {
 		live = ch
 		mu.Unlock()
 		return ch, nil
-	}, transport.RedialOptions{Attempts: 5, Backoff: time.Millisecond})
+	})
 	defer rb.Close()
 
 	kvs, err := kv.Open(client, rb, kv.WithChunkSize(1<<10), kv.WithTreeFanout(4, 4))
