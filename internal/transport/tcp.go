@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 
 	"faust/internal/crypto"
 	"faust/internal/obs"
-	"faust/internal/obs/trace"
 	"faust/internal/wire"
 )
 
@@ -520,82 +518,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// parseBlobHello decodes a blob-channel handshake frame.
-func parseBlobHello(hello []byte) (shardName string, err error) {
-	if len(hello) < helloMinLen-4 || !bytes.Equal(hello[:4], blobMagic[:]) {
-		return "", fmt.Errorf("transport: malformed blob handshake frame (%d bytes)", len(hello))
-	}
-	nameLen := int(binary.BigEndian.Uint16(hello[4:6]))
-	if nameLen == 0 || nameLen > maxShardNameLen || len(hello) != 6+nameLen {
-		return "", fmt.Errorf("transport: malformed blob handshake (name length %d in %d-byte frame)", nameLen, len(hello))
-	}
-	return string(hello[6:]), nil
-}
-
-// serveBlobConn runs one bulk blob-channel connection: resolve the named
-// shard's blob store, ack, then serve BLOB_PUT/BLOB_GET requests directly
-// on this goroutine. The caller has already read the hello frame through
-// br, the connection's reader.
-func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte) {
-	name, err := parseBlobHello(hello)
-	var sh Shard
-	if err == nil {
-		sh, err = s.resolver.ResolveShard(name, -1)
-	}
-	if err == nil && sh.Blobs == nil {
-		err = ErrNoBlobStore
-	}
-	if !s.ack(conn, -1, name, err) {
-		return
-	}
-	if !s.registerBlobConn(conn) {
-		_ = conn.Close()
-		return
-	}
-	tmConnsBlob.Inc()
-	defer func() {
-		s.mu.Lock()
-		delete(s.blobConns, conn)
-		s.mu.Unlock()
-		tmConnsBlob.Dec()
-		_ = conn.Close()
-	}()
-
-	var wmu sync.Mutex
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		tmFramesIn.Inc()
-		msg, err := wire.Decode(payload)
-		if err != nil {
-			return
-		}
-		tmBlobReqs.Inc()
-		resp := serveBlobMsg(sh.Blobs, msg)
-		if resp == nil {
-			return // non-blob message on a blob connection: protocol error
-		}
-		if err := writeFramedMsg(conn, &wmu, resp); err != nil {
-			return
-		}
-	}
-}
-
-// registerBlobConn moves a connection from the pending set into the blob
-// registry so Stop closes it. Returns false when the server stopped.
-func (s *TCPServer) registerBlobConn(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.pending, conn)
-	if s.stopped {
-		return false
-	}
-	s.blobConns[conn] = struct{}{}
-	return true
-}
-
 // register atomically moves a connection from the pending set into its
 // shard's registry, closing any previous connection with the same ID. It
 // holds s.mu across both steps so Stop can never observe a connection in
@@ -694,192 +616,6 @@ func DialTCPShard(addr, shard string, id int) (Link, error) {
 	}
 	return &tcpLink{conn: conn, br: br}, nil
 }
-
-// DialTCPBlob opens a bulk blob channel to the named shard of a
-// TCPServer at addr. The server must host a blob store for the shard
-// (its resolver's Shard.Blobs); otherwise the handshake is rejected with
-// the reason. An empty shard name targets the default
-// shard. The channel is safe for concurrent use and pipelines concurrent
-// requests over the one connection: each carries a request ID, responses
-// are matched as they arrive, so a batch of fetches from several
-// goroutines pays one round trip rather than one per blob.
-func DialTCPBlob(addr, shard string) (BlobChannel, error) {
-	conn, br, err := dialHello(addr, blobMagic[:], shard, "blob handshake", handshakeTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &tcpBlobChannel{conn: conn, pending: make(map[uint32]chan wire.Message)}
-	go c.readLoop(br)
-	return c, nil
-}
-
-// tcpBlobChannel is the client side of one blob-channel connection, with
-// request pipelining: any number of requests may be in flight at once,
-// each tagged with a connection-local ID. A single reader goroutine
-// demultiplexes responses to their waiting callers by ID, so concurrent
-// fetches share the connection without serializing on round trips.
-type tcpBlobChannel struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
-
-	mu      sync.Mutex
-	nextID  uint32
-	pending map[uint32]chan wire.Message // in-flight requests by ID
-	err     error                        // sticky; set once the reader dies
-}
-
-var _ BlobChannel = (*tcpBlobChannel)(nil)
-
-// readLoop is the demultiplexer: it reads response frames until the
-// connection dies and hands each to the caller waiting on its request ID.
-func (c *tcpBlobChannel) readLoop(br *bufio.Reader) {
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			c.fail(fmt.Errorf("transport: blob recv: %w", err))
-			return
-		}
-		m, err := wire.Decode(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("transport: blob decode: %w", err))
-			return
-		}
-		var id uint32
-		switch resp := m.(type) {
-		case *wire.BlobAck:
-			id = resp.ID
-		case *wire.BlobData:
-			id = resp.ID
-		default:
-			c.fail(fmt.Errorf("transport: blob channel answered with a %T", m))
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ch == nil {
-			// A response for a request nobody is waiting on: the server
-			// is confused or malicious; the channel is unusable.
-			c.fail(fmt.Errorf("transport: blob response for unknown request id %d", id))
-			return
-		}
-		ch <- m
-	}
-}
-
-// fail poisons the channel: the sticky error is recorded and every
-// in-flight caller is released with it (closed channel). The sticky
-// error wraps ErrBlobChannelBroken so redialing wrappers can recognize
-// connection-level death.
-func (c *tcpBlobChannel) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %v", ErrBlobChannelBroken, err)
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
-	}
-	c.mu.Unlock()
-	_ = c.conn.Close()
-}
-
-// roundTrip registers a request ID, sends the message build(id) produces,
-// and blocks until the reader delivers the matching response. Other
-// callers' requests proceed concurrently.
-func (c *tcpBlobChannel) roundTrip(build func(id uint32) wire.Message) (wire.Message, error) {
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	id := c.nextID
-	c.nextID++
-	ch := make(chan wire.Message, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-	tmBlobInflight.Inc()
-	defer tmBlobInflight.Dec()
-
-	if err := writeFramedMsg(c.conn, &c.wmu, build(id)); err != nil {
-		c.mu.Lock()
-		if c.pending[id] == ch {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		// A failed frame write means the connection is gone; tag it so a
-		// redialing wrapper knows a fresh dial may succeed.
-		return nil, fmt.Errorf("transport: blob send: %w: %v", ErrBlobChannelBroken, err)
-	}
-	m, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return nil, err
-	}
-	return m, nil
-}
-
-// PutBlob implements BlobChannel. The request carries ctx's trace
-// context so the server's store spans join the operation's trace; the
-// round trip itself is recorded as a blob.rpc span.
-func (c *tcpBlobChannel) PutBlob(ctx context.Context, hash, data []byte) error {
-	if err := checkBlobSizes(hash, data); err != nil {
-		return err
-	}
-	ctx, h := trace.Child(ctx, spanBlobRPC)
-	defer h.End()
-	tc := WireTrace(ctx)
-	m, err := c.roundTrip(func(id uint32) wire.Message {
-		return &wire.BlobPut{ID: id, Hash: hash, Data: data, Trace: tc}
-	})
-	if err != nil {
-		return err
-	}
-	ack, ok := m.(*wire.BlobAck)
-	if !ok || !bytes.Equal(ack.Hash, hash) {
-		return fmt.Errorf("transport: blob put answered with a mismatched %T", m)
-	}
-	if !ack.OK {
-		return fmt.Errorf("transport: blob put rejected: %s", ack.Msg)
-	}
-	return nil
-}
-
-// GetBlob implements BlobChannel.
-func (c *tcpBlobChannel) GetBlob(ctx context.Context, hash []byte) ([]byte, error) {
-	ctx, h := trace.Child(ctx, spanBlobRPC)
-	defer h.End()
-	tc := WireTrace(ctx)
-	m, err := c.roundTrip(func(id uint32) wire.Message {
-		return &wire.BlobGet{ID: id, Hash: hash, Trace: tc}
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A server-side store failure (not a missing blob) arrives as an
-	// error ack; keep it distinct from not-found.
-	if ack, ok := m.(*wire.BlobAck); ok && bytes.Equal(ack.Hash, hash) && !ack.OK {
-		return nil, fmt.Errorf("transport: blob get failed at the server: %s", ack.Msg)
-	}
-	data, ok := m.(*wire.BlobData)
-	if !ok || !bytes.Equal(data.Hash, hash) {
-		return nil, fmt.Errorf("transport: blob get answered with a mismatched %T", m)
-	}
-	if !data.Found {
-		return nil, errBlobNotFound(hash)
-	}
-	return data.Data, nil
-}
-
-// Close implements BlobChannel.
-func (c *tcpBlobChannel) Close() error { return c.conn.Close() }
 
 // Send implements Link. The frame is built in a pooled buffer and written
 // with a single Write call under the link's write lock.
