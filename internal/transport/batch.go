@@ -85,11 +85,11 @@ type batchOp struct {
 	done     bool
 }
 
-// hub is one core's inbox and dispatcher. The transport fills in the
-// exported-to-it half — name, core, ring, count, deliver — and startHub
-// the rest; the scratch buffers below belong to the dispatcher goroutine
-// and are reused across batches, so the steady state allocates nothing
-// per batch beyond what crypto's pool needs for fan-out.
+// hub is one core's inbox and dispatcher. The transport sets name, core,
+// ring, count and deliver; startHub sets the rest. The scratch buffers
+// at the end belong to the dispatcher goroutine and are reused across
+// batches, so the steady state allocates nothing per batch beyond what
+// crypto's pool needs for fan-out.
 type hub struct {
 	name  string // shard name for events; "" in memory
 	core  ServerCore

@@ -102,7 +102,6 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 		hub:      &hub{core: core},
 		outboxes: make([]*fifo[wire.Message], n),
 		links:    make([]*memoryLink, n),
-		maxBatch: DefaultMaxBatch,
 	}
 	for _, o := range opts {
 		o(nw)

@@ -286,7 +286,6 @@ func ServeTCPSharded(ln net.Listener, resolver ShardResolver, opts ...TCPOption)
 	s := &TCPServer{
 		resolver:  resolver,
 		ln:        ln,
-		maxBatch:  DefaultMaxBatch,
 		pending:   make(map[net.Conn]struct{}),
 		blobConns: make(map[net.Conn]struct{}),
 		shards:    make(map[string]*shardRT),
@@ -400,7 +399,10 @@ var errStopped = fmt.Errorf("transport: server stopped")
 // first use. Concurrent first handshakes may each resolve the shard (the
 // resolver returns the same shard for a name and owns any expensive
 // creation, such as WAL recovery), but only the first to get here starts
-// a hub: the shard's core has exactly one dispatcher.
+// a hub: the shard's core has exactly one dispatcher. The hub starts
+// under s.mu — that is what makes it unique — which is safe because
+// starting it calls into the core only for AttachPusher, whose contract
+// is to store the pusher.
 func (s *TCPServer) runtimeFor(name string, sh Shard) (*shardRT, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
