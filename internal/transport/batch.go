@@ -116,7 +116,7 @@ type hub struct {
 // GenericCore's pusher as a one-message deliver — and starts its
 // dispatcher, which drains batches of at most maxBatch envelopes
 // (DefaultMaxBatch when maxBatch <= 0) until stop.
-func startHub(h *hub, maxBatch int) *hub {
+func startHub(h *hub, maxBatch int) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
@@ -127,7 +127,6 @@ func startHub(h *hub, maxBatch int) *hub {
 		h.gc.AttachPusher(func(to int, m wire.Message) error { return h.deliver(to, []wire.Message{m}) })
 	}
 	go h.run(maxBatch)
-	return h
 }
 
 // admit queues a message from client `from` for the dispatcher: the one

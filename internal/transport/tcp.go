@@ -415,8 +415,12 @@ func (s *TCPServer) runtimeFor(name string, sh Shard) (*shardRT, error) {
 	if sh.Ring == nil {
 		sh.Ring = s.ring
 	}
-	rt := &shardRT{conns: make(map[int]*serverConn)}
-	rt.hub = startHub(&hub{name: name, core: sh.Core, ring: sh.Ring, count: shardOpsCounter(name), deliver: rt.deliver}, s.maxBatch)
+	rt := &shardRT{
+		hub:   &hub{name: name, core: sh.Core, ring: sh.Ring, count: shardOpsCounter(name)},
+		conns: make(map[int]*serverConn),
+	}
+	rt.hub.deliver = rt.deliver
+	startHub(rt.hub, s.maxBatch)
 	s.shards[name] = rt
 	return rt, nil
 }
