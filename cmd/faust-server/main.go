@@ -77,13 +77,15 @@
 // crash during rotation leaves the previous baseline intact.
 //
 // -fsync makes WAL records survive power loss: off, state survives process
-// crashes (OS page cache); on, it also survives power loss (see
-// BenchmarkServerPersist and faust-bench -run persist).
+// crashes (OS page cache); on, it also survives power loss. Its cost is
+// recorded under E15 in the README's "Retired experiments" and measured
+// by the reg-tcp-wal workload of benchmark/.
 //
-// The WAL runs in group-commit mode by default (-group-commit=false for
-// per-record writes): records buffer briefly and reach the disk as one
-// batched write plus — with -fsync — a single fdatasync that covers every
-// record a REPLY depends on. -flush-interval bounds how long an idle
+// The WAL runs in group-commit mode by default (-group-commit=false
+// flushes every record on its own, a group commit of one): records
+// buffer briefly and reach the disk as one batched write plus — with
+// -fsync — a single fdatasync that covers every record a REPLY depends
+// on. -flush-interval bounds how long an idle
 // COMMIT may stay buffered; losing one to a crash inside that window is
 // fail-safe (the committing client reports the rollback rather than
 // accepting it).

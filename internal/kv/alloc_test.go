@@ -42,14 +42,14 @@ func TestAllocBudgetDecodeNode(t *testing.T) {
 		leaf   bool
 		budget float64
 	}{{"leaf", true, 3}, {"interior", false, 2}} {
-		small, large := count(build(tc.leaf, 4)), count(build(tc.leaf, DefaultLeafFanout))
+		small, large := count(build(tc.leaf, 4)), count(build(tc.leaf, leafFanout))
 		if large > tc.budget {
 			t.Errorf("decoding a %s node of fan-out %d costs %.0f allocations, budget is %.0f",
-				tc.name, DefaultLeafFanout, large, tc.budget)
+				tc.name, leafFanout, large, tc.budget)
 		}
 		if large != small {
 			t.Errorf("%s decode allocations grow with fan-out: %.0f at 4, %.0f at %d",
-				tc.name, small, large, DefaultLeafFanout)
+				tc.name, small, large, leafFanout)
 		}
 	}
 }

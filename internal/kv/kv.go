@@ -26,12 +26,14 @@
 // Values larger than the chunk size are split into content-addressed
 // chunks, deduplicated against previously uploaded ones. Chunk and node
 // fetches run with bounded parallelism over the blob channel, which
-// pipelines them on one connection. A validating client cache
-// (content-hash-checked on every use) serves repeated chunk reads
-// without bulk transfers, verified tree nodes are reused while the
-// owner's root is unchanged, and CachedGetFrom serves repeated reads
-// with no server round trip at all as long as the client's observed
-// version of the owner's register is unchanged.
+// pipelines them on one connection. One cache mechanism (cache.go: a map
+// under a byte budget that evicts arbitrary entries) backs three client
+// caches: verified chunks, re-hashed on every hit, serve repeated reads
+// without bulk transfers; verified tree nodes, immutable under their
+// content hash, are reused across reads; and assembled remote values,
+// also re-hashed on every hit, let CachedGetFrom answer with no server
+// round trip at all while the client's observed version of the owner's
+// register is unchanged.
 package kv
 
 import (
@@ -126,7 +128,7 @@ func WithChunkSize(n int) Option {
 // WithChunkCacheBudget bounds the bytes the validating chunk cache may
 // hold (default 64 MiB). Zero disables chunk caching.
 func WithChunkCacheBudget(n int) Option {
-	return func(s *Store) { s.chunkBudget = n }
+	return func(s *Store) { s.chunks.budget = n }
 }
 
 // WithNodeCacheBudget bounds the bytes (encoded size) of verified tree
@@ -134,7 +136,7 @@ func WithChunkCacheBudget(n int) Option {
 // caching, making every remote read fetch its full path (the cold-read
 // configuration).
 func WithNodeCacheBudget(n int) Option {
-	return func(s *Store) { s.nodeBudget = n }
+	return func(s *Store) { s.nodes.budget = n }
 }
 
 // WithValueCacheBudget bounds the bytes CachedGetFrom's assembled-value
@@ -142,30 +144,19 @@ func WithNodeCacheBudget(n int) Option {
 // budget. Zero disables value caching (CachedGetFrom then always falls
 // through to GetFrom).
 func WithValueCacheBudget(n int) Option {
-	return func(s *Store) { s.valBudget = n }
-}
-
-// WithTreeFanout sets the directory tree's node widths: a leaf splits
-// beyond leaf entries, an interior node beyond interior children
-// (defaults DefaultLeafFanout, DefaultInteriorFanout; minimum 2 each).
-// Small fanouts make deep trees for tests; an effectively unbounded
-// fanout keeps the whole namespace in one leaf, reproducing the flat
-// directory design as an ablation baseline.
-func WithTreeFanout(leaf, interior int) Option {
-	return func(s *Store) {
-		if leaf >= 2 {
-			s.shape.leafMax = leaf
-		}
-		if interior >= 2 {
-			s.shape.intMax = interior
-		}
-	}
+	return func(s *Store) { s.values.budget = n }
 }
 
 // Item is one key/value pair for PutBatch.
 type Item struct {
 	Key   string
 	Value []byte
+}
+
+// valueKey names one remote value: the owner's index and the key.
+type valueKey struct {
+	owner int
+	key   string
 }
 
 // cachedValue is one fully assembled remote value in the value cache.
@@ -179,29 +170,23 @@ type cachedValue struct {
 // keys, read-only (Get*From) for every other client's. Safe for
 // concurrent use. Writers (Put/PutBatch/Delete) serialize with each
 // other; reads run concurrently with them and with each other — the
-// mutex guards only in-memory state, never a network round trip, so
-// blob transfers from different operations overlap on the pipelined
-// channel.
+// mutex guards only in-memory state, never a network or register round
+// trip, so blob transfers from different operations overlap on the
+// pipelined channel. The three caches are byteCaches, each charged in
+// bytes against its own budget (the With*CacheBudget options).
 type Store struct {
-	reg         Register
-	blobs       transport.BlobChannel
-	chunkSize   int
-	chunkBudget int
-	nodeBudget  int
-	valBudget   int
-	shape       treeShape
+	reg       Register
+	blobs     transport.BlobChannel
+	chunkSize int
 
 	wmu sync.Mutex // serializes mutations of the own namespace
 
-	mu         sync.Mutex
-	root       *node  // own directory tree, authoritative (single writer); nil = empty
-	gen        uint64 // own mutation counter, persisted in the root record
-	chunkCache map[string][]byte
-	chunkBytes int
-	nodeCache  map[string]*node // verified, immutable tree nodes by content hash
-	nodeBytes  int
-	valCache   map[int]map[string]*cachedValue
-	valBytes   int
+	mu     sync.Mutex
+	root   *node                            // own directory tree, authoritative (single writer); nil = empty
+	gen    uint64                           // own mutation counter, persisted in the root record
+	chunks byteCache[string, []byte]        // verified chunks by content hash
+	nodes  byteCache[string, *node]         // verified, immutable tree nodes by content hash, charged their encoded size
+	values byteCache[valueKey, cachedValue] // CachedGetFrom's assembled remote values
 
 	stats  statCounters // lock-free; see metrics.go
 	events *obs.EventLog
@@ -220,16 +205,12 @@ func WithEventLog(l *obs.EventLog) Option {
 // continues its namespace.
 func Open(reg Register, blobs transport.BlobChannel, opts ...Option) (*Store, error) {
 	s := &Store{
-		reg:         reg,
-		blobs:       blobs,
-		chunkSize:   DefaultChunkSize,
-		chunkBudget: 64 << 20,
-		nodeBudget:  16 << 20,
-		valBudget:   64 << 20,
-		shape:       treeShape{leafMax: DefaultLeafFanout, intMax: DefaultInteriorFanout},
-		chunkCache:  make(map[string][]byte),
-		nodeCache:   make(map[string]*node),
-		valCache:    make(map[int]map[string]*cachedValue),
+		reg:       reg,
+		blobs:     blobs,
+		chunkSize: DefaultChunkSize,
+		chunks:    byteCache[string, []byte]{budget: 64 << 20},
+		nodes:     byteCache[string, *node]{budget: 16 << 20},
+		values:    byteCache[valueKey, cachedValue]{budget: 64 << 20},
 	}
 	for _, o := range opts {
 		o(s)
@@ -370,7 +351,7 @@ func (s *Store) PutBatch(ctx context.Context, items []Item) error {
 	s.mu.Lock()
 	missing := uploads[:0]
 	for _, u := range uploads {
-		if _, ok := s.chunkCache[string(u.hash)]; !ok {
+		if _, ok := s.chunks.get(string(u.hash)); !ok {
 			missing = append(missing, u)
 		}
 	}
@@ -384,7 +365,7 @@ func (s *Store) PutBatch(ctx context.Context, items []Item) error {
 		}
 		s.statBlobPut(len(u.data))
 		s.mu.Lock()
-		s.cacheChunk(u.hash, u.data)
+		s.chunks.put(string(u.hash), append([]byte(nil), u.data...), len(u.data))
 		s.mu.Unlock()
 		return nil
 	}); err != nil {
@@ -397,7 +378,7 @@ func (s *Store) PutBatch(ctx context.Context, items []Item) error {
 	root := s.root
 	s.mu.Unlock()
 	for i := range entries {
-		root = treePut(root, entries[i], s.shape)
+		root = treePut(root, entries[i])
 	}
 	return s.commit(ctx, root)
 }
@@ -414,7 +395,7 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	s.mu.Lock()
 	root := s.root
 	s.mu.Unlock()
-	newRoot, ok := treeDelete(root, key, s.shape)
+	newRoot, ok := treeDelete(root, key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -549,8 +530,10 @@ func (s *Store) GetFrom(ctx context.Context, j int, key string) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Tagged with the timestamp of THIS read, never re-sampled (see readRoot).
+	cv := cachedValue{value: append([]byte(nil), value...), digest: crypto.Hash(value), ownerT: ownerT}
 	s.mu.Lock()
-	s.rememberValueLocked(j, key, value, ownerT)
+	s.values.put(valueKey{j, key}, cv, len(value))
 	s.mu.Unlock()
 	return value, nil
 }
@@ -590,18 +573,20 @@ func (s *Store) CachedGetFrom(ctx context.Context, j int, key string) ([]byte, e
 	if j == s.reg.ID() {
 		return s.Get(ctx, key)
 	}
+	// Sampled before taking s.mu: a register client may wait out an
+	// in-flight operation here, which must not stall the store's other
+	// cache lookups.
+	ownerT := s.reg.ObservedTimestamp(j)
+	k := valueKey{j, key}
 	s.mu.Lock()
-	if byKey := s.valCache[j]; byKey != nil {
-		if cv, ok := byKey[key]; ok {
-			if cv.ownerT == s.reg.ObservedTimestamp(j) && bytes.Equal(crypto.Hash(cv.value), cv.digest) {
-				s.statValueCacheHit()
-				out := append([]byte(nil), cv.value...)
-				s.mu.Unlock()
-				return out, nil
-			}
-			delete(byKey, key) // version moved or digest check failed
-			s.valBytes -= len(cv.value)
+	if cv, ok := s.values.get(k); ok {
+		if cv.ownerT == ownerT && bytes.Equal(crypto.Hash(cv.value), cv.digest) {
+			s.statValueCacheHit()
+			out := append([]byte(nil), cv.value...)
+			s.mu.Unlock()
+			return out, nil
 		}
+		s.values.remove(k) // version moved or digest check failed
 	}
 	s.mu.Unlock()
 	return s.GetFrom(ctx, j, key)
@@ -632,62 +617,30 @@ func (s *Store) readRoot(ctx context.Context, j int) (*rootRecord, int64, error)
 	return rr, ownerT, nil
 }
 
-// rememberValueLocked stores a remote value in the value cache, tagged
-// with ownerT — the owner's register timestamp observed by the ReadX
-// that produced the value (NOT re-sampled here: a concurrent direct
-// operation on the shared register client could have advanced the
-// observed version meanwhile, and tagging a stale value with the newer
-// timestamp would defeat invalidation). The cache has its own byte
-// budget (WithValueCacheBudget): arbitrary entries are evicted to stay
-// under it, and values that alone exceed it are simply not cached.
-func (s *Store) rememberValueLocked(j int, key string, value []byte, ownerT int64) {
-	if s.valBudget <= 0 || len(value) > s.valBudget {
-		return
-	}
-	for s.valBytes+len(value) > s.valBudget && s.valBytes > 0 {
-		for owner, byKey := range s.valCache {
-			for k, cv := range byKey {
-				delete(byKey, k)
-				s.valBytes -= len(cv.value)
-				break
-			}
-			if len(byKey) == 0 {
-				delete(s.valCache, owner)
-			}
-			break
-		}
-	}
-	byKey := s.valCache[j]
-	if byKey == nil {
-		byKey = make(map[string]*cachedValue)
-		s.valCache[j] = byKey
-	}
-	if old, ok := byKey[key]; ok {
-		s.valBytes -= len(old.value)
-	}
-	byKey[key] = &cachedValue{
-		value:  append([]byte(nil), value...),
-		digest: crypto.Hash(value),
-		ownerT: ownerT,
-	}
-	s.valBytes += len(value)
-}
-
-// remoteFind walks client j's committed tree from the root record to the
-// leaf responsible for key, fetching each node by the hash its parent
-// declared and validating the declared subtree facts at every step. The
-// root node's totals are checked against the root record, so the
-// metadata a reader reports is pinned to the register-committed hash.
-func (s *Store) remoteFind(ctx context.Context, rr *rootRecord, key string) (*entry, error) {
-	if rr.NumEntries == 0 {
-		return nil, ErrNotFound
-	}
-	n, err := s.getNode(ctx, rr.RootHash)
+// fetchRoot fetches the root node rr names through get and checks its
+// totals against the record, so the metadata a reader reports is pinned
+// to the register-committed hash.
+func fetchRoot(ctx context.Context, rr *rootRecord, get func(context.Context, []byte) (*node, error)) (*node, error) {
+	n, err := get(ctx, rr.RootHash)
 	if err != nil {
 		return nil, err
 	}
 	if n.count() != rr.NumEntries || n.totalBytes() != rr.TotalBytes {
 		return nil, errors.New("kv: directory metadata mismatch")
+	}
+	return n, nil
+}
+
+// remoteFind walks client j's committed tree from the root record to the
+// leaf responsible for key, fetching each node by the hash its parent
+// declared and validating the declared subtree facts at every step.
+func (s *Store) remoteFind(ctx context.Context, rr *rootRecord, key string) (*entry, error) {
+	if rr.NumEntries == 0 {
+		return nil, ErrNotFound
+	}
+	n, err := fetchRoot(ctx, rr, s.getNode)
+	if err != nil {
+		return nil, err
 	}
 	for depth := uint32(1); ; depth++ {
 		if n.leaf {
@@ -720,124 +673,87 @@ func (s *Store) remoteFind(ctx context.Context, rr *rootRecord, key string) (*en
 	}
 }
 
-// remoteKeys fetches and verifies client j's whole tree level by level
-// (bounded-parallel fetches) and returns the sorted key list.
+// remoteKeys fetches and verifies client j's whole tree and returns the
+// sorted key list.
 func (s *Store) remoteKeys(ctx context.Context, rr *rootRecord) ([]string, error) {
 	if rr.NumEntries == 0 {
 		return nil, nil
 	}
-	root, err := s.getNode(ctx, rr.RootHash)
+	root, err := fetchRoot(ctx, rr, s.getNode)
 	if err != nil {
 		return nil, err
 	}
-	if root.count() != rr.NumEntries || root.totalBytes() != rr.TotalBytes {
-		return nil, errors.New("kv: directory metadata mismatch")
+	leaves, err := s.walkLevels(rr, root, func(ref *childRef) (*node, error) { return s.getNode(ctx, ref.hash) })
+	if err != nil {
+		return nil, err
 	}
-	level := []*node{root}
-	for depth := uint32(1); ; depth++ {
-		if level[0].leaf {
-			if depth != rr.Height {
-				return nil, errors.New("kv: tree shape mismatch")
-			}
-			keys := make([]string, 0, rr.NumEntries)
-			for _, n := range level {
-				if !n.leaf {
-					return nil, errors.New("kv: tree shape mismatch")
-				}
-				keys = treeKeys(n, keys)
-			}
-			for i := 1; i < len(keys); i++ {
-				if keys[i] <= keys[i-1] {
-					return nil, errors.New("kv: directory keys not strictly sorted")
-				}
-			}
-			return keys, nil
-		}
-		if depth >= rr.Height {
-			return nil, errors.New("kv: tree shape mismatch")
-		}
-		var refs []*childRef
-		for _, n := range level {
-			if n.leaf {
-				return nil, errors.New("kv: tree shape mismatch")
-			}
-			for i := range n.children {
-				refs = append(refs, &n.children[i])
-			}
-		}
-		next := make([]*node, len(refs))
-		if err := s.forEachParallel(len(refs), func(k int) error {
-			child, err := s.getNode(ctx, refs[k].hash)
-			if err != nil {
-				return err
-			}
-			if err := checkRef(child, refs[k].minKey, refs[k].count, refs[k].bytes); err != nil {
-				return err
-			}
-			next[k] = child
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		level = next
+	keys := make([]string, 0, rr.NumEntries)
+	for _, n := range leaves {
+		keys = treeKeys(n, keys)
 	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return nil, errors.New("kv: directory keys not strictly sorted")
+		}
+	}
+	return keys, nil
 }
 
-// loadTree fetches and verifies the owner's entire tree at Open, level
-// by level (so the fetch parallelism stays bounded at
-// DefaultFetchParallelism, never compounding across depths), linking the nodes in memory so later
-// operations run without node fetches. The structure checks are the
-// same every remote read performs. Children are linked on COPIES of the
-// decoded nodes: cached nodes are shared and immutable, the owner tree
-// needs child pointers.
+// loadTree fetches and verifies the owner's entire tree at Open, linking
+// the nodes in memory so later operations run without node fetches. The
+// structure checks are the ones every remote listing performs. Children
+// are linked on COPIES of the decoded nodes: cached nodes are shared and
+// immutable, the owner tree needs child pointers.
 func (s *Store) loadTree(ctx context.Context, rr *rootRecord) (*node, error) {
 	if rr.NumEntries == 0 {
 		return nil, nil
 	}
-	root, err := s.loadNodeCopy(ctx, rr.RootHash)
+	root, err := fetchRoot(ctx, rr, s.loadNodeCopy)
 	if err != nil {
 		return nil, err
 	}
-	if root.count() != rr.NumEntries || root.totalBytes() != rr.TotalBytes {
-		return nil, errors.New("kv: directory metadata mismatch")
+	if _, err := s.walkLevels(rr, root, func(ref *childRef) (*node, error) {
+		child, err := s.loadNodeCopy(ctx, ref.hash)
+		ref.child = child // distinct parents' slices: no write overlap
+		return child, err
+	}); err != nil {
+		return nil, err
 	}
+	return root, nil
+}
+
+// walkLevels descends from root, the node rr names, one level at a time —
+// so fetch parallelism stays bounded at DefaultFetchParallelism, never
+// compounding across depths — and returns the leaves in key order. fetch
+// obtains the node a child reference names; walkLevels checks it against
+// the reference, and every level's kind against rr.Height.
+func (s *Store) walkLevels(rr *rootRecord, root *node, fetch func(ref *childRef) (*node, error)) ([]*node, error) {
 	level := []*node{root}
 	for depth := uint32(1); ; depth++ {
-		if level[0].leaf {
-			if depth != rr.Height {
-				return nil, errors.New("kv: tree shape mismatch")
-			}
-			for _, n := range level {
-				if !n.leaf {
-					return nil, errors.New("kv: tree shape mismatch")
-				}
-			}
-			return root, nil
-		}
-		if depth >= rr.Height {
+		leaves := level[0].leaf
+		if leaves != (depth == rr.Height) {
 			return nil, errors.New("kv: tree shape mismatch")
 		}
 		var refs []*childRef
 		for _, n := range level {
-			if n.leaf {
+			if n.leaf != leaves {
 				return nil, errors.New("kv: tree shape mismatch")
 			}
 			for i := range n.children {
 				refs = append(refs, &n.children[i])
 			}
 		}
+		if leaves {
+			return level, nil
+		}
 		next := make([]*node, len(refs))
 		if err := s.forEachParallel(len(refs), func(k int) error {
-			child, err := s.loadNodeCopy(ctx, refs[k].hash)
+			child, err := fetch(refs[k])
 			if err != nil {
 				return err
 			}
-			if err := checkRef(child, refs[k].minKey, refs[k].count, refs[k].bytes); err != nil {
-				return err
-			}
-			refs[k].child = child // distinct parents' slices: no write overlap
 			next[k] = child
-			return nil
+			return checkRef(child, refs[k].minKey, refs[k].count, refs[k].bytes)
 		}); err != nil {
 			return nil, err
 		}
@@ -867,7 +783,7 @@ func (s *Store) loadNodeCopy(ctx context.Context, hash []byte) (*node, error) {
 func (s *Store) getNode(ctx context.Context, hash []byte) (*node, error) {
 	key := string(hash)
 	s.mu.Lock()
-	if n, ok := s.nodeCache[key]; ok {
+	if n, ok := s.nodes.get(key); ok {
 		s.statNodeCacheHit()
 		s.mu.Unlock()
 		return n, nil
@@ -890,38 +806,9 @@ func (s *Store) getNode(ctx context.Context, hash []byte) (*node, error) {
 	}
 	s.statBlobGet(len(blob))
 	s.mu.Lock()
-	s.cacheNode(key, n, len(blob))
+	s.nodes.put(key, n, len(blob))
 	s.mu.Unlock()
 	return n, nil
-}
-
-// cacheNode stores a verified node under its hash, evicting arbitrary
-// entries when over budget. size is the encoded length, used as the
-// budget unit. A hash already present (two concurrent misses racing) is
-// left alone so the accounting never double-counts. Caller holds s.mu.
-func (s *Store) cacheNode(key string, n *node, size int) {
-	if s.nodeBudget <= 0 || size > s.nodeBudget {
-		return
-	}
-	if _, ok := s.nodeCache[key]; ok {
-		return
-	}
-	for s.nodeBytes+size > s.nodeBudget && len(s.nodeCache) > 0 {
-		for k, old := range s.nodeCache {
-			delete(s.nodeCache, k)
-			if old.leaf {
-				s.nodeBytes -= encodedLeafSize(old.entries)
-			} else {
-				s.nodeBytes -= encodedInteriorSize(old.children)
-			}
-			break
-		}
-	}
-	if s.nodeBytes+size > s.nodeBudget {
-		return
-	}
-	s.nodeCache[key] = n
-	s.nodeBytes += size
 }
 
 // assemble reconstructs an entry's value from its chunks, fetching what
@@ -936,7 +823,7 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 	missingAt := map[string][]int{} // hash -> every chunk index using it
 	s.mu.Lock()
 	for i, h := range e.Chunks {
-		if cached, ok := s.chunkCache[string(h)]; ok {
+		if cached, ok := s.chunks.get(string(h)); ok {
 			if bytes.Equal(crypto.Hash(cached), h) {
 				chunks[i] = cached
 				s.statChunkCacheHit()
@@ -944,8 +831,7 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 			}
 			// The validating part of the cache: a corrupted entry is
 			// dropped and refetched rather than served.
-			delete(s.chunkCache, string(h))
-			s.chunkBytes -= len(cached)
+			s.chunks.remove(string(h))
 		}
 		if _, dup := missingAt[string(h)]; !dup {
 			missing = append(missing, h)
@@ -968,7 +854,7 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 		}
 		s.statBlobGet(len(fetched))
 		s.mu.Lock()
-		s.cacheChunk(h, fetched)
+		s.chunks.put(string(h), append([]byte(nil), fetched...), len(fetched))
 		s.mu.Unlock()
 		for _, i := range missingAt[string(h)] {
 			chunks[i] = fetched
@@ -985,31 +871,6 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 		return nil, errors.New("kv: reassembled value size mismatch")
 	}
 	return value, nil
-}
-
-// cacheChunk stores a verified chunk, evicting arbitrary entries when
-// over budget. A hash already present is left alone — content
-// addressing guarantees the bytes are identical, and re-inserting would
-// double-count the size. Caller holds s.mu.
-func (s *Store) cacheChunk(hash, chunk []byte) {
-	if s.chunkBudget <= 0 {
-		return
-	}
-	if _, ok := s.chunkCache[string(hash)]; ok {
-		return
-	}
-	for s.chunkBytes+len(chunk) > s.chunkBudget && len(s.chunkCache) > 0 {
-		for k, v := range s.chunkCache {
-			delete(s.chunkCache, k)
-			s.chunkBytes -= len(v)
-			break
-		}
-	}
-	if s.chunkBytes+len(chunk) > s.chunkBudget {
-		return
-	}
-	s.chunkCache[string(hash)] = append([]byte(nil), chunk...)
-	s.chunkBytes += len(chunk)
 }
 
 // forEachParallel runs f(0..n-1) with at most DefaultFetchParallelism

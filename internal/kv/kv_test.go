@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"faust/internal/byzantine"
 	"faust/internal/crypto"
@@ -390,6 +392,82 @@ func TestValidatingCache(t *testing.T) {
 	v, err := reader.CachedGetFrom(context.Background(), 0, "hot")
 	if err != nil || string(v) != "value-2" {
 		t.Fatalf("post-invalidation CachedGetFrom = %q, %v; want value-2", v, err)
+	}
+}
+
+// gatedRegister parks ObservedTimestamp on a gate while armed, standing
+// in for a register client whose session lock an in-flight round trip
+// holds.
+type gatedRegister struct {
+	*ustor.Client
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedRegister) ObservedTimestamp(j int) int64 {
+	if g.armed.Load() {
+		g.parked <- struct{}{}
+		<-g.release
+	}
+	return g.Client.ObservedTimestamp(j)
+}
+
+// TestCachedGetFromConsultsRegisterUnlocked: a CachedGetFrom hit waiting
+// on the register for the owner's observed version must not hold the
+// store's lock, or every other lookup of the store (here an own-namespace
+// Get) stalls behind the register client's round trip.
+func TestCachedGetFromConsultsRegisterUnlocked(t *testing.T) {
+	ctx := context.Background()
+	cl := newCluster(t, 2, nil)
+	if err := cl.stores[0].Put(ctx, "hot", []byte("peer value")); err != nil {
+		t.Fatal(err)
+	}
+	reg := &gatedRegister{Client: cl.clients[1], parked: make(chan struct{}), release: make(chan struct{})}
+	ch, err := cl.net.BlobChannel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := kv.Open(reg, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Put(ctx, "mine", []byte("own value")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.GetFrom(ctx, 0, "hot"); err != nil { // fills the value cache
+		t.Fatal(err)
+	}
+
+	reg.armed.Store(true)
+	cached := make(chan error, 1)
+	go func() {
+		v, err := reader.CachedGetFrom(ctx, 0, "hot")
+		if err == nil && string(v) != "peer value" {
+			err = fmt.Errorf("CachedGetFrom = %q, want %q", v, "peer value")
+		}
+		cached <- err
+	}()
+	<-reg.parked
+	own := make(chan error, 1)
+	go func() {
+		_, err := reader.Get(ctx, "mine")
+		own <- err
+	}()
+	select {
+	case err := <-own:
+		if err != nil {
+			t.Errorf("own Get: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Error("own-namespace Get blocked behind a CachedGetFrom waiting on the register")
+	}
+	close(reg.release)
+	if err := <-cached; err != nil {
+		t.Fatal(err)
+	}
+	if hits := reader.Stats().ValueCacheHits; hits != 1 {
+		t.Fatalf("ValueCacheHits = %d, want 1 (the parked lookup was a cache hit)", hits)
 	}
 }
 

@@ -49,9 +49,9 @@ type statCounters struct {
 	blobGets       atomic.Int64
 	blobPutBytes   atomic.Int64
 	blobGetBytes   atomic.Int64
-	chunkCacheHits atomic.Int64
-	nodeCacheHits  atomic.Int64
-	valueCacheHits atomic.Int64
+	chunkHits      atomic.Int64
+	nodeHits       atomic.Int64
+	valueHits      atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -62,9 +62,9 @@ func (c *statCounters) snapshot() Stats {
 		BlobGets:       c.blobGets.Load(),
 		BlobPutBytes:   c.blobPutBytes.Load(),
 		BlobGetBytes:   c.blobGetBytes.Load(),
-		ChunkCacheHits: c.chunkCacheHits.Load(),
-		NodeCacheHits:  c.nodeCacheHits.Load(),
-		ValueCacheHits: c.valueCacheHits.Load(),
+		ChunkCacheHits: c.chunkHits.Load(),
+		NodeCacheHits:  c.nodeHits.Load(),
+		ValueCacheHits: c.valueHits.Load(),
 	}
 }
 
@@ -96,16 +96,16 @@ func (s *Store) statBlobGet(n int) {
 }
 
 func (s *Store) statChunkCacheHit() {
-	s.stats.chunkCacheHits.Add(1)
+	s.stats.chunkHits.Add(1)
 	kvCacheHits["chunk"].Inc()
 }
 
 func (s *Store) statNodeCacheHit() {
-	s.stats.nodeCacheHits.Add(1)
+	s.stats.nodeHits.Add(1)
 	kvCacheHits["node"].Inc()
 }
 
 func (s *Store) statValueCacheHit() {
-	s.stats.valueCacheHits.Add(1)
+	s.stats.valueHits.Add(1)
 	kvCacheHits["value"].Inc()
 }

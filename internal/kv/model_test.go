@@ -22,8 +22,8 @@ import (
 // tree node blob is detected before a value byte is returned.
 
 // modelCluster is the fixture: n stores over one in-memory network and a
-// shared blob store, with deliberately small fanouts and chunks so the
-// sequences exercise splits, merges and multi-chunk values.
+// shared blob store. Its tests shrink the fanouts (setFanout) and the
+// chunks so the sequences exercise splits, merges and multi-chunk values.
 type modelCluster struct {
 	blobs   *transport.MemBlobs
 	net     *transport.Network
@@ -58,9 +58,9 @@ func newModelCluster(t *testing.T, n int, opts ...Option) *modelCluster {
 // sequences and asserts every result agrees with the map model.
 func TestModelRandomOps(t *testing.T) {
 	const n = 2
+	setFanout(t, 4, 4)
 	for seed := int64(1); seed <= 3; seed++ {
-		mc := newModelCluster(t, n,
-			WithTreeFanout(4, 4), WithChunkSize(64))
+		mc := newModelCluster(t, n, WithChunkSize(64))
 		rng := rand.New(rand.NewSource(seed))
 		models := make([]map[string][]byte, n)
 		for i := range models {
@@ -125,7 +125,7 @@ func TestModelRandomOps(t *testing.T) {
 		}
 		// A reopened store recovers the exact namespace from the root
 		// record and blobs.
-		reopened, err := Open(mc.clients[0], mustChannel(t, mc.net), WithTreeFanout(4, 4), WithChunkSize(64))
+		reopened, err := Open(mc.clients[0], mustChannel(t, mc.net), WithChunkSize(64))
 		if err != nil {
 			t.Fatalf("seed %d: reopen: %v", seed, err)
 		}
@@ -171,7 +171,8 @@ func mustChannel(t *testing.T, nw *transport.Network) transport.BlobChannel {
 // that traverses the corrupted node — and returns correct values once
 // the node is restored.
 func TestModelEveryNodeTamperDetected(t *testing.T) {
-	mc := newModelCluster(t, 2, WithTreeFanout(4, 4), WithChunkSize(64))
+	setFanout(t, 4, 4)
+	mc := newModelCluster(t, 2, WithChunkSize(64))
 	owner := mc.stores[0]
 	model := map[string][]byte{}
 	for i := 0; i < 60; i++ {
@@ -238,7 +239,7 @@ func TestModelEveryNodeTamperDetected(t *testing.T) {
 		}
 		// Fresh reader: cold caches, so the lookup must traverse the
 		// corrupted node and reject it.
-		reader, err := Open(mc.clients[1], mustChannel(t, mc.net), WithTreeFanout(4, 4), WithChunkSize(64))
+		reader, err := Open(mc.clients[1], mustChannel(t, mc.net), WithChunkSize(64))
 		if err != nil {
 			t.Fatal(err)
 		}

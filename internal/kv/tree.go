@@ -41,14 +41,13 @@ import (
 const (
 	leafMagic     = "FKVL1"
 	interiorMagic = "FKVI1"
-
-	// DefaultLeafFanout and DefaultInteriorFanout size tree nodes: a
-	// leaf splits beyond DefaultLeafFanout entries, an interior node
-	// beyond DefaultInteriorFanout children. 64-wide nodes keep a
-	// 10k-key namespace three levels tall with ~3 KiB node blobs.
-	DefaultLeafFanout     = 64
-	DefaultInteriorFanout = 64
 )
+
+// leafFanout and interiorFanout size tree nodes: a leaf splits beyond
+// leafFanout entries, an interior node beyond interiorFanout children.
+// 64-wide nodes keep a 10k-key namespace three levels tall with ~3 KiB
+// node blobs. Vars so tests can build deep trees from a few keys.
+var leafFanout, interiorFanout = 64, 64
 
 // nodeSplitBytes caps a node's encoded size independently of the fanout:
 // a node that grows beyond it splits even when its entry count is under
@@ -144,20 +143,14 @@ func childIndex(children []childRef, key string) int {
 	return i
 }
 
-// treeShape carries the configured fanouts through the recursive ops.
-type treeShape struct {
-	leafMax int
-	intMax  int
-}
-
 // treePut inserts or replaces e in the tree rooted at root (nil = empty
 // tree) and returns the new root. The old root and every node it
 // reaches remain untouched.
-func treePut(root *node, e entry, sh treeShape) *node {
+func treePut(root *node, e entry) *node {
 	if root == nil {
 		root = &node{leaf: true}
 	}
-	reps := putRec(root, e, sh)
+	reps := putRec(root, e)
 	if len(reps) == 1 {
 		return reps[0]
 	}
@@ -172,7 +165,7 @@ func treePut(root *node, e entry, sh treeShape) *node {
 // putRec inserts e into the subtree at n and returns the replacement
 // node(s) — more than one when the updated node split. n is never
 // modified.
-func putRec(n *node, e entry, sh treeShape) []*node {
+func putRec(n *node, e entry) []*node {
 	if n.leaf {
 		i, ok := findEntry(n.entries, e.Key)
 		es := make([]entry, 0, len(n.entries)+1)
@@ -183,53 +176,53 @@ func putRec(n *node, e entry, sh treeShape) []*node {
 		} else {
 			es = append(es, n.entries[i:]...)
 		}
-		return splitLeaf(&node{leaf: true, entries: es}, sh)
+		return splitLeaf(&node{leaf: true, entries: es})
 	}
 	i := childIndex(n.children, e.Key)
-	reps := putRec(n.children[i].child, e, sh)
+	reps := putRec(n.children[i].child, e)
 	children := make([]childRef, 0, len(n.children)+len(reps)-1)
 	children = append(children, n.children[:i]...)
 	for _, r := range reps {
 		children = append(children, r.ref())
 	}
 	children = append(children, n.children[i+1:]...)
-	return splitInterior(&node{children: children}, sh)
+	return splitInterior(&node{children: children})
 }
 
 // splitLeaf halves a leaf (recursively) until it satisfies both the
 // fanout and the encoded-size cap.
-func splitLeaf(n *node, sh treeShape) []*node {
+func splitLeaf(n *node) []*node {
 	if len(n.entries) <= 1 ||
-		(len(n.entries) <= sh.leafMax && encodedLeafSize(n.entries) <= nodeSplitBytes) {
+		(len(n.entries) <= leafFanout && encodedLeafSize(n.entries) <= nodeSplitBytes) {
 		return []*node{n}
 	}
 	mid := len(n.entries) / 2
 	left := &node{leaf: true, entries: n.entries[:mid:mid]}
 	right := &node{leaf: true, entries: n.entries[mid:]}
-	return append(splitLeaf(left, sh), splitLeaf(right, sh)...)
+	return append(splitLeaf(left), splitLeaf(right)...)
 }
 
 // splitInterior halves an interior node (recursively) until it satisfies
 // the fanout and size caps.
-func splitInterior(n *node, sh treeShape) []*node {
+func splitInterior(n *node) []*node {
 	if len(n.children) <= 1 ||
-		(len(n.children) <= sh.intMax && encodedInteriorSize(n.children) <= nodeSplitBytes) {
+		(len(n.children) <= interiorFanout && encodedInteriorSize(n.children) <= nodeSplitBytes) {
 		return []*node{n}
 	}
 	mid := len(n.children) / 2
 	left := &node{children: n.children[:mid:mid]}
 	right := &node{children: n.children[mid:]}
-	return append(splitInterior(left, sh), splitInterior(right, sh)...)
+	return append(splitInterior(left), splitInterior(right)...)
 }
 
 // treeDelete removes key from the tree rooted at root and returns the
 // new root (nil when the tree became empty) and whether the key existed.
 // The old root remains untouched.
-func treeDelete(root *node, key string, sh treeShape) (*node, bool) {
+func treeDelete(root *node, key string) (*node, bool) {
 	if root == nil {
 		return nil, false
 	}
-	rep, ok := deleteRec(root, key, sh)
+	rep, ok := deleteRec(root, key)
 	if !ok {
 		return root, false
 	}
@@ -243,7 +236,7 @@ func treeDelete(root *node, key string, sh treeShape) (*node, bool) {
 // deleteRec removes key from the subtree at n, returning the replacement
 // node (nil when the subtree became empty) and whether the key existed.
 // n is never modified.
-func deleteRec(n *node, key string, sh treeShape) (*node, bool) {
+func deleteRec(n *node, key string) (*node, bool) {
 	if n.leaf {
 		i, ok := findEntry(n.entries, key)
 		if !ok {
@@ -258,7 +251,7 @@ func deleteRec(n *node, key string, sh treeShape) (*node, bool) {
 		return &node{leaf: true, entries: es}, true
 	}
 	i := childIndex(n.children, key)
-	rep, ok := deleteRec(n.children[i].child, key, sh)
+	rep, ok := deleteRec(n.children[i].child, key)
 	if !ok {
 		return n, false
 	}
@@ -271,7 +264,7 @@ func deleteRec(n *node, key string, sh treeShape) (*node, bool) {
 	if len(children) == 0 {
 		return nil, true
 	}
-	children = mergeUnderfull(children, i, sh)
+	children = mergeUnderfull(children, i)
 	return &node{children: children}, true
 }
 
@@ -280,7 +273,7 @@ func deleteRec(n *node, key string, sh treeShape) (*node, bool) {
 // the fanout and a neighbor can absorb it within the caps, the two merge
 // into one node. Merging only ever combines same-level siblings, so all
 // leaves stay at one depth.
-func mergeUnderfull(children []childRef, i int, sh treeShape) []childRef {
+func mergeUnderfull(children []childRef, i int) []childRef {
 	j := i
 	if j >= len(children)-1 {
 		j = len(children) - 2
@@ -293,25 +286,25 @@ func mergeUnderfull(children []childRef, i int, sh treeShape) []childRef {
 		return children
 	}
 	if a.leaf {
-		if len(a.entries) >= sh.leafMax/4 && len(b.entries) >= sh.leafMax/4 {
+		if len(a.entries) >= leafFanout/4 && len(b.entries) >= leafFanout/4 {
 			return children
 		}
 		es := make([]entry, 0, len(a.entries)+len(b.entries))
 		es = append(es, a.entries...)
 		es = append(es, b.entries...)
-		if len(es) > sh.leafMax || encodedLeafSize(es) > nodeSplitBytes {
+		if len(es) > leafFanout || encodedLeafSize(es) > nodeSplitBytes {
 			return children
 		}
 		merged := &node{leaf: true, entries: es}
 		return spliceRefs(children, j, merged.ref())
 	}
-	if len(a.children) >= sh.intMax/4 && len(b.children) >= sh.intMax/4 {
+	if len(a.children) >= interiorFanout/4 && len(b.children) >= interiorFanout/4 {
 		return children
 	}
 	cs := make([]childRef, 0, len(a.children)+len(b.children))
 	cs = append(cs, a.children...)
 	cs = append(cs, b.children...)
-	if len(cs) > sh.intMax || encodedInteriorSize(cs) > nodeSplitBytes {
+	if len(cs) > interiorFanout || encodedInteriorSize(cs) > nodeSplitBytes {
 		return children
 	}
 	merged := &node{children: cs}
@@ -536,7 +529,7 @@ func checkRef(n *node, minKey string, count uint32, nbytes int64) error {
 // treeCheck verifies a fully loaded subtree's structural invariants.
 // Used by tests and the owner's bootstrap as a defense-in-depth check;
 // returns the subtree height.
-func treeCheck(n *node, sh treeShape) (uint32, error) {
+func treeCheck(n *node) (uint32, error) {
 	if n.leaf {
 		for i := 1; i < len(n.entries); i++ {
 			if n.entries[i].Key <= n.entries[i-1].Key {
@@ -560,7 +553,7 @@ func treeCheck(n *node, sh treeShape) (uint32, error) {
 		if i > 0 && c.minKey <= n.children[i-1].minKey {
 			return 0, fmt.Errorf("kv: separator keys out of order")
 		}
-		ch, err := treeCheck(c.child, sh)
+		ch, err := treeCheck(c.child)
 		if err != nil {
 			return 0, err
 		}

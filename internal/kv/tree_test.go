@@ -18,14 +18,23 @@ func testEntry(key string, size int) entry {
 	return e
 }
 
+// setFanout sets the tree fanouts for one test and restores them at its
+// end. No kv test runs in parallel, so swapping the package vars is safe.
+func setFanout(t *testing.T, leaf, interior int) {
+	t.Helper()
+	oldLeaf, oldInterior := leafFanout, interiorFanout
+	leafFanout, interiorFanout = leaf, interior
+	t.Cleanup(func() { leafFanout, interiorFanout = oldLeaf, oldInterior })
+}
+
 // checkTree asserts every structural invariant of a fully loaded tree
 // and returns its height.
-func checkTree(t *testing.T, root *node, sh treeShape) uint32 {
+func checkTree(t *testing.T, root *node) uint32 {
 	t.Helper()
 	if root == nil {
 		return 0
 	}
-	h, err := treeCheck(root, sh)
+	h, err := treeCheck(root)
 	if err != nil {
 		t.Fatalf("tree invariant broken: %v", err)
 	}
@@ -37,7 +46,7 @@ func checkTree(t *testing.T, root *node, sh treeShape) uint32 {
 // splits and merges) and checks contents, counts and invariants against
 // a sorted-map model after every operation batch.
 func TestTreeRandomOpsAgainstSortedModel(t *testing.T) {
-	sh := treeShape{leafMax: 4, intMax: 4}
+	setFanout(t, 4, 4)
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		model := map[string]int{}
@@ -45,7 +54,7 @@ func TestTreeRandomOpsAgainstSortedModel(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			key := fmt.Sprintf("k%03d", rng.Intn(120))
 			if rng.Intn(3) == 0 {
-				newRoot, ok := treeDelete(root, key, sh)
+				newRoot, ok := treeDelete(root, key)
 				_, inModel := model[key]
 				if ok != inModel {
 					t.Fatalf("seed %d step %d: delete %q found=%v, model=%v", seed, step, key, ok, inModel)
@@ -54,14 +63,14 @@ func TestTreeRandomOpsAgainstSortedModel(t *testing.T) {
 				delete(model, key)
 			} else {
 				size := rng.Intn(50)
-				root = treePut(root, testEntry(key, size), sh)
+				root = treePut(root, testEntry(key, size))
 				model[key] = size
 			}
 			if step%37 == 0 {
-				checkTree(t, root, sh)
+				checkTree(t, root)
 			}
 		}
-		checkTree(t, root, sh)
+		checkTree(t, root)
 
 		// Full content comparison.
 		keys := treeKeys(root, nil)
@@ -89,7 +98,7 @@ func TestTreeRandomOpsAgainstSortedModel(t *testing.T) {
 		// Drain: delete everything and end at the empty tree.
 		for _, k := range want {
 			var ok bool
-			root, ok = treeDelete(root, k, sh)
+			root, ok = treeDelete(root, k)
 			if !ok {
 				t.Fatalf("seed %d: drain delete %q missed", seed, k)
 			}
@@ -104,17 +113,17 @@ func TestTreeRandomOpsAgainstSortedModel(t *testing.T) {
 // reaches, so a pre-mutation root keeps serving the pre-mutation
 // contents — the property O(1) rollback and lock-free readers rely on.
 func TestTreeCopyOnWrite(t *testing.T) {
-	sh := treeShape{leafMax: 4, intMax: 4}
+	setFanout(t, 4, 4)
 	var root *node
 	for i := 0; i < 40; i++ {
-		root = treePut(root, testEntry(fmt.Sprintf("k%03d", i), i), sh)
+		root = treePut(root, testEntry(fmt.Sprintf("k%03d", i), i))
 	}
 	old := root
 	oldKeys := treeKeys(old, nil)
 
-	root = treePut(root, testEntry("k005", 999), sh)
-	root = treePut(root, testEntry("zzz", 1), sh)
-	root, _ = treeDelete(root, "k010", sh)
+	root = treePut(root, testEntry("k005", 999))
+	root = treePut(root, testEntry("zzz", 1))
+	root, _ = treeDelete(root, "k010")
 
 	// The old root still sees the old world.
 	if e, ok := treeFind(old, "k005"); !ok || e.Size != 5 {
@@ -137,8 +146,8 @@ func TestTreeCopyOnWrite(t *testing.T) {
 	if _, ok := treeFind(root, "k010"); ok {
 		t.Fatal("new root still has the deleted key")
 	}
-	checkTree(t, root, sh)
-	checkTree(t, old, sh)
+	checkTree(t, root)
+	checkTree(t, old)
 }
 
 // TestTreeSplitBySize: a node whose ENCODED size exceeds the cap splits
@@ -149,15 +158,15 @@ func TestTreeSplitBySize(t *testing.T) {
 	nodeSplitBytes = 2048
 	defer func() { nodeSplitBytes = oldCap }()
 
-	sh := treeShape{leafMax: 1 << 20, intMax: 1 << 20} // fanout effectively unbounded
+	setFanout(t, 1<<20, 1<<20) // fanout effectively unbounded
 	var root *node
 	for i := 0; i < 64; i++ {
 		// ~100-byte entries: the size cap, not the fanout, must split.
 		key := fmt.Sprintf("key-%04d-%s", i, string(bytes.Repeat([]byte{'x'}, 40)))
 		e := entry{Key: key, Size: 64, Chunks: [][]byte{crypto.Hash([]byte(key)), crypto.Hash([]byte(key + "2"))}}
-		root = treePut(root, e, sh)
+		root = treePut(root, e)
 	}
-	if h := checkTree(t, root, sh); h < 2 {
+	if h := checkTree(t, root); h < 2 {
 		t.Fatalf("size cap did not split: height %d, want >= 2", h)
 	}
 	var walk func(n *node)

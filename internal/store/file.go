@@ -62,13 +62,12 @@ type FileOptions struct {
 	Fsync bool
 	// GroupCommit batches appends: records accumulate in a buffer and hit
 	// the disk on the next Flush as one write plus (with Fsync) one
-	// fdatasync, instead of one write + fsync per record. Concurrent
-	// flushers coalesce: a caller whose records were covered by another
-	// caller's in-flight flush returns without a second sync. Group-commit
-	// segments are also preallocated in chunks so steady-state syncs do
-	// not rewrite file metadata. Durability of an individual record is
-	// deferred to the next Flush — exactly the WAL contract the Persistent
-	// wrapper needs, since it flushes before any REPLY escapes.
+	// fdatasync. Concurrent flushers coalesce: a caller whose records were
+	// covered by another caller's in-flight flush returns without a second
+	// sync. Durability of an individual record is deferred to the next
+	// Flush — exactly the WAL contract the Persistent wrapper needs, since
+	// it flushes before any REPLY escapes. Off, every Append flushes
+	// before returning: immediate mode is a group commit of one.
 	GroupCommit bool
 	// FlushInterval, with GroupCommit, bounds how long a buffered record
 	// may linger before a background flush picks it up (idle servers would
@@ -78,18 +77,18 @@ type FileOptions struct {
 	FlushInterval time.Duration
 }
 
-// preallocChunk is the step in which group-commit WAL segments are grown
-// ahead of the write offset. Appends then overwrite already-allocated
-// zeros, so an fdatasync needs no metadata write — the classic WAL
-// preallocation trick. Recovery treats the zero-filled tail as torn and
-// truncates it.
+// preallocChunk is the step in which WAL segments are grown ahead of the
+// write offset. Appends then overwrite already-allocated zeros, so an
+// fdatasync needs no metadata write — the classic WAL preallocation
+// trick. Recovery treats the zero-filled tail as torn and truncates it.
 const preallocChunk = 1 << 20
 
 // FileBackend is the durable Backend: length-prefixed, CRC-checksummed WAL
 // segments plus atomic snapshot files in a single directory.
 //
-// Lock order: flushMu (held across disk writes) before mu (guards buffers
-// and handles, held only for memory operations).
+// Every record is framed into a batch buffer and reaches the disk through
+// Flush, in either mode. Lock order: flushMu (held across disk writes)
+// before mu (guards buffers and handles, held only for memory operations).
 type FileBackend struct {
 	mu   sync.Mutex
 	dir  string
@@ -102,7 +101,6 @@ type FileBackend struct {
 	loaded bool
 	closed bool
 
-	// Group-commit state.
 	flushMu     sync.Mutex
 	buf         []byte // framed records awaiting flush
 	spare       []byte // recycled batch buffer
@@ -294,9 +292,9 @@ func writeSnapshotFile(path string, state []byte, fsync bool) error {
 
 // openWAL opens (creating if absent) one WAL segment, parses its records,
 // drops a torn or corrupt tail (including the zero-filled padding a
-// preallocated group-commit segment leaves after a crash), truncates the
-// file to the valid prefix and returns it positioned for appending, along
-// with the valid end offset.
+// preallocated segment leaves after a crash), truncates the file to the
+// valid prefix and returns it positioned for appending, along with the
+// valid end offset.
 func openWAL(path string) (*os.File, []Record, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -404,8 +402,8 @@ func (b *FileBackend) Load() ([]byte, []Record, error) {
 }
 
 // appendFramed frames rec (u32 len | u32 crc | payload) directly into buf
-// and returns the extended slice — no intermediate allocation, so the
-// group-commit path encodes straight into the shared batch buffer.
+// and returns the extended slice — no intermediate allocation, so Append
+// encodes straight into the shared batch buffer.
 func appendFramed(buf []byte, rec Record) ([]byte, error) {
 	switch rec.Msg.(type) {
 	case *wire.Submit, *wire.Commit:
@@ -426,9 +424,9 @@ func appendFramed(buf []byte, rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Append implements Backend. In group-commit mode the record lands in the
-// batch buffer and becomes durable on the next Flush; otherwise it is
-// written (and, with Fsync, synced) immediately.
+// Append implements Backend. The record lands in the batch buffer; in
+// group-commit mode it becomes durable on the next Flush, otherwise Append
+// flushes it (and everything buffered ahead of it) before returning.
 func (b *FileBackend) Append(rec Record) error {
 	b.mu.Lock()
 	if b.closed {
@@ -440,50 +438,17 @@ func (b *FileBackend) Append(rec Record) error {
 		b.mu.Unlock()
 		return err
 	}
-	if b.opts.GroupCommit {
-		var err error
-		b.buf, err = appendFramed(b.buf, rec)
-		b.mu.Unlock()
-		if err == nil {
-			smAppends.Inc()
-		}
-		return err
-	}
+	var err error
+	b.buf, err = appendFramed(b.buf, rec)
 	b.mu.Unlock()
-
-	// Immediate mode: the write and sync syscalls run under flushMu, the
-	// I/O serialization lock, so the state lock is never held across disk
-	// I/O (readers of off/gen are not stalled behind an fsync). flushMu
-	// also orders immediate appends against segment rotation.
-	buf, err := appendFramed(nil, rec)
 	if err != nil {
 		return err
 	}
-	b.flushMu.Lock()
-	defer b.flushMu.Unlock()
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return errors.New("store: backend closed")
-	}
-	wal, off := b.wal, b.off
-	b.mu.Unlock()
-	if _, err := wal.WriteAt(buf, off); err != nil {
-		return fmt.Errorf("store: appending WAL record: %w", err)
-	}
-	if b.opts.Fsync {
-		start := obs.StartTimer()
-		err := wal.Sync()
-		smFsyncNs.ObserveSince(start)
-		if err != nil {
-			return fmt.Errorf("store: syncing WAL: %w", err)
-		}
-	}
-	b.mu.Lock()
-	b.off = off + int64(len(buf))
-	b.mu.Unlock()
 	smAppends.Inc()
-	return nil
+	if b.opts.GroupCommit {
+		return nil
+	}
+	return b.Flush()
 }
 
 // Flush implements Backend: it writes the batched records in one write
@@ -491,9 +456,6 @@ func (b *FileBackend) Append(rec Record) error {
 // whoever wins the flush lock carries every record buffered so far, and
 // the others observe an empty buffer and return.
 func (b *FileBackend) Flush() error {
-	if !b.opts.GroupCommit {
-		return nil // immediate mode: Append already persisted everything
-	}
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
 	return b.flushLocked()
@@ -576,16 +538,14 @@ func writeBatch(wal *os.File, batch []byte, off int64, preallocEnd *int64, sync 
 }
 
 // WriteSnapshot implements Backend. See the layout comment for the
-// crash-safe ordering. In group-commit mode the pending batch is flushed
-// into the outgoing segment first, so the rotation never drops a record
-// that is not covered by the new snapshot.
+// crash-safe ordering. The pending batch is flushed into the outgoing
+// segment first, so the rotation never drops a record that is not covered
+// by the new snapshot.
 func (b *FileBackend) WriteSnapshot(state []byte) error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
-	if b.opts.GroupCommit {
-		if err := b.flushLocked(); err != nil {
-			return err
-		}
+	if err := b.flushLocked(); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	if b.closed {
@@ -596,9 +556,9 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 	b.mu.Unlock()
 
 	// The heavy I/O — snapshot write, segment creation, syncs — runs with
-	// only flushMu held. Appenders keep making progress: group-commit
-	// appends buffer under the state lock, and immediate-mode appends
-	// queue on flushMu exactly as they would behind a flush.
+	// only flushMu held. Appenders keep making progress: appends buffer
+	// under the state lock, and an immediate-mode Append's flush queues on
+	// flushMu exactly as it would behind any other flush.
 	if err := writeSnapshotFile(filepath.Join(b.dir, snapName(next)), state, b.opts.Fsync); err != nil {
 		return fmt.Errorf("store: writing snapshot %d: %w", next, err)
 	}
@@ -647,10 +607,7 @@ func (b *FileBackend) Close() error {
 	}
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
-	var flushErr error
-	if b.opts.GroupCommit {
-		flushErr = b.flushLocked() // still close below; error propagated after
-	}
+	flushErr := b.flushLocked() // still close below; error propagated after
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

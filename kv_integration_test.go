@@ -28,7 +28,7 @@ import (
 // rolled-back shard WOULD be flagged (covered by the existing rollback
 // tests; here recovery is honest).
 func TestTCPMultiShardKV(t *testing.T) {
-	const n = 2
+	const n, batchKeys = 2, 4200
 	base := t.TempDir()
 	ring, signers := crypto.NewTestKeyring(n, 91)
 
@@ -67,13 +67,13 @@ func TestTCPMultiShardKV(t *testing.T) {
 
 	// Client 0 of each shard owns a namespace; the same key holds
 	// different values per shard, including a multi-chunk one. Alpha
-	// uses a tiny tree fanout so its directory spans many tree-node
-	// blobs across several levels — all of which must persist in the
-	// shard's blob directory and recover across the restart.
+	// holds enough keys that its directory spans many tree-node blobs
+	// across three levels — all of which must persist in the shard's
+	// blob directory and recover across the restart.
 	bigAlpha := bytes.Repeat([]byte("alpha-bulk "), 2000) // ~22 KB, >1 chunk at 8 KiB
 	alpha0c, alpha0ch := dial("alpha", 0)
 	beta0c, beta0ch := dial("beta", 0)
-	alpha0, err := kv.Open(alpha0c, alpha0ch, kv.WithChunkSize(8<<10), kv.WithTreeFanout(4, 4))
+	alpha0, err := kv.Open(alpha0c, alpha0ch, kv.WithChunkSize(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +87,14 @@ func TestTCPMultiShardKV(t *testing.T) {
 	if err := alpha0.Put(context.Background(), "bulk", bigAlpha); err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]kv.Item, 40)
+	// Past 64×64 keys the default fanout needs a third level. Only the
+	// first 40 carry values; the rest are empty and upload no chunks.
+	batch := make([]kv.Item, batchKeys)
 	for i := range batch {
-		batch[i] = kv.Item{Key: fmt.Sprintf("batch-%03d", i), Value: []byte(fmt.Sprintf("payload-%03d", i))}
+		batch[i].Key = fmt.Sprintf("batch-%03d", i)
+		if i < 40 {
+			batch[i].Value = []byte(fmt.Sprintf("payload-%03d", i))
+		}
 	}
 	if err := alpha0.PutBatch(context.Background(), batch); err != nil {
 		t.Fatal(err)
@@ -181,8 +186,8 @@ func TestTCPMultiShardKV(t *testing.T) {
 	}
 	// Every level of alpha's multi-node tree recovered from the shard's
 	// blob directory: a full authenticated listing touches all of it.
-	if keys, err := alpha1r.ListFrom(context.Background(), 0); err != nil || len(keys) != 42 {
-		t.Fatalf("alpha ListFrom after restart = %d keys, %v; want 42", len(keys), err)
+	if keys, err := alpha1r.ListFrom(context.Background(), 0); err != nil || len(keys) != batchKeys+2 {
+		t.Fatalf("alpha ListFrom after restart = %d keys, %v; want %d", len(keys), err, batchKeys+2)
 	}
 	if v, err := alpha1r.GetFrom(context.Background(), 0, "batch-025"); err != nil || string(v) != "payload-025" {
 		t.Fatalf("alpha batch key after restart = %q, %v", v, err)
@@ -196,12 +201,12 @@ func TestTCPMultiShardKV(t *testing.T) {
 
 	// The owners resume too and keep writing into their recovered
 	// namespaces.
-	alpha0r, err := kv.Open(alpha0c, redial(alpha0c, "alpha", 0), kv.WithChunkSize(8<<10), kv.WithTreeFanout(4, 4))
+	alpha0r, err := kv.Open(alpha0c, redial(alpha0c, "alpha", 0), kv.WithChunkSize(8<<10))
 	if err != nil {
 		t.Fatalf("alpha owner reopen: %v", err)
 	}
-	if alpha0r.Len() != 42 {
-		t.Fatalf("alpha owner recovered %d keys, want 42", alpha0r.Len())
+	if alpha0r.Len() != batchKeys+2 {
+		t.Fatalf("alpha owner recovered %d keys, want %d", alpha0r.Len(), batchKeys+2)
 	}
 	if err := alpha0r.Put(context.Background(), "post-restart", []byte("written after recovery")); err != nil {
 		t.Fatal(err)

@@ -117,7 +117,7 @@ func TestTracePropagationMemoryTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := kv.Open(client, bch, kv.WithChunkSize(1<<10), kv.WithTreeFanout(4, 4))
+	kvs, err := kv.Open(client, bch, kv.WithChunkSize(1<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTracePropagationTCPWithRedial(t *testing.T) {
 	})
 	defer rb.Close()
 
-	kvs, err := kv.Open(client, rb, kv.WithChunkSize(1<<10), kv.WithTreeFanout(4, 4))
+	kvs, err := kv.Open(client, rb, kv.WithChunkSize(1<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
