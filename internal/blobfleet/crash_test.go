@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/store"
 	"faust/internal/transport"
@@ -136,7 +137,7 @@ func TestFailoverMasksInjectedDiskFaults(t *testing.T) {
 	f, err := New([]Backend{
 		{Name: "disk", Store: NewFaultyBlobs("disk", fb, FaultConfig{Seed: 5})},
 		{Name: "mem", Store: transport.NewMemBlobs()},
-	}, Options{WriteReplicas: 2, RetryAttempts: 1, ProbeInterval: -1})
+	}, Options{WriteReplicas: 2, RetryAttempts: 1, Clock: clock.NewFake()})
 	if err != nil {
 		t.Fatal(err)
 	}

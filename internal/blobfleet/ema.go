@@ -21,11 +21,11 @@ const (
 //
 // The score is an EMA over operation outcomes (1 success, 0 failure):
 //
-//	score <- alpha*outcome + (1-alpha)*score
+//	score <- DefaultAlpha*outcome + (1-DefaultAlpha)*score
 //
 // starting at 1 (innocent until proven flaky). The dead flag follows the
-// score with hysteresis: it trips below deadBelow and clears above
-// aliveAbove, so a backend needs a streak of failures to leave the
+// score with hysteresis: it trips below DefaultDeadBelow and clears above
+// DefaultAliveAbove, so a backend needs a streak of failures to leave the
 // rotation and a streak of successes (or one explicit probe answer,
 // which resurrects it outright) to rejoin. State transitions land in the
 // protocol event log as degraded-mode entries.
@@ -55,18 +55,18 @@ type BackendStatus struct {
 
 // observe feeds one operation outcome into the EMA and returns the state
 // transition it caused: +1 resurrected, -1 died, 0 none.
-func (b *backendState) observe(f *Failover, ok bool) int {
+func (b *backendState) observe(ok bool) int {
 	x := 0.0
 	if ok {
 		x = 1.0
 	}
 	b.mu.Lock()
-	b.score = f.opts.Alpha*x + (1-f.opts.Alpha)*b.score
+	b.score = DefaultAlpha*x + (1-DefaultAlpha)*b.score
 	transition := 0
-	if !b.dead && b.score < f.opts.DeadBelow {
+	if !b.dead && b.score < DefaultDeadBelow {
 		b.dead = true
 		transition = -1
-	} else if b.dead && b.score > f.opts.AliveAbove {
+	} else if b.dead && b.score > DefaultAliveAbove {
 		b.dead = false
 		transition = +1
 	}

@@ -11,15 +11,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/obs"
 	"faust/internal/obs/trace"
 	"faust/internal/transport"
 )
 
-// Fleet defaults. Retries are deliberately cheap and short: the layer
+// Fleet policy. Retries are deliberately cheap and short: the layer
 // above (the blob channel serving a client) is synchronous, so a slow
-// backend must fail over quickly rather than be nursed.
+// backend must fail over quickly rather than be nursed. Each backend gets
+// RetryAttempts tries per operation with capped exponential backoff
+// (DefaultRetryBase doubling up to DefaultRetryCap, jittered), all under
+// DefaultOpDeadline; the prober re-checks dead backends every
+// DefaultProbeInterval.
 const (
 	DefaultWriteReplicas = 2
 	DefaultRetryAttempts = 3
@@ -30,8 +35,7 @@ const (
 )
 
 // Options configures a Failover fleet. The zero value gets the defaults
-// above; a negative ProbeInterval disables the background prober (tests
-// drive ProbeNow instead).
+// above.
 type Options struct {
 	// Shard labels this fleet's metrics and events (one fleet per shard
 	// in a multi-tenant server).
@@ -39,29 +43,11 @@ type Options struct {
 	// WriteReplicas is W: puts go to the first W alive backends in
 	// order. Capped at the fleet size.
 	WriteReplicas int
-	// EMA aliveness parameters (see ema.go).
-	Alpha, DeadBelow, AliveAbove float64
-	// Retry policy per backend per operation: RetryAttempts tries with
-	// capped exponential backoff (RetryBase doubling up to RetryCap,
-	// jittered), all under the per-operation OpDeadline.
-	RetryAttempts       int
-	RetryBase, RetryCap time.Duration
-	OpDeadline          time.Duration
-	// ProbeInterval paces the background prober that resurrects dead
-	// backends. 0 means DefaultProbeInterval; negative disables it.
-	ProbeInterval time.Duration
-	// DisableVerify turns off content-hash verification of reads. On by
-	// default for SHA-256-sized addresses: the address commits the
-	// content, so the fleet can reject a byzantine replica's garbage
-	// locally and fail over to the next replica instead of serving it.
-	DisableVerify bool
-	// Seed feeds the backoff jitter (0 behaves like 1).
-	Seed int64
-	// Sleep replaces time.Sleep in tests.
-	Sleep func(time.Duration)
-	// Events receives degraded-mode entries (default registry's log when
-	// nil).
-	Events *obs.EventLog
+	// RetryAttempts is how many tries one backend gets per operation.
+	RetryAttempts int
+	// Clock drives the backoff sleeps, op deadlines and prober (clock.Real
+	// when nil).
+	Clock clock.Clock
 }
 
 // Stats snapshots a fleet's counters (instance-local; the same numbers
@@ -130,48 +116,17 @@ func New(backends []Backend, opts Options) (*Failover, error) {
 	if opts.WriteReplicas > len(backends) {
 		opts.WriteReplicas = len(backends)
 	}
-	if opts.Alpha <= 0 || opts.Alpha > 1 {
-		opts.Alpha = DefaultAlpha
-	}
-	if opts.DeadBelow <= 0 {
-		opts.DeadBelow = DefaultDeadBelow
-	}
-	if opts.AliveAbove <= 0 {
-		opts.AliveAbove = DefaultAliveAbove
-	}
-	if opts.DeadBelow >= opts.AliveAbove {
-		return nil, fmt.Errorf("blobfleet: dead threshold %.2f must be below alive threshold %.2f", opts.DeadBelow, opts.AliveAbove)
-	}
 	if opts.RetryAttempts <= 0 {
 		opts.RetryAttempts = DefaultRetryAttempts
 	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = DefaultRetryBase
-	}
-	if opts.RetryCap < opts.RetryBase {
-		opts.RetryCap = DefaultRetryCap
-	}
-	if opts.OpDeadline <= 0 {
-		opts.OpDeadline = DefaultOpDeadline
-	}
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = DefaultProbeInterval
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
-	if opts.Events == nil {
-		opts.Events = obs.Default().Events()
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
+	if opts.Clock == nil {
+		opts.Clock = clock.Real
 	}
 
 	f := &Failover{
 		opts:   opts,
-		events: opts.Events,
-		rng:    rand.New(rand.NewSource(seed)),
+		events: obs.Default().Events(),
+		rng:    rand.New(rand.NewSource(1)),
 		stop:   make(chan struct{}),
 	}
 	for i, b := range backends {
@@ -189,10 +144,8 @@ func New(backends []Backend, opts Options) (*Failover, error) {
 		st.upG.Set(1)
 		f.backends = append(f.backends, st)
 	}
-	if opts.ProbeInterval > 0 {
-		f.wg.Add(1)
-		go f.prober()
-	}
+	f.wg.Add(1)
+	go f.prober(f.opts.Clock.NewTicker(DefaultProbeInterval))
 	return f, nil
 }
 
@@ -229,15 +182,15 @@ func (f *Failover) Stats() Stats {
 // report feeds one operation outcome into a backend's aliveness and
 // records the degraded-mode event if it caused a transition.
 func (f *Failover) report(b *backendState, ok bool) {
-	switch b.observe(f, ok) {
+	switch b.observe(ok) {
 	case -1:
 		f.died.Add(1)
 		f.events.Record(obs.EventBackendDown, -1, f.opts.Shard,
-			fmt.Sprintf("blob backend %s left the rotation (EMA below %.2f); fleet degraded", b.Name, f.opts.DeadBelow))
+			fmt.Sprintf("blob backend %s left the rotation (EMA below %.2f); fleet degraded", b.Name, DefaultDeadBelow))
 	case +1:
 		f.revived.Add(1)
 		f.events.Record(obs.EventBackendUp, -1, f.opts.Shard,
-			fmt.Sprintf("blob backend %s rejoined the rotation (EMA above %.2f)", b.Name, f.opts.AliveAbove))
+			fmt.Sprintf("blob backend %s rejoined the rotation (EMA above %.2f)", b.Name, DefaultAliveAbove))
 	}
 }
 
@@ -257,9 +210,9 @@ func (f *Failover) candidates() (alive, dead []*backendState) {
 
 // backoff returns the jittered sleep before retry k (0-based).
 func (f *Failover) backoff(k int) time.Duration {
-	d := f.opts.RetryBase << uint(k)
-	if d > f.opts.RetryCap || d <= 0 {
-		d = f.opts.RetryCap
+	d := DefaultRetryBase << uint(k)
+	if d > DefaultRetryCap || d <= 0 {
+		d = DefaultRetryCap
 	}
 	f.jmu.Lock()
 	jitter := time.Duration(f.rng.Int63n(int64(d)/2 + 1))
@@ -283,22 +236,24 @@ func (f *Failover) withRetries(ctx context.Context, deadline time.Time, op func(
 			break
 		}
 		sleep := f.backoff(attempt)
-		if time.Now().Add(sleep).After(deadline) {
+		if f.opts.Clock.Now().Add(sleep).After(deadline) {
 			break
 		}
 		f.retries.Add(1)
 		fmRetries.Inc()
 		retryStart := time.Now()
-		f.opts.Sleep(sleep)
+		f.opts.Clock.Sleep(sleep)
 		trace.Event(ctx, spanFleetRetry, retryStart)
 	}
 	return err
 }
 
 // verified reports whether data matches a SHA-256-sized address (other
-// address sizes, and fleets with verification disabled, pass trivially).
-func (f *Failover) verified(hash, data []byte) bool {
-	if f.opts.DisableVerify || len(hash) != crypto.HashSize {
+// address sizes pass trivially): the address commits the content, so the
+// fleet rejects a byzantine replica's garbage locally and fails over to
+// the next replica instead of serving it.
+func verified(hash, data []byte) bool {
+	if len(hash) != crypto.HashSize {
 		return true
 	}
 	return bytes.Equal(crypto.Hash(data), hash)
@@ -317,7 +272,7 @@ func (f *Failover) PutBlob(hash, data []byte) error {
 // per-backend attempt (including its retries) recorded as a span of
 // ctx's trace.
 func (f *Failover) PutBlobCtx(ctx context.Context, hash, data []byte) error {
-	deadline := time.Now().Add(f.opts.OpDeadline)
+	deadline := f.opts.Clock.Now().Add(DefaultOpDeadline)
 	alive, dead := f.candidates()
 	cands := alive
 	if len(cands) == 0 {
@@ -370,7 +325,7 @@ func (f *Failover) GetBlob(hash []byte) ([]byte, error) {
 // GetBlobCtx implements transport.BlobStoreCtx: GetBlob with every
 // per-backend attempt recorded as a span of ctx's trace.
 func (f *Failover) GetBlobCtx(ctx context.Context, hash []byte) ([]byte, error) {
-	deadline := time.Now().Add(f.opts.OpDeadline)
+	deadline := f.opts.Clock.Now().Add(DefaultOpDeadline)
 	alive, dead := f.candidates()
 
 	notFound := 0
@@ -392,7 +347,7 @@ func (f *Failover) GetBlobCtx(ctx context.Context, hash []byte) ([]byte, error) 
 		}
 		switch {
 		case err == nil:
-			if !f.verified(hash, data) {
+			if !verified(hash, data) {
 				// The address commits the content: this replica is
 				// byzantine for this blob. Skip it, demote it, remember.
 				f.tamperSkips.Add(1)
@@ -467,26 +422,23 @@ func (f *Failover) readRepair(ctx context.Context, hash, data []byte) {
 
 // prober periodically re-checks dead backends so the fleet heals
 // without operator action.
-func (f *Failover) prober() {
+func (f *Failover) prober(t *clock.Ticker) {
 	defer f.wg.Done()
-	t := time.NewTicker(f.opts.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-f.stop:
 			return
 		case <-t.C:
-			f.ProbeNow()
+			f.probe()
 		}
 	}
 }
 
-// ProbeNow probes every dead backend once: any answer — data or a clean
+// probe probes every dead backend once: any answer — data or a clean
 // not-found — resurrects it into the rotation immediately (live traffic
-// then keeps its score honest); an error keeps it dead. Exported so
-// tests and benches can heal the fleet deterministically instead of
-// waiting out the probe interval.
-func (f *Failover) ProbeNow() {
+// then keeps its score honest); an error keeps it dead.
+func (f *Failover) probe() {
 	for _, b := range f.backends {
 		if !b.isDead() {
 			continue

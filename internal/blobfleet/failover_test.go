@@ -9,20 +9,19 @@ import (
 	"testing"
 	"time"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/transport"
 )
 
-// testFleet builds a fleet of n FaultyBlobs-wrapped MemBlobs with fast
-// test-friendly timings and no background prober.
+// testFleet builds a fleet of n FaultyBlobs-wrapped MemBlobs on a fake
+// clock (a fresh one unless opts names one): backoff sleeps return at
+// once, and the prober runs only when a test advances the clock past
+// DefaultProbeInterval or calls probe itself.
 func testFleet(t *testing.T, n int, opts Options) (*Failover, []*FaultyBlobs, []*transport.MemBlobs) {
 	t.Helper()
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = -1 // tests drive ProbeNow explicitly
-	}
-	if opts.RetryBase == 0 {
-		opts.RetryBase = time.Microsecond
-		opts.RetryCap = 10 * time.Microsecond
+	if opts.Clock == nil {
+		opts.Clock = clock.NewFake()
 	}
 	var backends []Backend
 	var faulty []*FaultyBlobs
@@ -115,7 +114,7 @@ func TestFailoverSurvivesPrimaryDeath(t *testing.T) {
 	}
 
 	faulty[0].Revive()
-	f.ProbeNow()
+	f.probe()
 	if !f.Status()[0].Alive {
 		t.Fatal("probe did not resurrect the revived primary")
 	}
@@ -274,7 +273,7 @@ func TestFailoverProbeResurrectsOnlyAnsweringBackends(t *testing.T) {
 		drive(f, b, false, 20)
 	}
 	faulty[0].Kill() // b0 really is down; b1 just had a bad streak
-	f.ProbeNow()
+	f.probe()
 	st := f.Status()
 	if st[0].Alive {
 		t.Fatal("probe resurrected a killed backend")
@@ -289,13 +288,19 @@ func TestFailoverProbeResurrectsOnlyAnsweringBackends(t *testing.T) {
 }
 
 func TestFailoverBackgroundProber(t *testing.T) {
-	f, faulty, _ := testFleet(t, 1, Options{ProbeInterval: 5 * time.Millisecond})
+	clk := clock.NewFake()
+	f, faulty, _ := testFleet(t, 1, Options{Clock: clk})
 	faulty[0].Kill()
 	drive(f, f.backends[0], false, 20)
 	if !f.backends[0].isDead() {
 		t.Fatal("setup: backend should be dead")
 	}
 	faulty[0].Revive()
+	clk.Advance(DefaultProbeInterval - time.Nanosecond)
+	if !f.backends[0].isDead() {
+		t.Fatal("backend resurrected before the probe interval elapsed")
+	}
+	clk.Advance(time.Nanosecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for f.backends[0].isDead() {
 		if time.Now().After(deadline) {
@@ -361,7 +366,7 @@ func TestFailoverConcurrentFlapping(t *testing.T) {
 	for _, fb := range faulty {
 		fb.Revive()
 	}
-	f.ProbeNow()
+	f.probe()
 	n := 0
 	for b := range written {
 		got, err := f.GetBlob(b.hash)
@@ -386,13 +391,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]Backend{{Name: "b"}}, Options{}); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := New([]Backend{{Name: "b", Store: transport.NewMemBlobs()}},
-		Options{DeadBelow: 0.9, AliveAbove: 0.4}); err == nil {
-		t.Fatal("inverted thresholds accepted")
-	}
 	// WriteReplicas above the fleet size is capped, not an error.
 	f, err := New([]Backend{{Name: "b", Store: transport.NewMemBlobs()}},
-		Options{WriteReplicas: 5, ProbeInterval: -1})
+		Options{WriteReplicas: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,6 @@ type FaultyBlobs struct {
 	killed bool
 	wake   chan struct{} // closed by Revive to release hanging ops
 
-	sleep func(time.Duration) // test hook
-
 	errors, hangs, shortReads, bitFlips, delayed atomic.Int64
 }
 
@@ -87,7 +85,6 @@ func NewFaultyBlobs(name string, inner transport.BlobStore, cfg FaultConfig) *Fa
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(seed)),
 		wake:  make(chan struct{}),
-		sleep: time.Sleep,
 	}
 }
 
@@ -170,7 +167,7 @@ func (f *FaultyBlobs) gate(op string) error {
 	if delay > 0 {
 		f.delayed.Add(1)
 		fmFaults["latency"].Inc()
-		f.sleep(delay)
+		time.Sleep(delay)
 	}
 	if hang {
 		f.hangs.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/store"
 )
@@ -69,7 +70,7 @@ func TestSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := spec.Build(dir, false, Options{Shard: "t", ProbeInterval: -1}, plan)
+	f, err := spec.Build(dir, false, Options{Shard: "t", Clock: clock.NewFake()}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSpecBuild(t *testing.T) {
 	}
 
 	// A plan targeting a backend the fleet doesn't have is rejected.
-	if _, err := spec.Build(dir, false, Options{ProbeInterval: -1}, &FaultPlan{Backend: 9}); err == nil {
+	if _, err := spec.Build(dir, false, Options{Clock: clock.NewFake()}, &FaultPlan{Backend: 9}); err == nil {
 		t.Fatal("out-of-range fault plan accepted")
 	}
 }
@@ -112,7 +113,7 @@ func TestSpecBuildMemoryShardDegradesDirEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := spec.Build("", false, Options{ProbeInterval: -1}, nil)
+	f, err := spec.Build("", false, Options{Clock: clock.NewFake()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/obs"
 	"faust/internal/offline"
@@ -104,6 +105,12 @@ func WithEventLog(l *obs.EventLog) Option {
 	return func(c *Client) { c.events = l }
 }
 
+// WithClock drives the silence stamps and the probe and dummy-read
+// tickers from clk instead of the wall clock.
+func WithClock(clk clock.Clock) Option {
+	return func(c *Client) { c.clk = clk }
+}
+
 // Client is a FAUST client (Figure 4: USTOR client + failure detector +
 // offline exchange). Create with NewClient, then Start the background
 // machinery; user operations may run concurrently with it.
@@ -114,6 +121,7 @@ type Client struct {
 	us   *ustor.Client
 	ep   offline.Channel
 	cfg  Config
+	clk  clock.Clock
 
 	onStable func([]int64)
 	onFail   func(error)
@@ -149,6 +157,7 @@ func NewClient(id int, ring *crypto.Keyring, signer *crypto.Signer, link transpo
 		ring:      ring,
 		ep:        ep,
 		cfg:       DefaultConfig(),
+		clk:       clock.Real,
 		ver:       make([]wire.SignedVersion, ring.N()),
 		lastUpd:   make([]time.Time, ring.N()),
 		lastProbe: make([]time.Time, ring.N()),
@@ -165,7 +174,7 @@ func NewClient(id int, ring *crypto.Keyring, signer *crypto.Signer, link transpo
 	if c.events == nil {
 		c.events = obs.Default().Events()
 	}
-	now := time.Now()
+	now := c.clk.Now()
 	for i := range c.lastUpd {
 		c.lastUpd[i] = now
 	}
@@ -183,10 +192,10 @@ func (c *Client) Start() {
 	c.startOnce.Do(func() {
 		c.wg.Add(2)
 		go c.receiveLoop()
-		go c.probeLoop()
+		go c.probeLoop(c.clk.NewTicker(c.cfg.PollInterval))
 		if !c.cfg.DisableDummyReads {
 			c.wg.Add(1)
-			go c.dummyReadLoop()
+			go c.dummyReadLoop(c.clk.NewTicker(c.cfg.PollInterval))
 		}
 	})
 }
@@ -301,28 +310,25 @@ func (c *Client) WaitStableFor(j int, t int64, timeout time.Duration) error {
 }
 
 // WaitFail blocks until fail_i has occurred — including the fail
-// handler, which has returned by then — (returning nil) or the timeout
-// elapses.
+// handler, which has returned by then — (returning nil), the client is
+// stopped (ErrHalted) or the timeout elapses.
 func (c *Client) WaitFail(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !c.failDone {
-		if c.stopped || time.Now().After(deadline) {
-			return fmt.Errorf("faust: no failure within %v", timeout)
-		}
-		c.cond.Wait()
-	}
-	return nil
+	return c.wait(timeout, "no failure", func() (bool, error) { return c.failDone, nil })
 }
 
-func (c *Client) waitCut(timeout time.Duration, pred func() bool) error {
+func (c *Client) waitCut(timeout time.Duration, reached func() bool) error {
+	return c.wait(timeout, "stability not reached", func() (bool, error) {
+		if reached() {
+			return true, nil
+		}
+		return c.failed, c.failErr
+	})
+}
+
+// wait blocks under c.mu until done reports true (returning its error),
+// the client is stopped (ErrHalted) or the caller's timeout elapses. The
+// timeout is the caller's wall-clock budget, not a protocol timer.
+func (c *Client) wait(timeout time.Duration, what string, done func() (bool, error)) error {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
@@ -332,19 +338,18 @@ func (c *Client) waitCut(timeout time.Duration, pred func() bool) error {
 	defer timer.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !pred() {
-		if c.failed {
-			return c.failErr
+	for {
+		if ok, err := done(); ok {
+			return err
 		}
 		if c.stopped {
 			return ErrHalted
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("faust: stability not reached within %v (cut %v)", timeout, c.w)
+			return fmt.Errorf("faust: %s within %v (cut %v)", what, timeout, c.w)
 		}
 		c.cond.Wait()
 	}
-	return nil
 }
 
 func (c *Client) opStart() error {
@@ -370,7 +375,7 @@ func (c *Client) opEnd() {
 // performing the comparability check against VER[max], updating the
 // stability cut, and waking waiters. It fires fail on incomparability.
 func (c *Client) integrateVersion(from int, sv wire.SignedVersion) {
-	now := time.Now()
+	now := c.clk.Now()
 	c.mu.Lock()
 	if c.failed || c.stopped {
 		c.mu.Unlock()
@@ -522,9 +527,8 @@ func (c *Client) handleFailure(m *wire.Failure) {
 // dummyReadLoop periodically issues a read over all registers round-robin
 // while no user operation is in flight, propagating fresh versions
 // through the server (Section 6).
-func (c *Client) dummyReadLoop() {
+func (c *Client) dummyReadLoop(ticker *clock.Ticker) {
 	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.PollInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -562,9 +566,8 @@ func (c *Client) dummyReadLoop() {
 // probeLoop watches the freshness of VER entries and probes silent
 // clients over the offline channel. It runs independently of the dummy
 // reads so that a crashed (silent) server cannot disable probing.
-func (c *Client) probeLoop() {
+func (c *Client) probeLoop(ticker *clock.Ticker) {
 	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.PollInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -572,7 +575,7 @@ func (c *Client) probeLoop() {
 			return
 		case <-ticker.C:
 		}
-		now := time.Now()
+		now := c.clk.Now()
 		var targets []int
 		c.mu.Lock()
 		if c.failed || c.stopped {

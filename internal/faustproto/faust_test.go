@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"faust/internal/byzantine"
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/offline"
 	"faust/internal/transport"
@@ -450,7 +451,9 @@ func TestBareFailureMessageTrusted(t *testing.T) {
 }
 
 func TestProbeAnsweredWithVersion(t *testing.T) {
-	cl := newCluster(t, 2, nil, fastConfig(false))
+	// The fake clock never moves, so client 0 sends no probes of its own:
+	// the first message client 1 receives is the answer to its probe.
+	cl := newCluster(t, 2, nil, fastConfig(false), WithClock(clock.NewFake()))
 	cl.clients[0].Start() // client 1 stays un-started; we act as client 1
 	if _, err := cl.clients[0].Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -459,34 +462,28 @@ func TestProbeAnsweredWithVersion(t *testing.T) {
 	if err := ep1.Send(0, &wire.Probe{From: 1}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(waitLong)
-	for {
-		select {
-		case <-deadline:
-			t.Fatal("no VERSION reply to probe")
-		default:
-		}
-		if m, ok := ep1.TryRecv(); ok {
-			vm, isVer := m.Body.(*wire.VersionMsg)
-			if !isVer {
-				continue // skip e.g. probes from client 0
-			}
-			if vm.SV.Ver.IsZero() {
-				t.Fatal("probe answered with zero version after a write")
-			}
-			if vm.SV.Ver.V[0] != 1 {
-				t.Fatalf("version does not cover the write: %v", vm.SV.Ver)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	m, err := ep1.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, isVer := m.Body.(*wire.VersionMsg)
+	if !isVer {
+		t.Fatalf("probe answered with %T, want a VERSION", m.Body)
+	}
+	if vm.SV.Ver.IsZero() {
+		t.Fatal("probe answered with zero version after a write")
+	}
+	if vm.SV.Ver.V[0] != 1 {
+		t.Fatalf("version does not cover the write: %v", vm.SV.Ver)
 	}
 }
 
 func TestLateJoinerCatchesUpViaStoredProbes(t *testing.T) {
 	// Carlos pattern: a client that was offline (not started) receives
 	// buffered probes when it comes online and the prober's cut advances.
-	cl := newCluster(t, 2, nil, fastConfig(false))
+	clk := clock.NewFake()
+	cfg := fastConfig(false)
+	cl := newCluster(t, 2, nil, cfg, WithClock(clk))
 	c0, c1 := cl.clients[0], cl.clients[1]
 	c0.Start() // c1 offline
 
@@ -494,13 +491,16 @@ func TestLateJoinerCatchesUpViaStoredProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// c1 must observe the op through the server before it can vouch for
-	// it: bring it online and let it read.
-	time.Sleep(100 * time.Millisecond) // let probes accumulate
-	c1.Start()
+	// c1 is silent past the probe timeout, so c0 probes it; the probe
+	// waits in c1's offline inbox. The clock then stands still: c0 sends
+	// no second probe, and only the stored one can carry c1's answer.
+	clk.Advance(cfg.ProbeTimeout + cfg.PollInterval)
+	// c1 observes the op through the server, then comes online and
+	// answers the stored probe with a version that covers it.
 	if _, _, err := c1.Read(0); err != nil {
 		t.Fatal(err)
 	}
+	c1.Start()
 	if err := c0.WaitStableFor(1, ts, waitLong); err != nil {
 		t.Fatalf("stability after late join: %v", err)
 	}
@@ -547,6 +547,9 @@ func TestStopIsNotFailure(t *testing.T) {
 	}
 	if _, err := cl.clients[0].Write([]byte("y")); !errors.Is(err, ErrHalted) {
 		t.Fatalf("op after Stop: %v", err)
+	}
+	if err := cl.clients[0].WaitFail(time.Hour); !errors.Is(err, ErrHalted) {
+		t.Fatalf("WaitFail after Stop: %v, want ErrHalted", err)
 	}
 }
 

@@ -153,20 +153,6 @@ func (e *Endpoint) Recv() (Msg, error) {
 	return m, nil
 }
 
-// TryRecv returns the next pending message without blocking. ok reports
-// whether a message was available.
-func (e *Endpoint) TryRecv() (Msg, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.inbox) == 0 {
-		return Msg{}, false
-	}
-	m := e.inbox[0]
-	e.inbox[0] = Msg{}
-	e.inbox = e.inbox[1:]
-	return m, true
-}
-
 // Pending returns the number of queued messages.
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()

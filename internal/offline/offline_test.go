@@ -149,18 +149,6 @@ func TestRecvUnblocksOnClose(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	h := NewHub(2)
-	defer h.Stop()
-	if _, ok := h.Endpoint(1).TryRecv(); ok {
-		t.Fatal("TryRecv on empty inbox returned a message")
-	}
-	_ = h.Endpoint(0).Send(1, &wire.Probe{From: 0})
-	if m, ok := h.Endpoint(1).TryRecv(); !ok || m.From != 0 {
-		t.Fatalf("TryRecv = %+v, %v", m, ok)
-	}
-}
-
 func TestConcurrentSendersNoLoss(t *testing.T) {
 	h := NewHub(5)
 	defer h.Stop()

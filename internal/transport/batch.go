@@ -86,7 +86,7 @@ type batchOp struct {
 }
 
 // hub is one core's inbox and dispatcher. The transport sets name, core,
-// ring, count and deliver; startHub sets the rest. The scratch buffers
+// ring, count and deliver; initHub sets the rest. The scratch buffers
 // at the end belong to the dispatcher goroutine and are reused across
 // batches, so the steady state allocates nothing per batch beyond what
 // crypto's pool needs for fan-out.
@@ -112,21 +112,17 @@ type hub struct {
 	msgs    []wire.Message
 }
 
-// startHub completes h — inbox, the core's optional extensions, a
-// GenericCore's pusher as a one-message deliver — and starts its
-// dispatcher, which drains batches of at most maxBatch envelopes
-// (DefaultMaxBatch when maxBatch <= 0) until stop.
-func startHub(h *hub, maxBatch int) {
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
+// initHub completes h — inbox, the core's optional extensions, a
+// GenericCore's pusher as a one-message deliver — without starting its
+// dispatcher: the transports then run `go h.run(maxBatch)`, while a
+// caller that owns the inbox can step it with popBatch and runBatch.
+func initHub(h *hub) {
 	h.inbox = newFIFO[envelope]()
 	h.done = make(chan struct{})
 	h.bc, _ = h.core.(BatchCore)
 	if h.gc, _ = h.core.(GenericCore); h.gc != nil {
 		h.gc.AttachPusher(func(to int, m wire.Message) error { return h.deliver(to, []wire.Message{m}) })
 	}
-	go h.run(maxBatch)
 }
 
 // admit queues a message from client `from` for the dispatcher: the one
@@ -142,12 +138,16 @@ func (h *hub) stop() {
 	<-h.done
 }
 
-// run is the dispatcher event loop: drain a batch, pipeline it, repeat
+// run is the dispatcher event loop: drain a batch of at most maxBatch
+// envelopes (DefaultMaxBatch when maxBatch <= 0), pipeline it, repeat
 // until the inbox closes and empties.
 //
 //faustlint:hotpath
 func (h *hub) run(maxBatch int) {
 	defer close(h.done)
+	if maxBatch <= 0 {
+		maxBatch = DefaultMaxBatch
+	}
 	for {
 		batch, ok := h.inbox.popBatch(maxBatch, h.batch[:0])
 		h.batch = batch

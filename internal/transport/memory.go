@@ -117,7 +117,8 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 		}
 	}
 	nw.hub.deliver = nw.deliver
-	startHub(nw.hub, nw.maxBatch)
+	initHub(nw.hub)
+	go nw.hub.run(nw.maxBatch)
 	return nw
 }
 

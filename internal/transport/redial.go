@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"faust/internal/clock"
 	"faust/internal/obs/trace"
 )
 
@@ -43,8 +44,8 @@ const (
 // underlying channel (and its pipelining) and one of them performs the
 // redial while the others wait for it.
 type RedialBlobChannel struct {
-	dial  func() (BlobChannel, error)
-	sleep func(time.Duration) // time.Sleep; tests swap it
+	dial func() (BlobChannel, error)
+	clk  clock.Clock // paces the backoff
 
 	mu     sync.Mutex
 	ch     BlobChannel // nil until first use or after a discard
@@ -58,7 +59,7 @@ var _ BlobChannel = (*RedialBlobChannel)(nil)
 // DialTCPBlob) in a redial-on-failure channel. The first connection is
 // dialed lazily on first use.
 func NewRedialBlobChannel(dial func() (BlobChannel, error)) *RedialBlobChannel {
-	return &RedialBlobChannel{dial: dial, sleep: time.Sleep}
+	return &RedialBlobChannel{dial: dial, clk: clock.Real}
 }
 
 // current returns the live channel and its generation, dialing if none
@@ -102,10 +103,11 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrBlobChannelBroken) || errors.Is(err, ErrClosed)
 }
 
-// do runs op against the current channel, redialing on connection death.
-// Each redial cycle (discard + backoff + fresh dial on the next
-// current()) is recorded as a blob.redial span of ctx's trace, so a
-// trace that survived a connection drop shows where the time went.
+// do runs op against the current channel, redialing on connection death
+// until ctx is done. Each redial cycle (discard + backoff + fresh dial
+// on the next current()) is recorded as a blob.redial span of ctx's
+// trace, so a trace that survived a connection drop shows where the
+// time went.
 func (r *RedialBlobChannel) do(ctx context.Context, op func(ch BlobChannel) error) error {
 	backoff := redialBackoff
 	var lastErr error
@@ -124,10 +126,13 @@ func (r *RedialBlobChannel) do(ctx context.Context, op func(ch BlobChannel) erro
 			lastErr = err
 			r.discard(gen)
 		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("transport: blob channel: %w (last error: %w)", ctx.Err(), lastErr)
+		}
 		tmBlobRedials.Inc()
 		if attempt < DefaultRedialAttempts {
 			redialStart := time.Now()
-			r.sleep(backoff)
+			r.clk.Sleep(backoff)
 			trace.Event(ctx, spanRedial, redialStart)
 			backoff = min(2*backoff, redialBackoffCap)
 		}

@@ -8,8 +8,8 @@ import (
 	"io/fs"
 	"sync"
 	"testing"
-	"time"
 
+	"faust/internal/clock"
 	"faust/internal/crypto"
 )
 
@@ -61,7 +61,7 @@ func TestRedialSurvivesConnectionDrops(t *testing.T) {
 		// Every connection dies after 3 operations.
 		return &flakyBlobChannel{store: store, failAfter: 3}, nil
 	})
-	r.sleep = func(time.Duration) {}
+	r.clk = clock.NewFake()
 	defer r.Close()
 
 	// 20 operations across connections that die every 3 ops: the redial
@@ -96,7 +96,7 @@ func TestRedialBoundedAttempts(t *testing.T) {
 		// Dead on arrival, every time.
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: 0}, nil
 	})
-	r.sleep = func(time.Duration) {}
+	r.clk = clock.NewFake()
 	defer r.Close()
 
 	err := r.PutBlob(context.Background(), crypto.Hash([]byte("x")), []byte("x"))
@@ -117,7 +117,7 @@ func TestRedialPassesServerAnswersThrough(t *testing.T) {
 		dials++
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: -1}, nil
 	})
-	r.sleep = func(time.Duration) {}
+	r.clk = clock.NewFake()
 	defer r.Close()
 
 	// A missing blob is a server-side answer: no redial may happen.
@@ -139,7 +139,7 @@ func TestRedialFailedDialRetries(t *testing.T) {
 		}
 		return &flakyBlobChannel{store: store, failAfter: -1}, nil
 	})
-	r.sleep = func(time.Duration) {}
+	r.clk = clock.NewFake()
 	defer r.Close()
 
 	data := []byte("eventually")
@@ -152,11 +152,36 @@ func TestRedialClosed(t *testing.T) {
 	r := NewRedialBlobChannel(func() (BlobChannel, error) {
 		return &flakyBlobChannel{store: NewMemBlobs(), failAfter: -1}, nil
 	})
-	r.sleep = func(time.Duration) {}
+	r.clk = clock.NewFake()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.PutBlob(context.Background(), crypto.Hash([]byte("x")), []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("put after close: %v, want ErrClosed", err)
+	}
+}
+
+func TestRedialStopsWhenContextDone(t *testing.T) {
+	dials := 0
+	r := NewRedialBlobChannel(func() (BlobChannel, error) {
+		dials++
+		return nil, errors.New("connection refused")
+	})
+	clk := clock.NewFake()
+	r.clk = clk
+	defer r.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := clk.Now()
+	err := r.PutBlob(ctx, crypto.Hash([]byte("x")), []byte("x"))
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrBlobChannelBroken) {
+		t.Fatalf("put with a done context: %v, want context.Canceled wrapping ErrBlobChannelBroken", err)
+	}
+	if dials > 1 {
+		t.Fatalf("dials = %d after the caller gave up, want at most 1", dials)
+	}
+	if d := clk.Now().Sub(start); d != 0 {
+		t.Fatalf("backed off %v after the caller gave up", d)
 	}
 }

@@ -420,7 +420,8 @@ func (s *TCPServer) runtimeFor(name string, sh Shard) (*shardRT, error) {
 		conns: make(map[int]*serverConn),
 	}
 	rt.hub.deliver = rt.deliver
-	startHub(rt.hub, s.maxBatch)
+	initHub(rt.hub)
+	go rt.hub.run(s.maxBatch)
 	s.shards[name] = rt
 	return rt, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"faust/internal/blobfleet"
+	"faust/internal/clock"
 	"faust/internal/crypto"
 	"faust/internal/kv"
 	"faust/internal/obs/trace"
@@ -101,9 +102,7 @@ func TestTracePropagationMemoryTransport(t *testing.T) {
 	}, blobfleet.Options{
 		WriteReplicas: 2,
 		RetryAttempts: 2,
-		RetryBase:     time.Millisecond,
-		RetryCap:      2 * time.Millisecond,
-		ProbeInterval: -1,
+		Clock:         clock.NewFake(),
 	})
 	if err != nil {
 		t.Fatal(err)
