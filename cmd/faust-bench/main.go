@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"faust/internal/byzantine"
@@ -35,7 +36,6 @@ import (
 	"faust/internal/faustproto"
 	"faust/internal/lockstep"
 	"faust/internal/offline"
-	"faust/internal/sim"
 	"faust/internal/transport"
 	"faust/internal/trusted"
 	"faust/internal/ustor"
@@ -158,13 +158,10 @@ func main() {
 // round (SUBMIT -> REPLY) plus an asynchronous COMMIT.
 func expRounds() {
 	const n, ops = 4, 200
-	cl := sim.NewCluster(n, sim.Options{NetOpts: []transport.Option{transport.WithMetrics()}})
-	w := workload.New(n, workload.Config{ReadFraction: 0.5, ValueSize: 64, Seed: 1})
-	if err := cl.RunWorkload(w, ops); err != nil {
-		fail(err)
-	}
-	st := cl.Net.Stats()
-	cl.Stop()
+	nw, clients := ustorCluster(n, transport.WithMetrics())
+	runWorkload(clients, workload.New(n, workload.Config{ReadFraction: 0.5, ValueSize: 64, Seed: 1}), ops)
+	st := nw.Stats()
+	nw.Stop()
 	total := int64(n * ops)
 	fmt.Printf("%-28s %10s %14s %12s\n", "metric", "count", "per operation", "paper")
 	fmt.Printf("%-28s %10d %14.3f %12s\n", "server->client messages", st.ServerToClientMsgs,
@@ -173,6 +170,42 @@ func expRounds() {
 		float64(st.ClientToServerMsgs)/float64(total), "2.000 (SUBMIT+COMMIT)")
 	recordValue("rounds/server-to-client", n, float64(st.ServerToClientMsgs)/float64(total), "msgs/op")
 	recordValue("rounds/client-to-server", n, float64(st.ClientToServerMsgs)/float64(total), "msgs/op")
+}
+
+// ustorCluster wires n USTOR clients to a correct server over the
+// in-memory network.
+func ustorCluster(n int, opts ...transport.Option) (*transport.Network, []*ustor.Client) {
+	ring, signers := crypto.NewTestKeyring(n, 20240610)
+	nw := transport.NewNetwork(n, ustor.NewServer(n), opts...)
+	clients := make([]*ustor.Client, n)
+	for i := range clients {
+		clients[i] = ustor.NewClient(i, ring, signers[i], nw.ClientLink(i))
+	}
+	return nw, clients
+}
+
+// runWorkload drives opsPer generated operations per client, one
+// goroutine per client, and exits on the first error.
+func runWorkload(clients []*ustor.Client, w *workload.Workload, opsPer int) {
+	var wg sync.WaitGroup
+	for c, cl := range clients {
+		wg.Add(1)
+		go func(cl *ustor.Client, stream *workload.Stream) {
+			defer wg.Done()
+			for i := 0; i < opsPer; i++ {
+				var err error
+				if op := stream.Next(); op.IsWrite {
+					err = cl.Write(op.Value)
+				} else {
+					_, err = cl.Read(op.Reg)
+				}
+				if err != nil {
+					fail(err)
+				}
+			}
+		}(cl, w.Stream(c))
+	}
+	wg.Wait()
 }
 
 // expMsgSize measures encoded message sizes as n grows; the paper claims
@@ -186,13 +219,10 @@ func expMsgSize() {
 	var rows []row
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		const opsPer = 20
-		cl := sim.NewCluster(n, sim.Options{NetOpts: []transport.Option{transport.WithMetrics()}})
-		w := workload.New(n, workload.Config{ReadFraction: 0.5, ValueSize: 64, Seed: 2})
-		if err := cl.RunWorkload(w, opsPer); err != nil {
-			fail(err)
-		}
-		st := cl.Net.Stats()
-		cl.Stop()
+		nw, clients := ustorCluster(n, transport.WithMetrics())
+		runWorkload(clients, workload.New(n, workload.Config{ReadFraction: 0.5, ValueSize: 64, Seed: 2}), opsPer)
+		st := nw.Stats()
+		nw.Stop()
 		ops := float64(n * opsPer)
 		cs := float64(st.ClientToServerBytes) / float64(st.ClientToServerMsgs)
 		sc := float64(st.ServerToClientBytes) / float64(st.ServerToClientMsgs)
@@ -210,23 +240,23 @@ func expMsgSize() {
 func expLatency() {
 	fmt.Printf("%-6s %12s %12s\n", "n", "write us/op", "read us/op")
 	for _, n := range []int{2, 4, 8, 16} {
-		cl := sim.NewCluster(n, sim.Options{})
+		nw, clients := ustorCluster(n)
 		const ops = 300
 		writeLat := measured("latency/write", n, ops, func() {
 			for i := 0; i < ops; i++ {
-				if err := cl.Write(0, []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := clients[0].Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
 					fail(err)
 				}
 			}
 		})
 		readLat := measured("latency/read", n, ops, func() {
 			for i := 0; i < ops; i++ {
-				if _, err := cl.Read(0, (i%(n-1))+1); err != nil {
+				if _, err := clients[0].Read((i % (n - 1)) + 1); err != nil {
 					fail(err)
 				}
 			}
 		})
-		cl.Stop()
+		nw.Stop()
 		fmt.Printf("%-6d %12.1f %12.1f\n", n,
 			float64(writeLat.Microseconds())/ops, float64(readLat.Microseconds())/ops)
 	}
@@ -293,13 +323,8 @@ func expContention() {
 	ring, signers := crypto.NewTestKeyring(n, 4)
 
 	runUstor := func() time.Duration {
-		srv := ustor.NewServer(n)
-		net := transport.NewNetwork(n, srv)
+		net, clients := ustorCluster(n)
 		defer net.Stop()
-		clients := make([]*ustor.Client, n)
-		for i := range clients {
-			clients[i] = ustor.NewClient(i, ring, signers[i], net.ClientLink(i))
-		}
 		start := time.Now()
 		done := make(chan error, n)
 		for c := 0; c < n; c++ {
@@ -498,11 +523,7 @@ func expOverhead() {
 	tnet.Stop()
 
 	// USTOR.
-	unet := transport.NewNetwork(n, ustor.NewServer(n))
-	uclients := make([]*ustor.Client, n)
-	for i := range uclients {
-		uclients[i] = ustor.NewClient(i, ring, signers[i], unet.ClientLink(i))
-	}
+	unet, uclients := ustorCluster(n)
 	uOps := bench(func(c, i int) error { return uclients[c].Write([]byte(fmt.Sprintf("c%d-%d", c, i))) })
 	unet.Stop()
 

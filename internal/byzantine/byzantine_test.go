@@ -2,9 +2,7 @@ package byzantine
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"faust/internal/crypto"
 	"faust/internal/history"
@@ -121,48 +119,6 @@ func TestFig3AttackUndetectedByUSTOR(t *testing.T) {
 	}
 }
 
-func TestForkingServerTwoIndependentGroups(t *testing.T) {
-	const n = 4
-	ring, signers := crypto.NewTestKeyring(n, 5)
-	server, err := NewForkingServer(n, [][]int{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := transport.NewNetwork(n, server)
-	defer nw.Stop()
-	clients := make([]*ustor.Client, n)
-	for i := range clients {
-		clients[i] = ustor.NewClient(i, ring, signers[i], nw.ClientLink(i))
-	}
-
-	// Each group collaborates internally without any detection.
-	if err := clients[0].Write([]byte("g0")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := clients[1].Read(0); err != nil || string(v) != "g0" {
-		t.Fatalf("group 0 internal read = %q, %v", v, err)
-	}
-	if err := clients[2].Write([]byte("g1")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := clients[3].Read(2); err != nil || string(v) != "g1" {
-		t.Fatalf("group 1 internal read = %q, %v", v, err)
-	}
-
-	// Cross-group state is invisible: group 1 reads bottom for X0.
-	if v, err := clients[3].Read(0); err != nil || v != nil {
-		t.Fatalf("cross-group read = %q, %v; want bottom", v, err)
-	}
-
-	// Versions within a group are comparable; across groups incomparable.
-	if !version.Comparable(clients[0].Version(), clients[1].Version()) {
-		t.Fatal("intra-group versions must be comparable")
-	}
-	if version.Comparable(clients[1].Version(), clients[3].Version()) {
-		t.Fatal("cross-group versions must be incomparable")
-	}
-}
-
 func TestReplayValidation(t *testing.T) {
 	server, err := NewForkingServer(2, [][]int{{0}, {1}})
 	if err != nil {
@@ -176,32 +132,6 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
-func TestCrashServerBlocksOperations(t *testing.T) {
-	const n = 2
-	ring, signers := crypto.NewTestKeyring(n, 7)
-	server := NewCrashServer(n, 1) // serve one submit, then crash
-	nw := transport.NewNetwork(n, server)
-	defer nw.Stop()
-	c0 := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
-	c1 := ustor.NewClient(1, ring, signers[1], nw.ClientLink(1))
-
-	if err := c0.Write([]byte("before")); err != nil {
-		t.Fatalf("pre-crash write: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c1.Read(0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("operation on crashed server returned (%v); it must block", err)
-	case <-time.After(100 * time.Millisecond):
-		// Blocked, as the model dictates: no wait-freedom under a faulty
-		// server; FAUST handles detection via the offline channel.
-	}
-}
-
 func TestReplyTamperServerNilTamper(t *testing.T) {
 	const n = 1
 	ring, signers := crypto.NewTestKeyring(n, 8)
@@ -211,48 +141,6 @@ func TestReplyTamperServerNilTamper(t *testing.T) {
 	c := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
 	if err := c.Write([]byte("x")); err != nil {
 		t.Fatalf("pass-through tamper server broke the protocol: %v", err)
-	}
-}
-
-func TestReplyTamperServerDropsReply(t *testing.T) {
-	const n = 1
-	ring, signers := crypto.NewTestKeyring(n, 9)
-	server := &ReplyTamperServer{
-		Inner:  ustor.NewServer(n),
-		Tamper: func(from int, r *wire.Reply) *wire.Reply { return nil },
-	}
-	nw := transport.NewNetwork(n, server)
-	defer nw.Stop()
-	c := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
-	done := make(chan error, 1)
-	go func() { done <- c.Write([]byte("x")) }()
-	select {
-	case err := <-done:
-		t.Fatalf("silenced operation returned: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-func TestDropCommitServerDetectedBySoleWriter(t *testing.T) {
-	// With a single active client, dropping COMMITs forces the server to
-	// show a version that does not extend the client's own: line 36.
-	const n = 2
-	ring, signers := crypto.NewTestKeyring(n, 10)
-	server := NewDropCommitServer(n)
-	nw := transport.NewNetwork(n, server)
-	defer nw.Stop()
-	c0 := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
-
-	if err := c0.Write([]byte("a")); err != nil {
-		t.Fatalf("first write: %v", err)
-	}
-	err := c0.Write([]byte("b"))
-	if err == nil {
-		t.Fatal("commit-dropping server not detected by second op")
-	}
-	var det *ustor.DetectionError
-	if !errors.As(err, &det) {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

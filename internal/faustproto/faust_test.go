@@ -110,63 +110,6 @@ func TestTimestampsMonotonic(t *testing.T) {
 	}
 }
 
-func TestStabilityThroughDummyReads(t *testing.T) {
-	// Detection completeness (Definition 5 property 7), online path: with
-	// a correct server and dummy reads, every operation eventually
-	// becomes stable at its client w.r.t. everyone.
-	cl := newCluster(t, 3, nil, fastConfig(true))
-	cl.startAll()
-	ts, err := cl.clients[0].Write([]byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.clients[0].WaitStable(ts, waitLong); err != nil {
-		t.Fatalf("operation never became stable: %v", err)
-	}
-	// Accuracy: nobody may have failed.
-	for i, c := range cl.clients {
-		if failed, reason := c.Failed(); failed {
-			t.Fatalf("client %d false-failed: %v", i, reason)
-		}
-	}
-}
-
-func TestStabilityCutMonotonic(t *testing.T) {
-	cl := newCluster(t, 2, nil, fastConfig(true))
-	var mu sync.Mutex
-	var cuts [][]int64
-	c0 := cl.clients[0]
-	c0.onStable = func(w []int64) {
-		mu.Lock()
-		cuts = append(cuts, w)
-		mu.Unlock()
-	}
-	cl.startAll()
-	var lastTS int64
-	for i := 0; i < 5; i++ {
-		ts, err := c0.Write([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastTS = ts
-	}
-	if err := c0.WaitStable(lastTS, waitLong); err != nil {
-		t.Fatalf("stability: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(cuts) == 0 {
-		t.Fatal("no stable notifications delivered")
-	}
-	for k := 1; k < len(cuts); k++ {
-		for j := range cuts[k] {
-			if cuts[k][j] < cuts[k-1][j] {
-				t.Fatalf("stability cut regressed: %v then %v", cuts[k-1], cuts[k])
-			}
-		}
-	}
-}
-
 // TestFigure2StabilityCut reproduces the exact scenario of Figure 2:
 // Alice's notification stable_Alice([10, 8, 3]) — consistent with herself
 // up to timestamp 10, with Bob up to 8, and with Carlos up to 3.
@@ -223,131 +166,6 @@ func TestFigure2StabilityCut(t *testing.T) {
 	}
 	if alice.IsStable(4) {
 		t.Fatal("operation 4 must not yet be stable (Carlos is behind)")
-	}
-}
-
-func TestStabilityViaOfflineProbesAfterServerCrash(t *testing.T) {
-	// Detection completeness, offline path: the server crashes right
-	// after a value propagated; the PROBE/VERSION exchange must still
-	// make the operation stable. (Section 6: "a faulty server, even when
-	// it only crashes, may prevent two clients that are consistent ...
-	// from ever discovering that.")
-	const n = 2
-	core := byzantine.NewCrashServer(n, 3) // write0 + read1 + one more, then dead
-	cl := newCluster(t, n, core, fastConfig(false))
-	cl.startAll()
-	c0, c1 := cl.clients[0], cl.clients[1]
-
-	ts, err := c0.Write([]byte("survives"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _, err := c1.Read(0); err != nil || string(v) != "survives" {
-		t.Fatalf("read = %q, %v", v, err)
-	}
-	// The server is now (about to be) dead; no further server round trips
-	// complete. Stability w.r.t. c1 must still arrive via offline probes.
-	if err := c0.WaitStableFor(1, ts, waitLong); err != nil {
-		t.Fatalf("offline stability path failed: %v", err)
-	}
-}
-
-func TestForkDetectedThroughOfflineExchange(t *testing.T) {
-	// The canonical FAUST guarantee: a forking attack that USTOR cannot
-	// see is caught by the offline version exchange, and ALL clients
-	// eventually output fail (Definition 5 properties 5 and 7).
-	const n = 2
-	server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, n, server, fastConfig(false))
-	cl.startAll()
-	c0, c1 := cl.clients[0], cl.clients[1]
-
-	if _, err := c0.Write([]byte("branch-a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Write([]byte("branch-b")); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c0.WaitFail(waitLong); err != nil {
-		t.Fatalf("client 0 did not detect the fork: %v", err)
-	}
-	if err := c1.WaitFail(waitLong); err != nil {
-		t.Fatalf("client 1 did not detect the fork: %v", err)
-	}
-
-	// At least one client must hold fork evidence (the other may have
-	// been convinced by the FAILURE broadcast).
-	_, e0 := c0.Failed()
-	_, e1 := c1.Failed()
-	var fe *ForkError
-	if !errors.As(e0, &fe) && !errors.As(e1, &fe) {
-		t.Fatalf("no fork evidence: %v / %v", e0, e1)
-	}
-}
-
-func TestNoStabilityAcrossFork(t *testing.T) {
-	// Stability-detection accuracy: once both sides of a fork hold
-	// diverged state, an operation must never become stable across the
-	// fork — the wait ends in a timeout or a fail notification, never in
-	// stability. (Before the other side performs any operation, stability
-	// w.r.t. it is trivially sound: an empty client is consistent with
-	// every view. The paper's VERSION relay exploits that, so the fork
-	// must first be materialized on both branches.)
-	const n = 2
-	server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, n, server, fastConfig(false))
-	cl.startAll()
-	c0, c1 := cl.clients[0], cl.clients[1]
-	if _, err := c1.Write([]byte("theirs")); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := c0.Write([]byte("mine"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.WaitStableFor(1, ts, 400*time.Millisecond); err == nil {
-		t.Fatal("operation became stable w.r.t. a forked client")
-	}
-	cut := c0.StableCut()
-	if cut[1] != 0 {
-		t.Fatalf("W[1] = %d, want 0 (no consistency with forked client)", cut[1])
-	}
-	// And detection completeness: the fork is eventually reported.
-	if err := c0.WaitFail(waitLong); err != nil {
-		t.Fatalf("fork never detected: %v", err)
-	}
-}
-
-func TestOperationsFailAfterDetection(t *testing.T) {
-	const n = 2
-	server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, n, server, fastConfig(false))
-	cl.startAll()
-	c0, c1 := cl.clients[0], cl.clients[1]
-	if _, err := c0.Write([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Write([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.WaitFail(waitLong); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c0.Write([]byte("after")); !errors.Is(err, ErrHalted) {
-		t.Fatalf("write after fail: %v, want ErrHalted", err)
-	}
-	if _, _, err := c0.Read(0); !errors.Is(err, ErrHalted) {
-		t.Fatalf("read after fail: %v, want ErrHalted", err)
 	}
 }
 

@@ -41,9 +41,13 @@ type Options struct {
 // picks them up. A crash inside that window loses the commit — the same
 // outcome as a crash between receipt and logging, which immediate mode
 // has too, just over a wider (flush-interval-bounded) window. Losing a
-// commit is fail-safe, not silent: the committing client's next operation
-// sees a server version behind its own and reports the server faulty
-// (Algorithm 1 line 36) instead of accepting the rollback.
+// commit never lets a client accept a rollback, and it ends one of two
+// ways. If the committing client's next operation comes first, it sees a
+// server version behind its own and reports the server faulty (Algorithm
+// 1 line 36). If another client's later COMMIT covers the lost one first,
+// that COMMIT's HandleCommit prunes the operation from L, and the state
+// heals with no check firing. The simulator's batch-crash-lost row
+// (internal/sim) loses such tails and produces both outcomes.
 //
 // If the backend ever fails to append or flush, the server stops replying
 // (nil REPLYs) rather than serve operations it cannot make durable — to

@@ -14,7 +14,7 @@ import (
 // everything but the socket.
 //
 // A hub is one core's inbox and dispatcher. Messages enter only through
-// hub.admit (the TCP read loop, an in-memory link, the delay pump) and
+// hub.admit (the TCP read loop, an in-memory link, Stepped.Admit) and
 // leave only through the hub's deliver func — the transport's one
 // delivery method, which both the dispatcher's coalesced replies and a
 // GenericCore's pushes go through. Under load the inbox holds many queued
@@ -114,8 +114,8 @@ type hub struct {
 
 // initHub completes h — inbox, the core's optional extensions, a
 // GenericCore's pusher as a one-message deliver — without starting its
-// dispatcher: the transports then run `go h.run(maxBatch)`, while a
-// caller that owns the inbox can step it with popBatch and runBatch.
+// dispatcher: the transports then run `go h.run(maxBatch)`, while
+// Stepped steps it with popBatch and runBatch.
 func initHub(h *hub) {
 	h.inbox = newFIFO[envelope]()
 	h.done = make(chan struct{})
@@ -123,6 +123,33 @@ func initHub(h *hub) {
 	if h.gc, _ = h.core.(GenericCore); h.gc != nil {
 		h.gc.AttachPusher(func(to int, m wire.Message) error { return h.deliver(to, []wire.Message{m}) })
 	}
+}
+
+// Stepped is a hub without its dispatcher goroutine: the caller admits
+// messages as a link would and runs each batch on its own goroutine, so
+// a scheduler decides which messages share a batch and when it runs.
+// Batches go through the same verify, apply, flush and reply body as
+// the transports' dispatcher.
+type Stepped struct{ h *hub }
+
+// NewStepped returns a stepped hub over core; replies and a GenericCore's
+// pushes leave through deliver, which must copy msgs if it keeps them.
+func NewStepped(core ServerCore, deliver func(to int, msgs []wire.Message) error) *Stepped {
+	h := &hub{core: core, deliver: deliver}
+	initHub(h)
+	return &Stepped{h: h}
+}
+
+// Admit queues a message from client `from` for the next Step.
+func (s *Stepped) Admit(from int, m wire.Message) { s.h.admit(from, m) }
+
+// Step runs the oldest admitted messages, at most max of them, as one
+// batch. At least one message must have been admitted: Step blocks
+// otherwise.
+func (s *Stepped) Step(max int) {
+	batch, _ := s.h.inbox.popBatch(max, s.h.batch[:0])
+	s.h.batch = batch
+	s.h.runBatch(batch)
 }
 
 // admit queues a message from client `from` for the dispatcher: the one

@@ -118,7 +118,7 @@ func quietHub(core ServerCore, ring *crypto.Keyring, sent *int) *hub {
 }
 
 // TestHubSteppedWithoutDispatcher drives a hub the way a scheduler that
-// owns the inbox would: admit, then one popBatch + runBatch step on the
+// owns the inbox does, through Stepped: admit, then one Step on the
 // test's goroutine, with no dispatcher goroutine ever started (deliver
 // appends to got unlocked, so -race would flag any other goroutine).
 // Replies come back coalesced per client in arrival order.
@@ -128,25 +128,18 @@ func TestHubSteppedWithoutDispatcher(t *testing.T) {
 		cs []int
 	}
 	var got []delivery
-	h := &hub{core: &recCore{}, deliver: func(to int, msgs []wire.Message) error {
+	s := NewStepped(&recCore{}, func(to int, msgs []wire.Message) error {
 		d := delivery{to: to}
 		for _, m := range msgs {
 			d.cs = append(d.cs, m.(*wire.Reply).C)
 		}
 		got = append(got, d)
 		return nil
-	}}
-	initHub(h)
+	})
 	for i, from := range []int{0, 1, 0} {
-		if !h.admit(from, &wire.Submit{T: int64(i)}) {
-			t.Fatalf("admit %d refused", i)
-		}
+		s.Admit(from, &wire.Submit{T: int64(i)})
 	}
-	batch, ok := h.inbox.popBatch(DefaultMaxBatch, nil)
-	if !ok || len(batch) != 3 {
-		t.Fatalf("popBatch = %d envelopes, %v; want all 3", len(batch), ok)
-	}
-	h.runBatch(batch)
+	s.Step(DefaultMaxBatch)
 	want := []delivery{{to: 0, cs: []int{0, 2}}, {to: 1, cs: []int{1}}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("deliveries = %v, want %v", got, want)

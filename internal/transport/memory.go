@@ -1,10 +1,7 @@
 package transport
 
 import (
-	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"faust/internal/crypto"
 	"faust/internal/wire"
@@ -29,12 +26,7 @@ type Network struct {
 
 	blobs BlobStore // nil = no bulk channel
 
-	delayMax  time.Duration
-	delayRand *rand.Rand
-	delayMu   sync.Mutex
-
-	stopped  atomic.Bool
-	pumpGate sync.WaitGroup
+	stopped atomic.Bool
 }
 
 // Option configures a Network.
@@ -52,17 +44,6 @@ func WithMetrics() Option {
 // the dispatcher, exactly as the TCP transport's blob connections do.
 func WithBlobStore(bs BlobStore) Option {
 	return func(nw *Network) { nw.blobs = bs }
-}
-
-// WithDelay makes every client->server message wait a pseudo-random delay
-// up to max before entering the server inbox. Per-client FIFO order is
-// preserved (each client has its own delay pump); cross-client
-// interleaving becomes nondeterministic, exercising asynchrony.
-func WithDelay(max time.Duration, seed int64) Option {
-	return func(nw *Network) {
-		nw.delayMax = max
-		nw.delayRand = rand.New(rand.NewSource(seed))
-	}
 }
 
 // WithVerifier arms server-side SUBMIT-signature verification: the
@@ -87,9 +68,6 @@ type memoryLink struct {
 	id     int
 	in     *fifo[wire.Message] // server -> client
 	closed atomic.Bool
-	// sendQ serializes this client's messages through the optional delay
-	// pump so per-client FIFO order survives randomized delays.
-	sendQ *fifo[wire.Message]
 }
 
 var _ Link = (*memoryLink)(nil)
@@ -109,12 +87,6 @@ func NewNetwork(n int, core ServerCore, opts ...Option) *Network {
 	for i := 0; i < n; i++ {
 		nw.outboxes[i] = newFIFO[wire.Message]()
 		nw.links[i] = &memoryLink{nw: nw, id: i, in: nw.outboxes[i]}
-		if nw.delayMax > 0 {
-			l := nw.links[i]
-			l.sendQ = newFIFO[wire.Message]()
-			nw.pumpGate.Add(1)
-			go nw.delayPump(l)
-		}
 	}
 	nw.hub.deliver = nw.deliver
 	initHub(nw.hub)
@@ -141,29 +113,6 @@ func (nw *Network) deliver(to int, msgs []wire.Message) error {
 		return ErrClosed
 	}
 	return nil
-}
-
-// delayPump moves one client's messages into the server inbox after a
-// random delay, preserving that client's FIFO order.
-func (nw *Network) delayPump(l *memoryLink) {
-	defer nw.pumpGate.Done()
-	for {
-		m, ok := l.sendQ.pop()
-		if !ok {
-			return
-		}
-		nw.delayMu.Lock()
-		d := time.Duration(nw.delayRand.Int63n(int64(nw.delayMax) + 1))
-		nw.delayMu.Unlock()
-		if d > 0 {
-			time.Sleep(d)
-		}
-		// Admitted after the delay, so the queue span measures inbox
-		// wait, not simulated network delay.
-		if !nw.hub.admit(l.id, m) {
-			return
-		}
-	}
 }
 
 // ClientLink returns the link endpoint for client i.
@@ -212,11 +161,7 @@ func (nw *Network) Stop() {
 	}
 	for _, l := range nw.links {
 		l.closed.Store(true)
-		if l.sendQ != nil {
-			l.sendQ.close()
-		}
 	}
-	nw.pumpGate.Wait()
 	nw.hub.stop()
 	for _, q := range nw.outboxes {
 		q.close()
@@ -231,12 +176,6 @@ func (l *memoryLink) Send(m wire.Message) error {
 	if l.nw.metrics {
 		atomic.AddInt64(&l.nw.stats.ClientToServerMsgs, 1)
 		atomic.AddInt64(&l.nw.stats.ClientToServerBytes, int64(wire.EncodedSize(m)))
-	}
-	if l.sendQ != nil {
-		if !l.sendQ.push(m) {
-			return ErrClosed
-		}
-		return nil
 	}
 	if !l.nw.hub.admit(l.id, m) {
 		return ErrClosed
@@ -258,8 +197,5 @@ func (l *memoryLink) Recv() (wire.Message, error) {
 func (l *memoryLink) Close() error {
 	l.closed.Store(true)
 	l.in.close()
-	if l.sendQ != nil {
-		l.sendQ.close()
-	}
 	return nil
 }

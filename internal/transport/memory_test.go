@@ -84,39 +84,6 @@ func TestPerLinkFIFO(t *testing.T) {
 	}
 }
 
-func TestPerLinkFIFOWithDelays(t *testing.T) {
-	core := &echoCore{}
-	nw := NewNetwork(2, core, WithDelay(200*time.Microsecond, 42))
-	defer nw.Stop()
-
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			link := nw.ClientLink(c)
-			for i := 0; i < 50; i++ {
-				if err := link.Send(&wire.Submit{T: int64(i)}); err != nil {
-					t.Errorf("client %d send %d: %v", c, i, err)
-					return
-				}
-			}
-			for i := 0; i < 50; i++ {
-				m, err := link.Recv()
-				if err != nil {
-					t.Errorf("client %d recv %d: %v", c, i, err)
-					return
-				}
-				if got := m.(*wire.Reply).C; got != i {
-					t.Errorf("client %d reply %d out of order: got %d", c, i, got)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-}
-
 func TestHandlerSerialization(t *testing.T) {
 	core := &echoCore{}
 	nw := NewNetwork(4, core)
@@ -242,16 +209,6 @@ func TestMetrics(t *testing.T) {
 	}
 	if st.ClientToServerBytes <= 0 || st.ServerToClientBytes <= 0 {
 		t.Fatal("byte counters not populated")
-	}
-	if rpp := st.RoundsPerOp(ops + 1); rpp != 1 {
-		t.Fatalf("rounds per op = %v, want 1", rpp)
-	}
-}
-
-func TestStatsRoundsPerOpZeroOps(t *testing.T) {
-	var s Stats
-	if s.RoundsPerOp(0) != 0 {
-		t.Fatal("RoundsPerOp(0) must be 0")
 	}
 }
 

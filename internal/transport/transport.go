@@ -3,11 +3,11 @@
 // client and the server.
 //
 // Two implementations share one interface: an in-memory network used by
-// tests, simulations and benchmarks (optionally with randomized
-// per-message delays to exercise asynchrony), and a TCP transport used by
-// the cmd/ tools. Both preserve per-link FIFO order and never drop
-// messages while open; that is exactly the reliability the protocol
-// assumes.
+// tests and benchmarks, and a TCP transport used by the cmd/ tools. Both
+// preserve per-link FIFO order and never drop messages while open; that
+// is exactly the reliability the protocol assumes. The deterministic
+// simulator (internal/sim) brings its own links and steps a hub through
+// Stepped.
 //
 // On the server side the two share everything but the socket: each core
 // sits behind a hub (batch.go) whose admit is the one place a message
@@ -89,10 +89,10 @@ type envelope struct {
 }
 
 // fifo is the one queue of the transport layer: an unbounded FIFO with
-// blocking pop over a ring buffer, used for the in-memory network's
-// inbox, outboxes and delay pumps and for the TCP server's per-shard
-// inboxes. The ring doubles when full and is otherwise reused in place,
-// so a queue in steady state allocates nothing. push returns false once
+// blocking pop over a ring buffer, used for every hub's inbox (in-memory,
+// TCP per-shard and Stepped) and for the in-memory network's outboxes.
+// The ring doubles when full and is otherwise reused in place, so a
+// queue in steady state allocates nothing. push returns false once
 // the queue is closed; pop blocks until an item is available or the queue
 // closes (items queued before close are still delivered — reliable
 // channel).
@@ -217,14 +217,4 @@ type Stats struct {
 	ClientToServerBytes int64
 	ServerToClientMsgs  int64
 	ServerToClientBytes int64
-}
-
-// RoundsPerOp returns the average number of client->server->client message
-// rounds per operation, assuming every operation sends SUBMIT + COMMIT and
-// receives one REPLY. It exists for the E5 experiment.
-func (s Stats) RoundsPerOp(ops int) float64 {
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.ServerToClientMsgs) / float64(ops)
 }
