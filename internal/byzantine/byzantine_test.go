@@ -119,6 +119,48 @@ func TestFig3AttackUndetectedByUSTOR(t *testing.T) {
 	}
 }
 
+func TestForkingServerTwoIndependentGroups(t *testing.T) {
+	const n = 4
+	ring, signers := crypto.NewTestKeyring(n, 5)
+	server, err := NewForkingServer(n, [][]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := transport.NewNetwork(n, server)
+	defer nw.Stop()
+	clients := make([]*ustor.Client, n)
+	for i := range clients {
+		clients[i] = ustor.NewClient(i, ring, signers[i], nw.ClientLink(i))
+	}
+
+	// Each group collaborates internally without any detection.
+	if err := clients[0].Write([]byte("g0")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := clients[1].Read(0); err != nil || string(v) != "g0" {
+		t.Fatalf("group 0 internal read = %q, %v", v, err)
+	}
+	if err := clients[2].Write([]byte("g1")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := clients[3].Read(2); err != nil || string(v) != "g1" {
+		t.Fatalf("group 1 internal read = %q, %v", v, err)
+	}
+
+	// Cross-group state is invisible: group 1 reads bottom for X0.
+	if v, err := clients[3].Read(0); err != nil || v != nil {
+		t.Fatalf("cross-group read = %q, %v; want bottom", v, err)
+	}
+
+	// Versions within a group are comparable; across groups incomparable.
+	if !version.Comparable(clients[0].Version(), clients[1].Version()) {
+		t.Fatal("intra-group versions must be comparable")
+	}
+	if version.Comparable(clients[1].Version(), clients[3].Version()) {
+		t.Fatal("cross-group versions must be incomparable")
+	}
+}
+
 func TestReplayValidation(t *testing.T) {
 	server, err := NewForkingServer(2, [][]int{{0}, {1}})
 	if err != nil {

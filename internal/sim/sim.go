@@ -48,14 +48,14 @@ var faustCfg = faustproto.Config{ProbeTimeout: 3 * poll, PollInterval: poll}
 // Fault kinds. A server kind replaces the honest store.Persistent server
 // for the whole run; the others fire at decision step At.
 const (
-	clientCrash = "client-crash"     // client Client crashes
-	forkServer  = "fork"             // ForkingServer: branches [0, Client) and [Client, N)
-	tamperDrop  = "tamper-drop"      // ReplyTamperServer silences client Client's At-th reply
-	tamperBreak = "tamper-corrupt"   // ... lists Client's own operation as concurrent in it
-	crashServer = "crash"            // CrashServer: silent after serving At SUBMITs
-	dropCommit  = "drop-commit"      // DropCommitServer
-	batchKept   = "batch-crash-kept" // the first batch with a SUBMIT from step At on crashes
-	batchLost   = "batch-crash-lost" // ... and the unflushed WAL tail is lost
+	ClientCrash = "client-crash"     // client Client crashes
+	ForkServer  = "fork"             // ForkingServer: branches [0, Client) and [Client, N)
+	TamperDrop  = "tamper-drop"      // ReplyTamperServer silences client Client's At-th reply
+	TamperBreak = "tamper-corrupt"   // ... lists Client's own operation as concurrent in it
+	CrashServer = "crash"            // CrashServer: silent after serving At SUBMITs
+	DropCommit  = "drop-commit"      // DropCommitServer
+	BatchKept   = "batch-crash-kept" // the first batch with a SUBMIT from step At on crashes
+	BatchLost   = "batch-crash-lost" // ... and the unflushed WAL tail is lost
 )
 
 // Fault is one injected fault.
@@ -81,9 +81,11 @@ type Result struct {
 	Ring    *crypto.Keyring
 	// Fails[i] is client i's fail_i reason, nil if it never failed. The
 	// operations a client starts after fail_i stay out of History;
-	// AfterFail[i] counts those that returned anyway.
+	// AfterFail[i] counts those that returned anyway, Halted[i] those
+	// that returned faustproto.ErrHalted.
 	Fails     []error
 	AfterFail []int
+	Halted    []int
 	Crashed   []bool
 	Cuts      [][][]int64 // Cuts[i]: every stable_i(W), in order
 	// FirstCommit[j][i] counts the SUBMITs client i had sent when client
@@ -174,7 +176,7 @@ func newSim(cfg Config) *sim {
 	ring, signers := crypto.NewTestKeyring(n, keySeed)
 	s := &sim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), clk: clock.NewFake(),
 		rec: history.NewRecorder(n), off: offline.NewHub(n), buf: make([]byte, 1<<16),
-		res: Result{Ring: ring, Fails: make([]error, n), AfterFail: make([]int, n),
+		res: Result{Ring: ring, Fails: make([]error, n), AfterFail: make([]int, n), Halted: make([]int, n),
 			Crashed: make([]bool, n), Cuts: make([][][]int64, n), FirstCommit: make([][]int64, n)}}
 	s.hub = transport.NewStepped(s.server(), s.deliver)
 	ctx := context.Background()
@@ -220,7 +222,7 @@ func (s *sim) server() transport.ServerCore {
 	n := s.cfg.N
 	for _, f := range s.cfg.Faults {
 		switch f.Kind {
-		case forkServer:
+		case ForkServer:
 			ids := make([]int, n)
 			for i := range ids {
 				ids[i] = i
@@ -230,11 +232,11 @@ func (s *sim) server() transport.ServerCore {
 				panic(err)
 			}
 			return srv
-		case tamperDrop, tamperBreak:
+		case TamperDrop, TamperBreak:
 			return &byzantine.ReplyTamperServer{Inner: ustor.NewServer(n), Tamper: tamper(f)}
-		case crashServer:
+		case CrashServer:
 			return byzantine.NewCrashServer(n, f.At)
-		case dropCommit:
+		case DropCommit:
 			return byzantine.NewDropCommitServer(n)
 		}
 	}
@@ -258,7 +260,7 @@ func tamper(f Fault) func(int, *wire.Reply) *wire.Reply {
 		if seen++; seen != f.At {
 			return r
 		}
-		if f.Kind == tamperDrop {
+		if f.Kind == TamperDrop {
 			return nil
 		}
 		r.L = append(r.L, wire.Invocation{Client: from, Op: wire.OpRead, Reg: from})
@@ -291,9 +293,9 @@ func (s *sim) inject() {
 	for _, f := range s.cfg.Faults {
 		switch {
 		case f.At != s.step:
-		case f.Kind == clientCrash:
+		case f.Kind == ClientCrash:
 			s.crash(s.cs[f.Client])
-		case (f.Kind == batchKept || f.Kind == batchLost) && s.wal != nil && s.wal.crash == "":
+		case (f.Kind == BatchKept || f.Kind == BatchLost) && s.wal != nil && s.wal.crash == "":
 			s.wal.crash = f.Kind
 		}
 	}
@@ -449,7 +451,7 @@ func (s *sim) restart(senders []*client) {
 		s.crash(c)
 	}
 	w := s.wal
-	if w.crash == batchLost {
+	if w.crash == BatchLost {
 		s.res.Lost += len(w.held)
 		w.held = nil
 	}
@@ -497,6 +499,8 @@ func (s *sim) start(c *client) {
 		defer s.mu.Unlock()
 		c.busy = false
 		switch {
+		case p == nil && errors.Is(err, faustproto.ErrHalted):
+			s.res.Halted[c.id]++
 		case err != nil:
 		case p == nil:
 			s.res.AfterFail[c.id]++

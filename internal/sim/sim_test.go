@@ -21,7 +21,7 @@ type row struct {
 }
 
 func forkAt(r *rand.Rand, n int) []Fault {
-	return []Fault{{Kind: forkServer, Client: 1 + r.Intn(n-1)}}
+	return []Fault{{Kind: ForkServer, Client: 1 + r.Intn(n-1)}}
 }
 
 func batchCrash(kind string) func(*rand.Rand, int) []Fault {
@@ -35,21 +35,21 @@ var rows = []row{
 	{"piggyback", Config{N: 3, Ops: 6, Piggyback: true}, nil},
 	{"ustor-fork", Config{N: 4, Ops: 5}, forkAt},
 	{"tamper", Config{N: 3, Ops: 5}, func(r *rand.Rand, n int) []Fault {
-		kind := []string{tamperDrop, tamperBreak}[r.Intn(2)]
+		kind := []string{TamperDrop, TamperBreak}[r.Intn(2)]
 		return []Fault{{Kind: kind, At: 1 + r.Intn(4), Client: r.Intn(n)}}
 	}},
 	{"crash-server", Config{N: 3, Ops: 3, Faust: true}, func(r *rand.Rand, _ int) []Fault {
-		return []Fault{{Kind: crashServer, At: 2 + r.Intn(8)}}
+		return []Fault{{Kind: CrashServer, At: 2 + r.Intn(8)}}
 	}},
-	{"drop-commit", Config{N: 3, Ops: 4}, func(*rand.Rand, int) []Fault { return []Fault{{Kind: dropCommit}} }},
+	{"drop-commit", Config{N: 3, Ops: 4}, func(*rand.Rand, int) []Fault { return []Fault{{Kind: DropCommit}} }},
 	{"faust-honest", Config{N: 3, Ops: 4, Faust: true}, nil},
 	{"faust-fork", Config{N: 3, Ops: 3, Faust: true}, forkAt},
 	{"client-crash", Config{N: 4, Ops: 4, Faust: true}, func(r *rand.Rand, n int) []Fault {
-		return []Fault{{Kind: clientCrash, At: r.Intn(80), Client: r.Intn(n)},
-			{Kind: clientCrash, At: r.Intn(80), Client: r.Intn(n)}}
+		return []Fault{{Kind: ClientCrash, At: r.Intn(80), Client: r.Intn(n)},
+			{Kind: ClientCrash, At: r.Intn(80), Client: r.Intn(n)}}
 	}},
-	{"batch-crash-kept", Config{N: 3, Ops: 4, Faust: true}, batchCrash(batchKept)},
-	{"batch-crash-lost", Config{N: 3, Ops: 4, Faust: true}, batchCrash(batchLost)},
+	{"batch-crash-kept", Config{N: 3, Ops: 4, Faust: true}, batchCrash(BatchKept)},
+	{"batch-crash-lost", Config{N: 3, Ops: 4, Faust: true}, batchCrash(BatchLost)},
 }
 
 // config returns row's configuration for seed, faults drawn.
@@ -130,7 +130,7 @@ func check(cfg Config, r Result) error {
 			}
 		}
 	}
-	fork, forked := kind[forkServer]
+	fork, forked := kind[ForkServer]
 	if forked {
 		if err := forkSafe(r, fork.Client); err != nil {
 			return err
@@ -140,19 +140,19 @@ func check(cfg Config, r Result) error {
 	}
 	// Accuracy: only a server that lost WAL records, forked FAUST clients,
 	// dropped COMMITs or corrupted a reply may be exposed.
-	brk, broken := kind[tamperBreak]
-	_, dropped := kind[dropCommit]
+	brk, broken := kind[TamperBreak]
+	_, dropped := kind[DropCommit]
 	for i, err := range r.Fails {
 		if err != nil && r.Lost == 0 && !(forked && cfg.Faust) && !dropped && !(broken && i == brk.Client) {
 			return fmt.Errorf("client %d failed on a server that gave it no cause: %v", i, err)
 		}
 	}
-	if f, ok := kind[crashServer]; ok {
+	if f, ok := kind[CrashServer]; ok {
 		if done := len(h.Complete().Ops); done > f.At {
 			return fmt.Errorf("%d operations completed on a server silent after %d SUBMITs (dummy reads count)", done, f.At)
 		}
 	}
-	drop, silenced := kind[tamperDrop]
+	drop, silenced := kind[TamperDrop]
 	if ops := h.ByClient(drop.Client); silenced && len(ops) >= drop.At && ops[drop.At-1].IsComplete() {
 		return fmt.Errorf("victim %d: %s completed without its reply", drop.Client, ops[drop.At-1])
 	}
@@ -176,7 +176,7 @@ func check(cfg Config, r Result) error {
 			}
 		}
 	}
-	_, silent := kind[crashServer]
+	_, silent := kind[CrashServer]
 	served := func(c int) bool {
 		return !silent && !r.Crashed[c] && r.Fails[c] == nil && !(silenced && c == drop.Client)
 	}
