@@ -3,8 +3,9 @@ package blobfleet
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,30 +16,41 @@ import (
 	"faust/internal/transport"
 )
 
-// auditBlobDir fails the test if the published namespace holds anything
+// diskFiles reads every file off the disk, by path, from its image.
+func diskFiles(t *testing.T, disk *store.MemDisk) map[string][]byte {
+	t.Helper()
+	var image bytes.Buffer
+	if _, err := disk.WriteTo(&image); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for image.Len() > 0 {
+		var path string
+		var size int
+		if _, err := fmt.Fscanf(&image, "%s %d\n", &path, &size); err != nil {
+			t.Fatal(err)
+		}
+		files[path] = image.Next(size)
+	}
+	return files
+}
+
+// auditBlobs fails the test if the published namespace holds anything
 // torn: every non-temp file must be a complete blob whose content hashes
 // to its own name. This is the crash-consistency invariant of the
 // tmp+rename publication protocol.
-func auditBlobDir(t *testing.T, dir string) (published int) {
+func auditBlobs(t *testing.T, disk *store.MemDisk) (published int) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+	for path, data := range diskFiles(t, disk) {
+		if strings.HasSuffix(path, ".tmp") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		want, err := hex.DecodeString(filepath.Base(path))
 		if err != nil {
-			t.Fatalf("published blob unreadable: %v", err)
-		}
-		want, err := hex.DecodeString(e.Name())
-		if err != nil {
-			t.Fatalf("published blob with non-hash name %q", e.Name())
+			t.Fatalf("published blob with non-hash name %q", path)
 		}
 		if !bytes.Equal(crypto.Hash(data), want) {
-			t.Fatalf("TORN BLOB published: %s (%d bytes, wrong content hash)", e.Name(), len(data))
+			t.Fatalf("TORN BLOB published: %s (%d bytes, wrong content hash)", path, len(data))
 		}
 		published++
 	}
@@ -46,32 +58,29 @@ func auditBlobDir(t *testing.T, dir string) (published int) {
 }
 
 // TestCrashConsistencyUnderInjectedFaults drives a FaultyBlobs-wrapped
-// FileBlobs while the file layer's sync and rename stages are made to
-// fail on a schedule. Whatever combination of faults hits a put, the
-// published namespace must never contain a torn blob, and an
-// acknowledged put must stay readable.
+// FileBlobs while the disk's syncs and renames fail on a schedule, some
+// before and some after they take effect. Whatever combination of faults
+// hits a put, the published namespace must never contain a torn blob, and
+// an acknowledged put must stay readable.
 func TestCrashConsistencyUnderInjectedFaults(t *testing.T) {
-	dir := t.TempDir()
-	fb, err := store.OpenFileBlobs(dir, true) // fsync on: exercise the sync stage too
+	disk := store.NewMemDisk()
+	fb, err := disk.OpenFileBlobs("blobs", true) // fsync on: exercise the sync stage too
 	if err != nil {
 		t.Fatal(err)
 	}
 	syncN, renameN := 0, 0
-	fb.InjectFaults(store.BlobFaultHooks{
-		BeforeSync: func() error {
-			syncN++
-			if syncN%3 == 0 {
-				return fmt.Errorf("injected: disk full during sync")
+	disk.SetFault(func(op, _ string) (bool, error) {
+		switch {
+		case op == "sync":
+			if syncN++; syncN%3 == 0 {
+				return syncN%2 == 0, errors.New("injected: disk full during sync")
 			}
-			return nil
-		},
-		BeforeRename: func() error {
-			renameN++
-			if renameN%4 == 0 {
-				return fmt.Errorf("injected: crash before rename")
+		case op == "rename":
+			if renameN++; renameN%4 == 0 {
+				return renameN%8 == 0, errors.New("injected: crash at the rename")
 			}
-			return nil
-		},
+		}
+		return false, nil
 	})
 	faulty := NewFaultyBlobs("disk", fb, FaultConfig{Seed: 11, ErrRate: 0.2})
 
@@ -84,13 +93,13 @@ func TestCrashConsistencyUnderInjectedFaults(t *testing.T) {
 			acked = append(acked, blob{hash, data})
 		}
 		if i%20 == 0 {
-			auditBlobDir(t, dir)
+			auditBlobs(t, disk)
 		}
 	}
 	if len(acked) == 0 {
 		t.Fatal("every put failed — fault schedule too aggressive to test anything")
 	}
-	published := auditBlobDir(t, dir)
+	published := auditBlobs(t, disk)
 	if published < len(acked) {
 		t.Fatalf("%d puts acknowledged but only %d blobs published", len(acked), published)
 	}
@@ -102,13 +111,9 @@ func TestCrashConsistencyUnderInjectedFaults(t *testing.T) {
 		}
 	}
 	// Failed puts must clean up their temp files (no .tmp litter).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("leaked temp file %s", e.Name())
+	for path := range diskFiles(t, disk) {
+		if strings.HasSuffix(path, ".tmp") {
+			t.Fatalf("leaked temp file %s", path)
 		}
 	}
 	if syncN == 0 || renameN == 0 {
@@ -118,22 +123,24 @@ func TestCrashConsistencyUnderInjectedFaults(t *testing.T) {
 
 // TestFailoverMasksInjectedDiskFaults puts a flaky disk primary behind a
 // Failover with a healthy memory secondary: callers see no errors even
-// while the disk's sync/rename stages fail, and the disk never publishes
-// a torn blob.
+// while the disk's renames fail, and the disk never publishes a torn
+// blob.
 func TestFailoverMasksInjectedDiskFaults(t *testing.T) {
-	dir := t.TempDir()
-	fb, err := store.OpenFileBlobs(dir, true)
+	disk := store.NewMemDisk()
+	fb, err := disk.OpenFileBlobs("blobs", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	fb.InjectFaults(store.BlobFaultHooks{BeforeRename: func() error {
-		n++
-		if n%2 == 0 {
-			return fmt.Errorf("injected: crash before rename")
+	disk.SetFault(func(op, _ string) (bool, error) {
+		if op != "rename" {
+			return false, nil
 		}
-		return nil
-	}})
+		if n++; n%2 == 0 {
+			return false, errors.New("injected: crash before rename")
+		}
+		return false, nil
+	})
 	f, err := New([]Backend{
 		{Name: "disk", Store: NewFaultyBlobs("disk", fb, FaultConfig{Seed: 5})},
 		{Name: "mem", Store: transport.NewMemBlobs()},
@@ -153,5 +160,34 @@ func TestFailoverMasksInjectedDiskFaults(t *testing.T) {
 			t.Fatalf("get %d: %q, %v", i, got, err)
 		}
 	}
-	auditBlobDir(t, dir)
+	auditBlobs(t, disk)
+}
+
+// TestFailoverBadHashKeepsDiskAlive: a GET for a hash no put accepts —
+// empty, or too long for a file name — finds nothing on a file-backed
+// backend, so a client sending such GETs cannot push a healthy disk out
+// of the rotation.
+func TestFailoverBadHashKeepsDiskAlive(t *testing.T) {
+	fb, err := store.OpenFileBlobs(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New([]Backend{
+		{Name: "disk", Store: fb},
+		{Name: "mem", Store: transport.NewMemBlobs()},
+	}, Options{RetryAttempts: 1, Clock: clock.NewFake()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 50; i++ {
+		for _, bad := range [][]byte{nil, bytes.Repeat([]byte{1}, 200)} {
+			if _, err := f.GetBlob(bad); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("GetBlob(%d-byte hash) = %v, want not found", len(bad), err)
+			}
+		}
+	}
+	if st := f.Status(); !st[0].Alive || f.Stats().BackendsDied != 0 {
+		t.Fatalf("the disk left the rotation over bad-hash GETs: %+v, %+v", st, f.Stats())
+	}
 }

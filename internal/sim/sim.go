@@ -1,8 +1,9 @@
 // Package sim is a deterministic simulator of the whole register stack:
 // the real USTOR and FAUST clients on a clock.Fake, the real dispatcher
-// stepped through transport.Stepped, and a store.Persistent server (or
-// one of the internal/byzantine servers), joined by server links and
-// offline channels the simulator owns.
+// stepped through transport.Stepped, and a store.Persistent server over
+// the real FileBackend on a store.MemDisk (or one of the
+// internal/byzantine servers), joined by server links and offline
+// channels the simulator owns.
 //
 // Between two decisions every goroutine of the stack is parked. The seed
 // then picks one enabled event — run a batch of up to three link heads,
@@ -19,7 +20,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,11 +39,16 @@ import (
 )
 
 const (
-	keySeed  = 20240610
-	poll     = 10 * time.Millisecond // FAUST dummy-read and probe cadence
-	maxBatch = 3                     // link heads one batch may take
-	maxSteps = 6000                  // decisions before a run gives up settling
+	keySeed       = 20240610
+	poll          = 10 * time.Millisecond // FAUST dummy-read and probe cadence
+	maxBatch      = 3                     // link heads one batch may take
+	maxSteps      = 6000                  // decisions before a run gives up settling
+	snapshotEvery = 7                     // WAL records between the honest server's snapshots
 )
+
+// walOpts is the honest server's WAL: group commit with syncs, so a crash
+// can strike a write or a sync.
+var walOpts = store.FileOptions{Fsync: true, GroupCommit: true}
 
 // faustCfg probes a peer after three silent poll intervals.
 var faustCfg = faustproto.Config{ProbeTimeout: 3 * poll, PollInterval: poll}
@@ -54,8 +62,8 @@ const (
 	TamperBreak = "tamper-corrupt"   // ... lists Client's own operation as concurrent in it
 	CrashServer = "crash"            // CrashServer: silent after serving At SUBMITs
 	DropCommit  = "drop-commit"      // DropCommitServer
-	BatchKept   = "batch-crash-kept" // the first batch with a SUBMIT from step At on crashes
-	BatchLost   = "batch-crash-lost" // ... and the unflushed WAL tail is lost
+	BatchKept   = "batch-crash-kept" // the first WAL sync from step At on fails after it lands
+	BatchLost   = "batch-crash-lost" // the first WAL write from step At on fails before it lands
 )
 
 // Fault is one injected fault.
@@ -91,10 +99,15 @@ type Result struct {
 	// FirstCommit[j][i] counts the SUBMITs client i had sent when client
 	// j sent its first COMMIT; nil while j has sent none.
 	FirstCommit [][]int64
-	Lost        int  // WAL records a server crash dropped
+	Lost        int  // server restarts that recovered less than the server received
 	Settled     bool // the run ended before maxSteps (see settled)
 	Steps       int
 	Fingerprint uint64 // hash of every decision
+	// Recovery is the first restart that broke the WAL's promise: after a
+	// batch-crash-kept crash, or the close and reopen that end a settled
+	// run, a recovered state not bit-identical to the applied one.
+	Recovery error
+	Disk     *store.MemDisk // the honest server's disk; nil without one
 }
 
 // event is one decision: a batch led by client a ('b'), a reply to a
@@ -111,13 +124,21 @@ type sim struct {
 	clk  *clock.Fake
 	rec  *history.Recorder
 	hub  *transport.Stepped
-	wal  *heldBackend // nil when a byzantine server replaces store.Persistent
 	off  *offline.Hub // delivers what the endpoints queued
 	cs   []*client
 	buf  []byte
 	hash uint64
 	step int
 	ops  sync.WaitGroup // user operations' goroutines
+
+	// The honest server, nil when a byzantine server replaces it: ps on
+	// its disk, and a shadow that applies every message ps receives and
+	// never crashes, so a restart that recovers less lost a message.
+	ps     *store.Persistent
+	disk   *store.MemDisk
+	shadow *ustor.Server
+	armed  string // the batch-crash kind waiting to strike the disk
+	struck string // the kind that struck inside the batch being run
 
 	mu  sync.Mutex // guards res and the clients' queues and flags
 	res Result
@@ -160,10 +181,16 @@ func Run(cfg Config) Result {
 		s.apply(e)
 	}
 	s.quiesce()
+	if s.ps != nil && s.res.Settled {
+		if err := s.ps.Close(); err != nil {
+			s.res.Recovery = fmt.Errorf("closing the server: %w", err)
+		}
+		s.reopen(true, "the final close and reopen")
+	}
 	s.mu.Lock()
 	res := s.res
 	s.mu.Unlock()
-	res.History, res.Steps, res.Fingerprint = s.rec.History(), s.step, s.hash
+	res.History, res.Steps, res.Fingerprint, res.Disk = s.rec.History(), s.step, s.hash, s.disk
 	for _, c := range s.cs {
 		s.halt(c)
 	}
@@ -240,14 +267,30 @@ func (s *sim) server() transport.ServerCore {
 			return byzantine.NewDropCommitServer(n)
 		}
 	}
-	if s.wal == nil {
-		s.wal = &heldBackend{MemBackend: store.NewMemBackend()}
+	if s.disk == nil {
+		s.disk = store.NewMemDisk()
+		s.disk.SetFault(s.fault)
+		s.shadow = ustor.NewServer(n)
 	}
-	p, err := store.Open(ustor.NewServer(n), s.wal, store.Options{})
+	b, err := s.disk.OpenFile("wal", walOpts)
 	if err != nil {
 		panic(err)
 	}
-	return p
+	if s.ps, err = store.Open(ustor.NewServer(n), b, store.Options{SnapshotEvery: snapshotEvery}); err != nil {
+		panic(err)
+	}
+	return s.ps
+}
+
+// fault is the disk's fault hook: the armed crash strikes the first WAL
+// write (batch-crash-lost) or WAL sync (batch-crash-kept) on its way.
+func (s *sim) fault(op, path string) (after bool, err error) {
+	if !strings.HasPrefix(filepath.Base(path), "wal-") ||
+		!(s.armed == BatchLost && op == "write" || s.armed == BatchKept && op == "sync") {
+		return false, nil
+	}
+	s.struck, s.armed = s.armed, ""
+	return s.struck == BatchKept, errors.New("sim: server crashed inside the batch")
 }
 
 // tamper silences or corrupts client f.Client's f.At-th reply.
@@ -295,8 +338,8 @@ func (s *sim) inject() {
 		case f.At != s.step:
 		case f.Kind == ClientCrash:
 			s.crash(s.cs[f.Client])
-		case (f.Kind == BatchKept || f.Kind == BatchLost) && s.wal != nil && s.wal.crash == "":
-			s.wal.crash = f.Kind
+		case (f.Kind == BatchKept || f.Kind == BatchLost) && s.ps != nil && s.armed == "":
+			s.armed = f.Kind
 		}
 	}
 }
@@ -413,6 +456,14 @@ func (s *sim) batch(c *client) {
 			submitters = append(submitters, c)
 		}
 		s.hub.Admit(c.id, m)
+		if s.shadow != nil {
+			switch m := m.(type) {
+			case *wire.Submit:
+				s.shadow.HandleSubmit(context.Background(), c.id, m)
+			case *wire.Commit:
+				s.shadow.HandleCommit(context.Background(), c.id, m)
+			}
+		}
 		var ready []*client
 		for _, r := range s.cs {
 			if len(r.toServer) > 0 {
@@ -427,7 +478,7 @@ func (s *sim) batch(c *client) {
 	}
 	s.mu.Unlock()
 	s.hub.Step(maxBatch)
-	if s.wal != nil && s.wal.crashed {
+	if s.struck != "" {
 		s.restart(submitters)
 	}
 }
@@ -444,22 +495,33 @@ func (s *sim) deliver(to int, msgs []wire.Message) error {
 }
 
 // restart models a server crash inside the batch just run: its replies
-// were withheld, its senders crash, and the store reopens from the WAL
-// with the unflushed tail kept or lost.
+// were withheld, its senders crash, and a new server recovers from the
+// disk the crashed one abandoned.
 func (s *sim) restart(senders []*client) {
 	for _, c := range senders {
 		s.crash(c)
 	}
-	w := s.wal
-	if w.crash == BatchLost {
-		s.res.Lost += len(w.held)
-		w.held = nil
-	}
-	w.crash, w.crashed = "", false
-	if err := w.Flush(); err != nil {
-		panic(err)
-	}
+	kind := s.struck
+	s.struck = ""
+	s.reopen(kind == BatchKept, kind)
+}
+
+// reopen recovers a new honest server from the disk; a crashed server's
+// backend is simply abandoned. When strict, the recovered state must be
+// the one the server applied; one short of the shadow's counts as Lost.
+func (s *sim) reopen(strict bool, why string) {
+	applied := s.ps.ExportState()
 	s.hub = transport.NewStepped(s.server(), s.deliver)
+	got := s.ps.ExportState()
+	if strict && !bytes.Equal(got, applied) && s.res.Recovery == nil {
+		s.res.Recovery = fmt.Errorf("step %d: %s recovered a state other than the one the server applied", s.step, why)
+	}
+	if !bytes.Equal(got, s.shadow.ExportState()) {
+		s.res.Lost++
+		if err := s.shadow.RestoreState(got); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // start invokes c's next user operation on its own goroutine: a write of
@@ -607,35 +669,5 @@ func (e *endpoint) Broadcast(m wire.Message) error {
 			_ = e.Send(j, m)
 		}
 	}
-	return nil
-}
-
-var errCrash = errors.New("sim: server crashed inside the batch")
-
-// heldBackend is the server's WAL: appends stay held, lost to a crash,
-// until Flush makes them durable in the MemBackend underneath.
-type heldBackend struct {
-	*store.MemBackend
-	held    []store.Record
-	crash   string // armed batch-crash kind: the next Flush crashes
-	crashed bool
-}
-
-func (b *heldBackend) Append(r store.Record) error {
-	b.held = append(b.held, r)
-	return nil
-}
-
-func (b *heldBackend) Flush() error {
-	if b.crash != "" {
-		b.crashed = true
-		return errCrash
-	}
-	for _, r := range b.held {
-		if err := b.MemBackend.Append(r); err != nil {
-			return err
-		}
-	}
-	b.held = nil
 	return nil
 }

@@ -3,12 +3,14 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"faust/internal/consistency"
 	"faust/internal/faustproto"
 	"faust/internal/history"
+	"faust/internal/store"
 	"faust/internal/wire"
 )
 
@@ -96,7 +98,8 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-// TestReplay runs one seed of every row twice: the decisions must match.
+// TestReplay runs one seed of every row twice: the decisions and the
+// honest server's final disk image must match.
 func TestReplay(t *testing.T) {
 	for _, rw := range rows {
 		cfg := rw.config(3)
@@ -104,7 +107,22 @@ func TestReplay(t *testing.T) {
 		if a.Fingerprint != b.Fingerprint || a.Steps != b.Steps || a.History.String() != b.History.String() {
 			t.Errorf("%s: replay diverged: %d steps %x, then %d steps %x", rw.name, a.Steps, a.Fingerprint, b.Steps, b.Fingerprint)
 		}
+		if da, db := diskHash(t, a.Disk), diskHash(t, b.Disk); da != db {
+			t.Errorf("%s: replay left disk images %x, then %x", rw.name, da, db)
+		}
 	}
+}
+
+// diskHash hashes a run's disk image; 0 for a run without one.
+func diskHash(t *testing.T, d *store.MemDisk) uint64 {
+	if d == nil {
+		return 0
+	}
+	h := fnv.New64a()
+	if _, err := d.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
 }
 
 // check is the oracle: the paper's guarantees for the faults of cfg —
@@ -114,6 +132,9 @@ func check(cfg Config, r Result) error {
 	kind := map[string]Fault{}
 	for _, f := range cfg.Faults {
 		kind[f.Kind] = f
+	}
+	if r.Recovery != nil {
+		return r.Recovery
 	}
 	if res := consistency.CheckCausal(h); !res.OK {
 		return fmt.Errorf("not causal: %s", res.Reason)

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"faust/internal/transport"
@@ -39,7 +38,11 @@ func TestBufferedApplyMatchesUnbatched(t *testing.T) {
 		}
 	}
 
-	backend := NewMemBackend()
+	disk := NewMemDisk()
+	backend, err := disk.OpenFile("wal", FileOptions{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	batched, err := Open(ustor.NewServer(n), backend, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +65,11 @@ func TestBufferedApplyMatchesUnbatched(t *testing.T) {
 	}
 
 	// The buffered WAL must be complete: recovery reproduces the state.
-	recovered, err := Open(ustor.NewServer(n), backend, Options{})
+	backend2, err := disk.OpenFile("wal", FileOptions{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := Open(ustor.NewServer(n), backend2, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -71,17 +78,15 @@ func TestBufferedApplyMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// flushFailBackend accepts appends but fails every Flush, modeling a
+// flushFailOpts, with every sync failing, makes a faultyBackend model a
 // device that buffers writes and dies at the sync.
-type flushFailBackend struct{ MemBackend }
-
-func (b *flushFailBackend) Flush() error { return fmt.Errorf("fsync: input/output error") }
+var flushFailOpts = FileOptions{Fsync: true, GroupCommit: true}
 
 // TestFlushBatchFailureSticky: a failed batch flush must poison the
 // wrapper — the error surfaces to the dispatcher (which suppresses the
 // batch's replies) and every later operation is refused.
 func TestFlushBatchFailureSticky(t *testing.T) {
-	ps, err := Open(ustor.NewServer(2), &flushFailBackend{}, Options{})
+	ps, err := Open(ustor.NewServer(2), faultyBackend(t, flushFailOpts, "sync"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestFlushBatchFailureSticky(t *testing.T) {
 // obeys the same contract as the dispatcher — no reply for an op whose
 // flush failed, and the failure sticks.
 func TestHandleSubmitWithholdsReplyOnFlushFailure(t *testing.T) {
-	ps, err := Open(ustor.NewServer(2), &flushFailBackend{}, Options{})
+	ps, err := Open(ustor.NewServer(2), faultyBackend(t, flushFailOpts, "sync"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

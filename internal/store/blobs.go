@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 )
+
+// maxBlobHash bounds a blob hash in bytes, as the blob channel does: its
+// hex encoding must stay a valid file name.
+const maxBlobHash = 64
 
 // FileBlobs is a file-backed content-addressed blob store: one file per
 // blob, named by the hex of its hash, written atomically (tmp + rename).
@@ -19,38 +22,24 @@ import (
 // reader's content-hash check — the same trust model as the WAL (see the
 // package comment in file.go).
 type FileBlobs struct {
+	disk  fsys
 	dir   string
 	fsync bool
-	hooks BlobFaultHooks
 }
-
-// BlobFaultHooks lets the fault-injection harness (internal/blobfleet and
-// the crash-consistency tests) fail a put at the exact stages a real disk
-// would: before the data sync and before the publishing rename. A hook
-// returning a non-nil error aborts the put at that stage, leaving the
-// temp file to be cleaned up — the published namespace must never show a
-// torn blob, whichever stage failed.
-type BlobFaultHooks struct {
-	BeforeSync   func() error
-	BeforeRename func() error
-}
-
-// InjectFaults installs the fault hooks. Not safe to call concurrently
-// with puts; intended for test and bench setup.
-func (b *FileBlobs) InjectFaults(h BlobFaultHooks) { b.hooks = h }
 
 // OpenFileBlobs opens (creating if needed) a blob directory. With fsync,
 // blob files are synced before the rename that publishes them, making
 // them durable against power loss like an fsync'd WAL record.
 func OpenFileBlobs(dir string, fsync bool) (*FileBlobs, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating blob dir: %w", err)
-	}
-	return &FileBlobs{dir: dir, fsync: fsync}, nil
+	return openFileBlobs(osFS{}, dir, fsync)
 }
 
-// Dir returns the blob directory.
-func (b *FileBlobs) Dir() string { return b.dir }
+func openFileBlobs(disk fsys, dir string, fsync bool) (*FileBlobs, error) {
+	if err := disk.mkdirAll(dir); err != nil {
+		return nil, fmt.Errorf("store: creating blob dir: %w", err)
+	}
+	return &FileBlobs{disk: disk, dir: dir, fsync: fsync}, nil
+}
 
 // path maps a hash to its blob file. Hex encoding keeps arbitrary hash
 // bytes path-safe.
@@ -62,12 +51,13 @@ func (b *FileBlobs) path(hash []byte) string {
 // left untouched (content addressing makes overwrites meaningless), so
 // re-uploads of shared chunks cost one stat. Concurrent puts of the same
 // hash are safe: each writes its own temp file and the rename is atomic.
+// A failed put never publishes a torn blob.
 func (b *FileBlobs) PutBlob(hash, data []byte) error {
-	if len(hash) == 0 || len(hash) > 64 {
+	if len(hash) == 0 || len(hash) > maxBlobHash {
 		return fmt.Errorf("store: blob hash of %d bytes out of range", len(hash))
 	}
 	dst := b.path(hash)
-	if _, err := os.Stat(dst); err == nil {
+	if err := b.disk.stat(dst); err == nil {
 		return nil
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// A stat failure that is NOT "absent" (permissions, I/O error)
@@ -76,52 +66,15 @@ func (b *FileBlobs) PutBlob(hash, data []byte) error {
 		// above) can treat the backend as faulty.
 		return fmt.Errorf("store: stat blob: %w", err)
 	}
-	tmp, err := os.CreateTemp(b.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: blob temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
+	if err := writeAtomic(b.disk, dst, data, b.fsync); err != nil {
 		return fmt.Errorf("store: writing blob: %w", err)
-	}
-	if h := b.hooks.BeforeSync; h != nil {
-		if err := h(); err != nil {
-			return fmt.Errorf("store: syncing blob: %w", err)
-		}
-	}
-	if b.fsync {
-		if err := tmp.Sync(); err != nil {
-			return fmt.Errorf("store: syncing blob: %w", err)
-		}
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		_ = os.Remove(name)
-		return fmt.Errorf("store: closing blob: %w", err)
-	}
-	tmp = nil
-	if h := b.hooks.BeforeRename; h != nil {
-		if err := h(); err != nil {
-			_ = os.Remove(name)
-			return fmt.Errorf("store: publishing blob: %w", err)
-		}
-	}
-	if err := os.Rename(name, dst); err != nil {
-		_ = os.Remove(name)
-		return fmt.Errorf("store: publishing blob: %w", err)
 	}
 	if b.fsync {
 		// The rename's directory entry must reach the disk before the
 		// caller commits a root record referencing this blob; without
 		// the directory sync a power loss could recover a WAL-durable
 		// root whose chunks vanished.
-		if err := syncDir(b.dir); err != nil {
+		if err := b.disk.syncDir(b.dir); err != nil {
 			return fmt.Errorf("store: syncing blob dir: %w", err)
 		}
 	}
@@ -130,9 +83,14 @@ func (b *FileBlobs) PutBlob(hash, data []byte) error {
 
 // GetBlob reads the blob stored under hash. A missing blob returns an
 // error wrapping fs.ErrNotExist, matching the transport.BlobStore
-// contract.
+// contract. So does a hash no put accepts, without touching the disk:
+// an empty one would name the directory itself, an over-long one an
+// invalid file, and either error would look like a failing disk.
 func (b *FileBlobs) GetBlob(hash []byte) ([]byte, error) {
-	data, err := os.ReadFile(b.path(hash))
+	if len(hash) == 0 || len(hash) > maxBlobHash {
+		return nil, fmt.Errorf("store: blob hash of %d bytes: %w", len(hash), fs.ErrNotExist)
+	}
+	data, err := b.disk.readFile(b.path(hash))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("store: blob %x: %w", hash, fs.ErrNotExist)
@@ -140,20 +98,4 @@ func (b *FileBlobs) GetBlob(hash []byte) ([]byte, error) {
 		return nil, fmt.Errorf("store: reading blob: %w", err)
 	}
 	return data, nil
-}
-
-// Len counts the stored blobs (excluding in-flight temp files). Exposed
-// for tests and introspection.
-func (b *FileBlobs) Len() (int, error) {
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) != ".tmp" {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -5,8 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -91,11 +90,12 @@ const preallocChunk = 1 << 20
 // before mu (guards buffers and handles, held only for memory operations).
 type FileBackend struct {
 	mu   sync.Mutex
+	disk fsys
 	dir  string
 	opts FileOptions
 
 	gen    uint64
-	wal    *os.File
+	wal    file
 	snap   []byte   // recovered snapshot, handed out by Load
 	tail   []Record // recovered records, handed out by Load
 	loaded bool
@@ -122,10 +122,14 @@ func walName(gen uint64) string  { return fmt.Sprintf("wal-%08d.log", gen) }
 // matching WAL segment tolerating a torn final record, truncates the torn
 // tail, and removes files from older generations.
 func OpenFile(dir string, opts FileOptions) (*FileBackend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return openFile(osFS{}, dir, opts)
+}
+
+func openFile(disk fsys, dir string, opts FileOptions) (*FileBackend, error) {
+	if err := disk.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	b := &FileBackend{dir: dir, opts: opts}
+	b := &FileBackend{disk: disk, dir: dir, opts: opts}
 	if err := b.recover(); err != nil {
 		return nil, err
 	}
@@ -156,7 +160,7 @@ func (b *FileBackend) flushLoop() {
 // recover selects the generation, reads snapshot and WAL, and leaves the
 // WAL file open for appending.
 func (b *FileBackend) recover() error {
-	snaps, wals, stale, err := b.scan()
+	snaps, wals, stale, err := scanDir(b.disk, b.dir)
 	if err != nil {
 		return err
 	}
@@ -164,7 +168,7 @@ func (b *FileBackend) recover() error {
 	// fallback baseline.
 	b.gen = 0
 	for i := len(snaps) - 1; i >= 0; i-- {
-		state, err := readSnapshot(filepath.Join(b.dir, snapName(snaps[i])))
+		state, err := readSnapshot(b.disk, filepath.Join(b.dir, snapName(snaps[i])))
 		if err == nil {
 			b.gen = snaps[i]
 			b.snap = state
@@ -175,7 +179,7 @@ func (b *FileBackend) recover() error {
 		return fmt.Errorf("%w in %s", ErrCorruptSnapshot, b.dir)
 	}
 
-	wal, tail, valid, err := openWAL(filepath.Join(b.dir, walName(b.gen)))
+	wal, tail, valid, err := b.openSegment(b.gen, false)
 	if err != nil {
 		return err
 	}
@@ -183,17 +187,6 @@ func (b *FileBackend) recover() error {
 	b.tail = tail
 	b.off = valid
 	b.preallocEnd = valid
-	if b.opts.Fsync {
-		// The segment may have just been created (or truncated): persist
-		// its directory entry too, or power loss could drop the whole file
-		// out from under the per-append syncs.
-		if err := wal.Sync(); err != nil {
-			return err
-		}
-		if err := syncDir(b.dir); err != nil {
-			return err
-		}
-	}
 
 	// Best-effort cleanup of other generations and of temporary files from
 	// an interrupted snapshot rotation. Older generations are superseded by
@@ -201,29 +194,28 @@ func (b *FileBackend) recover() error {
 	// failed validation (otherwise they would have been chosen).
 	for _, g := range snaps {
 		if g != b.gen {
-			_ = os.Remove(filepath.Join(b.dir, snapName(g)))
+			_ = b.disk.remove(filepath.Join(b.dir, snapName(g)))
 		}
 	}
 	for _, g := range wals {
 		if g != b.gen {
-			_ = os.Remove(filepath.Join(b.dir, walName(g)))
+			_ = b.disk.remove(filepath.Join(b.dir, walName(g)))
 		}
 	}
 	for _, name := range stale {
-		_ = os.Remove(filepath.Join(b.dir, name))
+		_ = b.disk.remove(filepath.Join(b.dir, name))
 	}
 	return nil
 }
 
-// scan lists snapshot and WAL generations present in the directory, plus
-// leftover temporary files.
-func (b *FileBackend) scan() (snaps, wals []uint64, stale []string, err error) {
-	entries, err := os.ReadDir(b.dir)
+// scanDir lists the snapshot and WAL generations present in dir, in
+// ascending order, plus leftover temporary files.
+func scanDir(disk fsys, dir string) (snaps, wals []uint64, stale []string, err error) {
+	names, err := disk.readDir(dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("store: reading %s: %w", b.dir, err)
+		return nil, nil, nil, fmt.Errorf("store: reading %s: %w", dir, err)
 	}
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		var g uint64
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
@@ -244,8 +236,8 @@ func (b *FileBackend) scan() (snaps, wals []uint64, stale []string, err error) {
 }
 
 // readSnapshot reads and validates one snapshot file.
-func readSnapshot(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+func readSnapshot(disk fsys, path string) ([]byte, error) {
+	data, err := disk.readFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -262,74 +254,62 @@ func readSnapshot(path string) ([]byte, error) {
 	return append([]byte(nil), payload...), nil
 }
 
-// writeSnapshotFile writes state to path atomically (tmp + rename).
-func writeSnapshotFile(path string, state []byte, fsync bool) error {
-	tmp := path + ".tmp"
+// writeSnapshotFile writes state to path atomically.
+func writeSnapshotFile(disk fsys, path string, state []byte, fsync bool) error {
 	buf := make([]byte, 0, len(snapMagic)+frameHeader+len(state))
 	buf = append(buf, snapMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(state)))
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(state, crcTable))
 	buf = append(buf, state...)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(disk, path, buf, fsync)
 }
 
-// openWAL opens (creating if absent) one WAL segment, parses its records,
-// drops a torn or corrupt tail (including the zero-filled padding a
-// preallocated segment leaves after a crash), truncates the file to the
-// valid prefix and returns it positioned for appending, along with the
-// valid end offset.
-func openWAL(path string) (*os.File, []Record, int64, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// openSegment opens generation gen's WAL segment for appending and
+// returns it with its records and valid end offset. A fresh segment starts
+// empty even if a file of that name survived an interrupted earlier
+// rotation — its records predate the new snapshot, whatever state they
+// are in. Otherwise the records are parsed, and a torn or corrupt tail
+// (including the zero-filled padding a preallocated segment leaves after
+// a crash) is dropped and truncated away.
+func (b *FileBackend) openSegment(gen uint64, fresh bool) (file, []Record, int64, error) {
+	path := filepath.Join(b.dir, walName(gen))
+	var data []byte
+	var err error
+	if !fresh {
+		if data, err = b.disk.readFile(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, 0, fmt.Errorf("store: reading WAL %s: %w", path, err)
+		}
+	}
+	f, err := b.disk.openFile(path)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: opening WAL %s: %w", path, err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, 0, err
-	}
-	if info.Size() < int64(len(walMagic)) {
-		// Empty or torn at creation: no record was ever fully written, so
-		// nothing can be lost by starting the segment over.
-		if err := initWAL(f); err != nil {
-			_ = f.Close()
-			return nil, nil, 0, err
+	var tail []Record
+	valid := int64(len(walMagic))
+	switch {
+	case len(data) < len(walMagic):
+		// Fresh, empty or torn at creation: no record was ever fully
+		// written, so nothing can be lost by starting the segment over.
+		if err = f.Truncate(0); err == nil {
+			_, err = f.WriteAt([]byte(walMagic), 0)
 		}
-		return f, nil, int64(len(walMagic)), nil
+	case string(data[:len(walMagic)]) != walMagic:
+		err = fmt.Errorf("store: %s is not a WAL segment", path)
+	default:
+		var offsets []int64
+		tail, offsets = scanRecords(data, true)
+		valid = offsets[len(offsets)-1]
+		err = f.Truncate(valid)
 	}
-	data := make([]byte, info.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
-		_ = f.Close()
-		return nil, nil, 0, err
+	if err == nil && b.opts.Fsync {
+		// The segment may have just been created (or truncated): persist
+		// its directory entry too, or power loss could drop the whole file
+		// out from under the per-append syncs.
+		if err = f.Sync(); err == nil {
+			err = b.disk.syncDir(b.dir)
+		}
 	}
-	if string(data[:len(walMagic)]) != walMagic {
-		_ = f.Close()
-		return nil, nil, 0, fmt.Errorf("store: %s is not a WAL segment", path)
-	}
-	tail, offsets := scanRecords(data, true)
-	valid := offsets[len(offsets)-1]
-	if err := f.Truncate(valid); err != nil {
-		_ = f.Close()
-		return nil, nil, 0, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+	if err != nil {
 		_ = f.Close()
 		return nil, nil, 0, err
 	}
@@ -374,18 +354,6 @@ func scanRecords(data []byte, collect bool) ([]Record, []int64) {
 		rest = rest[advance:]
 	}
 	return tail, offsets
-}
-
-// initWAL (re)writes the segment header.
-func initWAL(f *os.File) error {
-	if err := f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	_, err := f.WriteString(walMagic)
-	return err
 }
 
 // Load implements Backend.
@@ -509,7 +477,7 @@ var zeroChunk = make([]byte, preallocChunk)
 // preallocChunk steps ahead of the data so the (data)sync does not have to
 // update file metadata on the steady path. Recovery treats the zero
 // padding as a torn tail and truncates it.
-func writeBatch(wal *os.File, batch []byte, off int64, preallocEnd *int64, sync bool) error {
+func writeBatch(wal file, batch []byte, off int64, preallocEnd *int64, sync bool) error {
 	if end := off + int64(len(batch)); end > *preallocEnd {
 		grown := (end/preallocChunk + 1) * preallocChunk
 		for at := *preallocEnd; at < grown; at += preallocChunk {
@@ -528,7 +496,7 @@ func writeBatch(wal *os.File, batch []byte, off int64, preallocEnd *int64, sync 
 	}
 	if sync {
 		start := obs.StartTimer()
-		err := datasync(wal)
+		err := wal.Sync()
 		smFsyncNs.ObserveSince(start)
 		if err != nil {
 			return fmt.Errorf("store: syncing WAL: %w", err)
@@ -559,29 +527,12 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 	// only flushMu held. Appenders keep making progress: appends buffer
 	// under the state lock, and an immediate-mode Append's flush queues on
 	// flushMu exactly as it would behind any other flush.
-	if err := writeSnapshotFile(filepath.Join(b.dir, snapName(next)), state, b.opts.Fsync); err != nil {
+	if err := writeSnapshotFile(b.disk, filepath.Join(b.dir, snapName(next)), state, b.opts.Fsync); err != nil {
 		return fmt.Errorf("store: writing snapshot %d: %w", next, err)
 	}
-	// O_TRUNC: the segment must start empty even if a file of that name
-	// survived an interrupted earlier rotation — its records predate the
-	// new snapshot, whatever state they are in.
-	wal, err := os.OpenFile(filepath.Join(b.dir, walName(next)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	wal, _, _, err := b.openSegment(next, true)
 	if err != nil {
 		return fmt.Errorf("store: creating WAL segment %d: %w", next, err)
-	}
-	if _, err := wal.WriteString(walMagic); err != nil {
-		_ = wal.Close()
-		return err
-	}
-	if b.opts.Fsync {
-		if err := wal.Sync(); err != nil {
-			_ = wal.Close()
-			return err
-		}
-		if err := syncDir(b.dir); err != nil {
-			_ = wal.Close()
-			return err
-		}
 	}
 	b.mu.Lock()
 	old := b.gen
@@ -591,9 +542,9 @@ func (b *FileBackend) WriteSnapshot(state []byte) error {
 	b.off = int64(len(walMagic))
 	b.preallocEnd = b.off
 	b.mu.Unlock()
-	_ = os.Remove(filepath.Join(b.dir, walName(old)))
+	_ = b.disk.remove(filepath.Join(b.dir, walName(old)))
 	if old > 0 {
-		_ = os.Remove(filepath.Join(b.dir, snapName(old)))
+		_ = b.disk.remove(filepath.Join(b.dir, snapName(old)))
 	}
 	return nil
 }
@@ -635,25 +586,6 @@ func (b *FileBackend) Close() error {
 	return flushErr
 }
 
-// Dir returns the persistence directory.
-func (b *FileBackend) Dir() string { return b.dir }
-
-// Generation returns the current snapshot generation (0 = none yet).
-func (b *FileBackend) Generation() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gen
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // RollbackWAL truncates the newest WAL segment in dir at a record
 // boundary, discarding the last drop records. It is attack tooling for the
 // rollback experiments and tests: the truncation is framing-clean, so a
@@ -662,25 +594,19 @@ func syncDir(dir string) error {
 // the clients' fail-awareness checks must expose. It returns the number of
 // records remaining. The backend must not have the directory open.
 func RollbackWAL(dir string, drop int) (int, error) {
-	entries, err := os.ReadDir(dir)
+	if drop < 0 {
+		return 0, fmt.Errorf("store: cannot roll back %d WAL records", drop)
+	}
+	disk := osFS{}
+	_, wals, _, err := scanDir(disk, dir)
 	if err != nil {
 		return 0, err
 	}
-	var newest string
-	var newestGen uint64
-	for _, e := range entries {
-		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%08d.log", &g); err == nil && walName(g) == e.Name() {
-			if newest == "" || g >= newestGen {
-				newest, newestGen = e.Name(), g
-			}
-		}
-	}
-	if newest == "" {
+	if len(wals) == 0 {
 		return 0, fmt.Errorf("store: no WAL segment in %s", dir)
 	}
-	path := filepath.Join(dir, newest)
-	data, err := os.ReadFile(path)
+	path := filepath.Join(dir, walName(wals[len(wals)-1]))
+	data, err := disk.readFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -691,12 +617,16 @@ func RollbackWAL(dir string, drop int) (int, error) {
 	// attack tool and recovery can never disagree about what counts as a
 	// record (zero-filled group-commit padding, torn tails, bit rot).
 	_, offsets := scanRecords(data, false)
-	total := len(offsets) - 1
-	keep := total - drop
-	if keep < 0 {
-		keep = 0
+	keep := max(len(offsets)-1-drop, 0)
+	f, err := disk.openFile(path)
+	if err != nil {
+		return 0, err
 	}
-	if err := os.Truncate(path, offsets[keep]); err != nil {
+	err = f.Truncate(offsets[keep])
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
 	return keep, nil

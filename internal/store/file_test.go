@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -202,21 +203,15 @@ func TestSnapshotRotationReclaimsLog(t *testing.T) {
 	if err := b.WriteSnapshot([]byte("baseline")); err != nil {
 		t.Fatal(err)
 	}
-	if g := b.Generation(); g != 1 {
-		t.Fatalf("generation = %d, want 1", g)
-	}
 	_ = b.Close()
 
-	entries, err := os.ReadDir(dir)
+	// Generation 1, and nothing of generation 0.
+	names, err := osFS{}.readDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 { // snap-00000001 + wal-00000001.log
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("directory not reclaimed: %v", names)
+	if want := []string{snapName(1), walName(1)}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
 	}
 	snap, tail := loadTail(t, dir)
 	if !bytes.Equal(snap, []byte("baseline")) || len(tail) != 0 {
@@ -239,6 +234,10 @@ func TestRollbackWAL(t *testing.T) {
 	_, tail := loadTail(t, dir)
 	if len(tail) != 5 {
 		t.Fatalf("recovered %d records after rollback, want 5", len(tail))
+	}
+	// A negative drop is refused, not an index past the last record.
+	if _, err := RollbackWAL(dir, -1); err == nil {
+		t.Fatal("negative drop accepted")
 	}
 	// Dropping more records than exist empties the log without error.
 	if remaining, err = RollbackWAL(dir, 99); err != nil || remaining != 0 {

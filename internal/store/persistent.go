@@ -46,8 +46,10 @@ type Options struct {
 // server version behind its own and reports the server faulty (Algorithm
 // 1 line 36). If another client's later COMMIT covers the lost one first,
 // that COMMIT's HandleCommit prunes the operation from L, and the state
-// heals with no check firing. The simulator's batch-crash-lost row
-// (internal/sim) loses such tails and produces both outcomes.
+// heals with no check firing. The simulator (internal/sim) runs this
+// wrapper over a FileBackend on a MemDisk; its batch-crash-lost row fails
+// a WAL write before it lands, loses such tails and produces both
+// outcomes.
 //
 // If the backend ever fails to append or flush, the server stops replying
 // (nil REPLYs) rather than serve operations it cannot make durable — to

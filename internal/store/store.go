@@ -19,17 +19,18 @@
 // protects against crashes; fail-awareness protects against everything
 // else.
 //
-// Two Backend implementations exist: MemBackend (process-lifetime only,
-// the default for tests and simulations) and FileBackend (CRC-checksummed
-// length-prefixed WAL segments plus atomic snapshot files, tolerating a
-// torn final record after a crash).
+// FileBackend is the one Backend: CRC-checksummed length-prefixed WAL
+// segments plus atomic snapshot files, tolerating a torn final record
+// after a crash. It and FileBlobs make every filesystem call through one
+// seam, so the same code runs on the OS (OpenFile, OpenFileBlobs) and on
+// a MemDisk, the in-memory disk that tests, benchmarks and the simulator
+// crash and fault.
 package store
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"faust/internal/wire"
 )
@@ -47,20 +48,8 @@ type Record struct {
 // encoding is malformed.
 var ErrBadRecord = errors.New("store: record is not a SUBMIT or COMMIT")
 
-// EncodeRecord renders a record canonically: u32 client index followed by
-// the wire encoding of the message.
-func EncodeRecord(rec Record) ([]byte, error) {
-	switch rec.Msg.(type) {
-	case *wire.Submit, *wire.Commit:
-	default:
-		return nil, ErrBadRecord
-	}
-	buf := make([]byte, 4, 128)
-	binary.BigEndian.PutUint32(buf, uint32(rec.From))
-	return wire.AppendEncode(buf, rec.Msg), nil
-}
-
-// DecodeRecord parses an encoding produced by EncodeRecord. Like
+// DecodeRecord parses a record payload as a WAL frame carries it: u32
+// client index followed by the wire encoding of the message. Like
 // wire.Decode it takes over data: the record's message aliases the
 // buffer, which the caller must never write to or reuse.
 func DecodeRecord(data []byte) (Record, error) {
@@ -83,7 +72,8 @@ func DecodeRecord(data []byte) (Record, error) {
 // Backend persists server state as a snapshot plus a log tail. The
 // Persistent wrapper drives it with WAL discipline: Load once on open,
 // Append before every state change, Flush before any reply escapes,
-// WriteSnapshot periodically.
+// WriteSnapshot periodically. FileBackend implements it, on the OS or on
+// a MemDisk.
 //
 // Implementations must be safe for concurrent Append/Flush calls: the
 // group-commit FileBackend coalesces appends from concurrent callers into
@@ -113,65 +103,3 @@ type Backend interface {
 	// stays recoverable.
 	Close() error
 }
-
-// MemBackend keeps the snapshot and log in memory. It provides no
-// durability across processes — it exists to give tests, simulations and
-// benchmarks the exact code path of a persistent server (including the
-// record codec round trip) without touching a filesystem, and to exercise
-// simulated restarts by handing the same MemBackend to a fresh server.
-type MemBackend struct {
-	mu    sync.Mutex
-	state []byte
-	tail  [][]byte // encoded records, so Load never aliases live messages
-}
-
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend { return &MemBackend{} }
-
-var _ Backend = (*MemBackend)(nil)
-
-// Load implements Backend.
-func (b *MemBackend) Load() ([]byte, []Record, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var state []byte
-	if b.state != nil {
-		state = append([]byte(nil), b.state...)
-	}
-	tail := make([]Record, len(b.tail))
-	for i, enc := range b.tail {
-		rec, err := DecodeRecord(enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		tail[i] = rec
-	}
-	return state, tail, nil
-}
-
-// Append implements Backend.
-func (b *MemBackend) Append(rec Record) error {
-	enc, err := EncodeRecord(rec)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tail = append(b.tail, enc)
-	return nil
-}
-
-// Flush implements Backend. Memory is as durable as a MemBackend gets.
-func (b *MemBackend) Flush() error { return nil }
-
-// WriteSnapshot implements Backend.
-func (b *MemBackend) WriteSnapshot(state []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = append([]byte(nil), state...)
-	b.tail = nil
-	return nil
-}
-
-// Close implements Backend.
-func (b *MemBackend) Close() error { return nil }

@@ -29,11 +29,11 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{From: 1, Msg: &wire.Commit{Ver: version.New(3), CommitSig: []byte("c"), ProofSig: []byte("p")}},
 	}
 	for i, rec := range recs {
-		enc, err := EncodeRecord(rec)
+		enc, err := appendFramed(nil, rec)
 		if err != nil {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
-		got, err := DecodeRecord(enc)
+		got, err := DecodeRecord(enc[frameHeader:])
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
@@ -47,7 +47,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestRecordCodecRejectsNonStateMessages(t *testing.T) {
-	if _, err := EncodeRecord(Record{From: 0, Msg: &wire.Probe{From: 0}}); err == nil {
+	if _, err := appendFramed(nil, Record{From: 0, Msg: &wire.Probe{From: 0}}); err == nil {
 		t.Fatal("PROBE accepted as a WAL record")
 	}
 	probe := append([]byte{0, 0, 0, 0}, wire.Encode(&wire.Probe{From: 0})...)
@@ -112,10 +112,17 @@ func backendContract(t *testing.T, reopen func(t *testing.T) Backend) {
 	_ = b.Close()
 }
 
+// TestMemBackendContract runs the contract on a MemDisk: every reopen is a
+// new FileBackend on the same disk.
 func TestMemBackendContract(t *testing.T) {
-	b := NewMemBackend()
-	// The same MemBackend survives "reopening" — that is its purpose.
-	backendContract(t, func(t *testing.T) Backend { return b })
+	d := NewMemDisk()
+	backendContract(t, func(t *testing.T) Backend {
+		b, err := d.OpenFile("wal", FileOptions{})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return b
+	})
 }
 
 func TestFileBackendContract(t *testing.T) {
@@ -130,12 +137,16 @@ func TestFileBackendContract(t *testing.T) {
 }
 
 // TestPersistentRecoversExactState drives a real USTOR cluster through a
-// persistent server, simulates a restart by handing the same MemBackend to
-// a fresh server, and requires bit-identical state.
+// persistent server, simulates a restart by reopening its MemDisk under a
+// fresh server, and requires bit-identical state.
 func TestPersistentRecoversExactState(t *testing.T) {
 	const n = 3
 	ring, signers := crypto.NewTestKeyring(n, 51)
-	backend := NewMemBackend()
+	disk := NewMemDisk()
+	backend, err := disk.OpenFile("wal", FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps, err := Open(ustor.NewServer(n), backend, Options{SnapshotEvery: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +169,11 @@ func TestPersistentRecoversExactState(t *testing.T) {
 	nw.Stop() // quiesce: all handler calls done
 	want := ps.ExportState()
 
-	ps2, err := Open(ustor.NewServer(n), backend, Options{})
+	backend2, err := disk.OpenFile("wal", FileOptions{})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	ps2, err := Open(ustor.NewServer(n), backend2, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -266,7 +281,7 @@ func TestGroupCommitPersistentClusterRecovery(t *testing.T) {
 // TestPersistentStopsServingOnAppendFailure checks the fail-stop contract:
 // a server that cannot persist must fall silent, not serve.
 func TestPersistentStopsServingOnAppendFailure(t *testing.T) {
-	ps, err := Open(ustor.NewServer(2), failingBackend{}, Options{})
+	ps, err := Open(ustor.NewServer(2), faultyBackend(t, FileOptions{}, "write"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +293,20 @@ func TestPersistentStopsServingOnAppendFailure(t *testing.T) {
 	}
 }
 
-type failingBackend struct{}
-
-func (failingBackend) Load() ([]byte, []Record, error) { return nil, nil, nil }
-func (failingBackend) Append(Record) error             { return fmt.Errorf("disk full") }
-func (failingBackend) Flush() error                    { return fmt.Errorf("disk full") }
-func (failingBackend) WriteSnapshot([]byte) error      { return fmt.Errorf("disk full") }
-func (failingBackend) Close() error                    { return nil }
+// faultyBackend opens a FileBackend on a MemDisk on which every later op
+// ("write" or "sync") fails before it takes effect.
+func faultyBackend(t *testing.T, opts FileOptions, op string) *FileBackend {
+	t.Helper()
+	d := NewMemDisk()
+	b, err := d.OpenFile("wal", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFault(func(o, _ string) (bool, error) {
+		if o == op {
+			return false, fmt.Errorf("%s: input/output error", op)
+		}
+		return false, nil
+	})
+	return b
+}

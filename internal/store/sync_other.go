@@ -2,7 +2,5 @@
 
 package store
 
-import "os"
-
-// datasync falls back to a full fsync on platforms without fdatasync.
-func datasync(f *os.File) error { return f.Sync() }
+// Sync falls back to a full fsync on platforms without fdatasync.
+func (f osFile) Sync() error { return f.File.Sync() }

@@ -124,7 +124,8 @@ func shortHash(hash []byte) []byte {
 	return hash
 }
 
-// checkBlobSizes validates a put against the channel limits.
+// checkBlobSizes validates a put, or a get's hash, against the channel
+// limits.
 func checkBlobSizes(hash, data []byte) error {
 	if len(hash) == 0 {
 		return fmt.Errorf("transport: empty blob hash")
@@ -208,7 +209,13 @@ func serveBlobMsg(bs BlobStore, m wire.Message) wire.Message {
 	case *wire.BlobGet:
 		ctx, h := joinWireTrace(context.Background(), req.Trace, false, spanBlobGet)
 		defer h.End()
-		data, err := getBlobStore(ctx, bs, req.Hash)
+		// Gets obey the puts' hash bounds: a store asked for a name no put
+		// could have made may fail in ways that look like a broken disk.
+		err := checkBlobSizes(req.Hash, nil)
+		var data []byte
+		if err == nil {
+			data, err = getBlobStore(ctx, bs, req.Hash)
+		}
 		switch {
 		case err == nil:
 			return &wire.BlobData{ID: req.ID, Hash: req.Hash, Found: true, Data: data}
@@ -517,6 +524,9 @@ func (c *memBlobChannel) PutBlob(ctx context.Context, hash, data []byte) error {
 func (c *memBlobChannel) GetBlob(ctx context.Context, hash []byte) ([]byte, error) {
 	if c.dead.Load() {
 		return nil, ErrClosed
+	}
+	if err := checkBlobSizes(hash, nil); err != nil {
+		return nil, err
 	}
 	ctx, h := trace.Child(ctx, spanBlobGet)
 	defer h.End()

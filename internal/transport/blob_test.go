@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"faust/internal/crypto"
@@ -67,6 +68,51 @@ func TestMemBlobChannel(t *testing.T) {
 	defer nw2.Stop()
 	if _, err := nw2.BlobChannel(); !errors.Is(err, ErrNoBlobStore) {
 		t.Fatalf("channel without store = %v, want ErrNoBlobStore", err)
+	}
+}
+
+// getCounter counts the gets that reach a store.
+type getCounter struct {
+	BlobStore
+	gets atomic.Int32
+}
+
+func (g *getCounter) GetBlob(hash []byte) ([]byte, error) {
+	g.gets.Add(1)
+	return g.BlobStore.GetBlob(hash)
+}
+
+// TestBlobGetHashBounds: a get whose hash no put accepts is refused by
+// both channels and never reaches the store, which could only answer with
+// an error about its own files.
+func TestBlobGetHashBounds(t *testing.T) {
+	bs := &getCounter{BlobStore: NewMemBlobs()}
+	nw := NewNetwork(1, &echoCore{}, WithBlobStore(bs))
+	defer nw.Stop()
+	memCh, err := nw.BlobChannel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCPSharded(ln, &fakeResolver{core: &echoCore{}, blobs: map[string]BlobStore{DefaultShard: bs}})
+	defer srv.Stop()
+	tcpCh, err := DialTCPBlob(ln.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpCh.Close()
+	for _, ch := range []BlobChannel{memCh, tcpCh} {
+		for _, bad := range [][]byte{nil, bytes.Repeat([]byte{7}, 200)} {
+			if _, err := ch.GetBlob(context.Background(), bad); err == nil || errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%T: get of a %d-byte hash = %v, want the channel's bounds error", ch, len(bad), err)
+			}
+		}
+	}
+	if n := bs.gets.Load(); n != 0 {
+		t.Fatalf("%d out-of-bounds gets reached the store", n)
 	}
 }
 

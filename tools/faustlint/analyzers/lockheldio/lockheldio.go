@@ -11,7 +11,9 @@
 // Blocking calls are recognized by a curated matcher set:
 //
 //   - any function or method of package net (conn reads/writes, dials)
-//   - (*os.File).Sync — fsync, the expensive disk barrier
+//   - (*os.File).Sync — fsync, the expensive disk barrier — and methods
+//     named Sync on interface types: the same barrier behind a seam, such
+//     as the store's file handles
 //   - methods named PutBlob or GetBlob (the transport.BlobStore and
 //     BlobChannel contract)
 //   - methods named Send or Recv on interface types or on types
@@ -367,17 +369,18 @@ func (a *funcAnalysis) blockingCall(call *ast.CallExpr) string {
 	if name == "PutBlob" || name == "GetBlob" {
 		return name
 	}
-	// Transport sends/receives: interface methods named Send/Recv, or
-	// concrete methods of a transport package.
-	if name == "Send" || name == "Recv" {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if types.IsInterface(sig.Recv().Type()) {
-				return name
-			}
-		}
-		if strings.Contains(pkgPath, "transport") {
-			return name
-		}
+	// A disk barrier behind an interface, and transport sends/receives:
+	// interface methods named Sync, Send or Recv, or Send/Recv methods of
+	// a transport package.
+	onInterface := false
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		onInterface = types.IsInterface(sig.Recv().Type())
+	}
+	if name == "Sync" && onInterface {
+		return name
+	}
+	if (name == "Send" || name == "Recv") && (onInterface || strings.Contains(pkgPath, "transport")) {
+		return name
 	}
 	return ""
 }

@@ -14,20 +14,28 @@ type Link interface {
 	Recv() (int, error)
 }
 
+// File mirrors a storage seam's file handle: Sync on an interface is
+// the disk barrier.
+type File interface {
+	Sync() error
+}
+
 type Blobs interface {
 	PutBlob(key string, data []byte) error
 	GetBlob(key string) ([]byte, error)
 }
 
 type server struct {
-	mu    sync.Mutex
-	rw    sync.RWMutex
-	wmu   sync.Mutex
-	conn  net.Conn
-	file  *os.File
-	link  Link
-	blobs Blobs
-	state int
+	mu      sync.Mutex
+	rw      sync.RWMutex
+	wmu     sync.Mutex
+	flushMu sync.Mutex
+	conn    net.Conn
+	file    *os.File
+	seam    File
+	link    Link
+	blobs   Blobs
+	state   int
 }
 
 func (s *server) writeUnderStateLock(b []byte) error {
@@ -42,6 +50,19 @@ func (s *server) syncUnderStateLock() error {
 	err := s.file.Sync() // want `\(\*os\.File\)\.Sync can block on I/O while mutex s\.mu is held`
 	s.mu.Unlock()
 	return err
+}
+
+func (s *server) seamSyncUnderStateLock() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seam.Sync() // want `Sync can block on I/O while mutex s\.mu is held`
+}
+
+// seamSyncUnderFlushLock: flushMu serializes the barrier by design.
+func (s *server) seamSyncUnderFlushLock() error {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	return s.seam.Sync()
 }
 
 func (s *server) sendUnderReadLock() error {
