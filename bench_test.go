@@ -1,15 +1,21 @@
-// Benchmarks regenerating the paper-level experiments (E2-E14). Each
-// benchmark maps to one experiment row; cmd/faust-bench prints the
-// corresponding human-readable tables, README "Performance" has the
-// measured numbers and README "Retired experiments" the verdicts of the
-// experiments no longer run. Run with:
+// Benchmarks reproducing the paper's experiments E5-E14, one benchmark
+// (or sub-benchmark) per experiment row. README "The paper's experiments"
+// maps each experiment to its benchmark or test, the paper's claim and the
+// metric to read; README "Retired experiments" keeps the verdicts of the
+// experiments no longer run. Every benchmark fails on a protocol error.
+// Run with the standard tooling, e.g.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem -count 6 . | tee new.txt
+//	benchstat old.txt new.txt
 package faust
 
 import (
-	"context"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +32,9 @@ import (
 	"faust/internal/workload"
 )
 
+// writer is the write path the compared protocols share.
+type writer interface{ Write([]byte) error }
+
 // ustorCluster builds a raw USTOR cluster for benchmarking.
 func ustorCluster(b *testing.B, n int, opts ...transport.Option) (*transport.Network, []*ustor.Client) {
 	b.Helper()
@@ -37,6 +46,49 @@ func ustorCluster(b *testing.B, n int, opts ...transport.Option) (*transport.Net
 	}
 	b.Cleanup(nw.Stop)
 	return nw, clients
+}
+
+// lockstepClients builds a lock-step cluster of n clients.
+func lockstepClients(b *testing.B, n int) []*lockstep.Client {
+	b.Helper()
+	ring, signers := crypto.NewTestKeyring(n, 1)
+	nw := transport.NewNetwork(n, lockstep.NewServer(n))
+	b.Cleanup(nw.Stop)
+	clients := make([]*lockstep.Client, n)
+	for i := range clients {
+		clients[i] = lockstep.NewClient(i, ring, signers[i], nw.ClientLink(i))
+	}
+	return clients
+}
+
+// benchWrites times b.N writes through w and stops the timer, so the
+// caller can read the network's counters untimed.
+func benchWrites(b *testing.B, w writer) {
+	b.Helper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+}
+
+// parallelWrites spreads b.N writes over the clients, each RunParallel
+// goroutine taking the next client round-robin.
+func parallelWrites[C writer](b *testing.B, clients []C) {
+	var next atomic.Int32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		g := int(next.Add(1) - 1)
+		c := clients[g%len(clients)]
+		for i := 0; pb.Next(); i++ {
+			if err := c.Write([]byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkWriteLatency measures single-client write latency (E7).
@@ -74,35 +126,25 @@ func BenchmarkReadLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundsPerOp verifies the one-round claim (E5): exactly one
-// server->client message per operation.
+// BenchmarkRoundsPerOp reports the one-round claim (E5): one
+// server->client message per operation. TestPiggybackHalvesClientMessages
+// in internal/ustor asserts the exact counts.
 func BenchmarkRoundsPerOp(b *testing.B) {
 	nw, clients := ustorCluster(b, 2, transport.WithMetrics())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := clients[0].Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	benchWrites(b, clients[0])
 	st := nw.Stats()
 	b.ReportMetric(float64(st.ServerToClientMsgs)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(st.ClientToServerMsgs)/float64(b.N), "msgs-sent/op")
 }
 
 // BenchmarkMessageSizeVsN measures the per-operation communication volume
-// as n grows (E6): the paper claims O(n) bits per request.
+// as n grows (E6): the paper claims O(n) bits per request, so bytes/op
+// grows linearly in n.
 func BenchmarkMessageSizeVsN(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			nw, clients := ustorCluster(b, n, transport.WithMetrics())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := clients[0].Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
+			benchWrites(b, clients[0])
 			st := nw.Stats()
 			perOp := float64(st.ClientToServerBytes+st.ServerToClientBytes) / float64(b.N)
 			b.ReportMetric(perOp, "bytes/op")
@@ -112,7 +154,9 @@ func BenchmarkMessageSizeVsN(b *testing.B) {
 }
 
 // BenchmarkWaitFreedom measures reads while another client holds a
-// submitted-but-uncommitted write (E8): USTOR does not block.
+// submitted-but-uncommitted write (E8): USTOR does not block. The
+// lock-step half, which blocks, is internal/lockstep
+// TestBlockingOnCrashedWriter.
 func BenchmarkWaitFreedom(b *testing.B) {
 	const n = 3
 	ring, signers := crypto.NewTestKeyring(n, 1)
@@ -144,74 +188,28 @@ func BenchmarkWaitFreedom(b *testing.B) {
 // globally.
 func BenchmarkUSTORvsLockstepUnderContention(b *testing.B) {
 	const n = 4
-	ring, signers := crypto.NewTestKeyring(n, 1)
-
 	b.Run("ustor", func(b *testing.B) {
-		nw := transport.NewNetwork(n, ustor.NewServer(n))
-		b.Cleanup(nw.Stop)
-		clients := make([]*ustor.Client, n)
-		for i := range clients {
-			clients[i] = ustor.NewClient(i, ring, signers[i], nw.ClientLink(i))
-		}
-		var next int32
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			c := clients[int(atomicAdd(&next, 1))%n]
-			i := 0
-			for pb.Next() {
-				i++
-				if err := c.Write([]byte(fmt.Sprintf("c%d-%d", c.ID(), i))); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
+		_, clients := ustorCluster(b, n)
+		parallelWrites(b, clients)
 	})
 	b.Run("lockstep", func(b *testing.B) {
-		nw := transport.NewNetwork(n, lockstep.NewServer(n))
-		b.Cleanup(nw.Stop)
-		clients := make([]*lockstep.Client, n)
-		for i := range clients {
-			clients[i] = lockstep.NewClient(i, ring, signers[i], nw.ClientLink(i))
-		}
-		var next int32
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			c := clients[int(atomicAdd(&next, 1))%n]
-			i := 0
-			for pb.Next() {
-				i++
-				if err := c.Write([]byte(fmt.Sprintf("c%d-%d", c.ID(), i))); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
+		parallelWrites(b, lockstepClients(b, n))
 	})
 }
 
-// BenchmarkUSTORvsTrusted isolates the price of fail-awareness (E14).
+// BenchmarkUSTORvsTrusted isolates the price of fail-awareness (E14):
+// the trusted baseline without crypto, USTOR, the full FAUST stack and
+// the lock-step baseline.
 func BenchmarkUSTORvsTrusted(b *testing.B) {
 	const n = 2
 	b.Run("trusted-write", func(b *testing.B) {
 		nw := transport.NewNetwork(n, trusted.NewServer(n))
 		b.Cleanup(nw.Stop)
-		c := trusted.NewClient(0, n, nw.ClientLink(0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchWrites(b, trusted.NewClient(0, n, nw.ClientLink(0)))
 	})
 	b.Run("ustor-write", func(b *testing.B) {
 		_, clients := ustorCluster(b, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := clients[0].Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchWrites(b, clients[0])
 	})
 	b.Run("faust-write", func(b *testing.B) {
 		svc := NewTestService(n, 1,
@@ -231,6 +229,9 @@ func BenchmarkUSTORvsTrusted(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("lockstep-write", func(b *testing.B) {
+		benchWrites(b, lockstepClients(b, n)[0])
 	})
 }
 
@@ -261,13 +262,32 @@ func BenchmarkStabilityLatencyOnline(b *testing.B) {
 	}
 }
 
+// faustCluster starts n FAUST clients of server over the in-memory
+// network and hub, and returns them with a function that stops it all.
+func faustCluster(n int, server transport.ServerCore, cfg faustproto.Config) ([]*faustproto.Client, func()) {
+	ring, signers := crypto.NewTestKeyring(n, 1)
+	nw := transport.NewNetwork(n, server)
+	hub := offline.NewHub(n)
+	clients := make([]*faustproto.Client, n)
+	for j := range clients {
+		clients[j] = faustproto.NewClient(j, ring, signers[j], nw.ClientLink(j), hub.Endpoint(j), faustproto.WithConfig(cfg))
+		clients[j].Start()
+	}
+	return clients, func() {
+		for _, c := range clients {
+			c.Stop()
+		}
+		nw.Stop()
+		hub.Stop()
+	}
+}
+
 // BenchmarkStabilityLatencyOffline measures the offline PROBE/VERSION
 // stability path with a crashed server (E13). Each iteration builds a
 // fresh cluster, performs the propagation ops, crashes the server and
 // waits for offline stability.
 func BenchmarkStabilityLatencyOffline(b *testing.B) {
 	const n = 2
-	ring, signers := crypto.NewTestKeyring(n, 1)
 	cfg := faustproto.Config{
 		ProbeTimeout:      30 * time.Millisecond,
 		PollInterval:      10 * time.Millisecond,
@@ -276,14 +296,7 @@ func BenchmarkStabilityLatencyOffline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		core := byzantine.NewCrashServer(n, 3)
-		nw := transport.NewNetwork(n, core)
-		hub := offline.NewHub(n)
-		clients := make([]*faustproto.Client, n)
-		for j := 0; j < n; j++ {
-			clients[j] = faustproto.NewClient(j, ring, signers[j], nw.ClientLink(j), hub.Endpoint(j), faustproto.WithConfig(cfg))
-			clients[j].Start()
-		}
+		clients, stop := faustCluster(n, byzantine.NewCrashServer(n, 3), cfg)
 		ts, err := clients[0].Write([]byte("x"))
 		if err != nil {
 			b.Fatal(err)
@@ -296,147 +309,48 @@ func BenchmarkStabilityLatencyOffline(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		for _, c := range clients {
-			c.Stop()
-		}
-		nw.Stop()
-		hub.Stop()
+		stop()
 		b.StartTimer()
 	}
 }
 
-// BenchmarkDetectionLatency measures the full fork-detection cycle (E11):
-// fork materialized -> all clients failed.
+// BenchmarkDetectionLatency measures the full fork-detection cycle (E11),
+// fork materialized -> all clients failed, as the probe timeout grows;
+// the poll interval is a quarter of it.
 func BenchmarkDetectionLatency(b *testing.B) {
 	const n = 2
-	ring, signers := crypto.NewTestKeyring(n, 1)
-	cfg := faustproto.Config{
-		ProbeTimeout:      20 * time.Millisecond,
-		PollInterval:      5 * time.Millisecond,
-		DisableDummyReads: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw := transport.NewNetwork(n, server)
-		hub := offline.NewHub(n)
-		clients := make([]*faustproto.Client, n)
-		for j := 0; j < n; j++ {
-			clients[j] = faustproto.NewClient(j, ring, signers[j], nw.ClientLink(j), hub.Endpoint(j), faustproto.WithConfig(cfg))
-			clients[j].Start()
-		}
-		if _, err := clients[0].Write([]byte("a")); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := clients[1].Write([]byte("b")); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for _, c := range clients {
-			if err := c.WaitFail(30 * time.Second); err != nil {
-				b.Fatal(err)
+	for _, probe := range []time.Duration{20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
+		b.Run(fmt.Sprintf("probe=%v", probe), func(b *testing.B) {
+			cfg := faustproto.Config{
+				ProbeTimeout:      probe,
+				PollInterval:      probe / 4,
+				DisableDummyReads: true,
 			}
-		}
-		b.StopTimer()
-		for _, c := range clients {
-			c.Stop()
-		}
-		nw.Stop()
-		hub.Stop()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkFig2Collaboration replays the Figure 2 scenario (E2) and
-// verifies the exact stability cut [10 8 3].
-func BenchmarkFig2Collaboration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		svc := NewTestService(3, 1, WithoutDummyReads(),
-			WithProbeTimeout(time.Second), WithPollInterval(250*time.Millisecond))
-		alice, _ := svc.Client(0)
-		bob, _ := svc.Client(1)
-		carlos, _ := svc.Client(2)
-		b.StartTimer()
-
-		for k := 1; k <= 3; k++ {
-			if _, err := alice.Write([]byte(fmt.Sprintf("a%d", k))); err != nil {
-				b.Fatal(err)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				clients, stop := faustCluster(n, server, cfg)
+				if _, err := clients[0].Write([]byte("a")); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := clients[1].Write([]byte("b")); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, c := range clients {
+					if err := c.WaitFail(30 * time.Second); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				stop()
+				b.StartTimer()
 			}
-		}
-		if _, _, err := carlos.Read(0); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := alice.Read(2); err != nil {
-			b.Fatal(err)
-		}
-		for k := 5; k <= 8; k++ {
-			if _, err := alice.Write([]byte(fmt.Sprintf("a%d", k))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, _, err := bob.Read(0); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := alice.Read(1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := alice.Write([]byte("a10")); err != nil {
-			b.Fatal(err)
-		}
-		cut := alice.StableCut()
-		if cut[0] != 10 || cut[1] != 8 || cut[2] != 3 {
-			b.Fatalf("stable_Alice(%v), want [10 8 3]", cut)
-		}
-		b.StopTimer()
-		svc.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkFig3Attack replays the Figure 3 attack (E3) per iteration and
-// verifies USTOR accepts it while the versions fork.
-func BenchmarkFig3Attack(b *testing.B) {
-	const n = 2
-	ring, signers := crypto.NewTestKeyring(n, 1)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		server, err := byzantine.NewForkingServer(n, [][]int{{0}, {1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw := transport.NewNetwork(n, server)
-		c0 := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0))
-		c1 := ustor.NewClient(1, ring, signers[1], nw.ClientLink(1))
-		b.StartTimer()
-
-		if _, err := c0.WriteX(context.Background(), []byte("u")); err != nil {
-			b.Fatal(err)
-		}
-		r1, err := c1.ReadX(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r1.Value != nil {
-			b.Fatal("first read must return bottom")
-		}
-		if err := server.Replay(0, 0, 1); err != nil {
-			b.Fatal(err)
-		}
-		r2, err := c1.ReadX(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if string(r2.Value) != "u" {
-			b.Fatalf("second read = %q", r2.Value)
-		}
-		b.StopTimer()
-		nw.Stop()
-		b.StartTimer()
+		})
 	}
 }
 
@@ -444,33 +358,24 @@ func BenchmarkFig3Attack(b *testing.B) {
 // COMMIT message) against the Section 5 piggyback optimization: identical
 // semantics, half the client->server messages.
 func BenchmarkPiggybackAblation(b *testing.B) {
-	run := func(b *testing.B, piggyback bool) {
+	run := func(b *testing.B, opts ...ustor.ClientOption) {
 		const n = 2
 		ring, signers := crypto.NewTestKeyring(n, 1)
 		nw := transport.NewNetwork(n, ustor.NewServer(n), transport.WithMetrics())
 		b.Cleanup(nw.Stop)
-		var opts []ustor.ClientOption
-		if piggyback {
-			opts = append(opts, ustor.WithCommitPiggyback())
-		}
-		c := ustor.NewClient(0, ring, signers[0], nw.ClientLink(0), opts...)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
+		benchWrites(b, ustor.NewClient(0, ring, signers[0], nw.ClientLink(0), opts...))
 		st := nw.Stats()
 		b.ReportMetric(float64(st.ClientToServerMsgs)/float64(b.N), "msgs-sent/op")
 		b.ReportMetric(float64(st.ClientToServerBytes+st.ServerToClientBytes)/float64(b.N), "bytes/op")
 	}
-	b.Run("separate-commit", func(b *testing.B) { run(b, false) })
-	b.Run("piggyback", func(b *testing.B) { run(b, true) })
+	b.Run("separate-commit", func(b *testing.B) { run(b) })
+	b.Run("piggyback", func(b *testing.B) { run(b, ustor.WithCommitPiggyback()) })
 }
 
 // BenchmarkCryptoPerOp measures the primitives dominating USTOR's cost
-// (E12).
+// (E12). An operation is two Ed25519 signatures by the client (SignPair:
+// one covers SUBMIT+DATA, one COMMIT+PROOF) and one verification per
+// pair root a reply carries that the client has not verified before.
 func BenchmarkCryptoPerOp(b *testing.B) {
 	ring, signers := crypto.NewTestKeyring(2, 1)
 	payload := wire.SubmitPayload(wire.OpWrite, 0, 1, nil)
@@ -495,18 +400,41 @@ func BenchmarkCryptoPerOp(b *testing.B) {
 	})
 }
 
-// BenchmarkSignVerify is the raw Ed25519 measurement used in EXPERIMENTS
-// (E12).
-func BenchmarkSignVerify(b *testing.B) {
-	_, signers := crypto.NewTestKeyring(1, 1)
-	msg := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = signers[0].Sign(crypto.DomainData, msg)
+// TestExperimentTableNamesExist: every benchmark and test that README's
+// experiment table names is defined in a test file of this repository.
+func TestExperimentTableNamesExist(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	_, section, ok := strings.Cut(string(readme), "## The paper's experiments\n")
+	if !ok {
+		t.Fatal(`README has no "The paper's experiments" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	named := regexp.MustCompile(`\b(?:Benchmark|Test)[A-Z]\w*`).FindAllString(section, -1)
+	if len(named) == 0 {
+		t.Fatal("the experiment table names no benchmark or test")
+	}
 
-// atomicAdd spreads RunParallel workers over clients.
-func atomicAdd(p *int32, d int32) int32 {
-	return atomic.AddInt32(p, d) - d
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test)\w+)\(`)
+	defined := make(map[string]bool)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range named {
+		if !defined[name] {
+			t.Errorf("README's experiment table names %s, which no test file defines", name)
+		}
+	}
 }

@@ -140,7 +140,7 @@ func main() {
 	flushInterval := flag.Duration("flush-interval", 2*time.Millisecond, "group-commit: max time a buffered record may wait for a background flush")
 	shardsFile := flag.String("shards", "", "shard manifest file: one '<name> n=<clients> [persist]' per line")
 	shardSpec := flag.String("shard-spec", "", "template for lazily created shards, e.g. 'n=4,persist'; empty = reject undeclared shards")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /events, /debug/vars and /debug/pprof on this address; empty = disabled")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /events, /trace and /debug/pprof on this address; empty = disabled")
 	blobBackends := flag.String("blob-backends", "", "failover blob fleet per shard, e.g. 'dir,dir=mirror,mem,w=2'; empty = single default store")
 	blobFaults := flag.String("blob-faults", "", "fault-inject one fleet backend, e.g. 'backend=0,errs=0.3,latency=2ms,seed=7' (requires -blob-backends)")
 	traceSample := flag.Int("trace-sample", 0, "retain 1 in N traces by head sampling (0 = head sampling off)")

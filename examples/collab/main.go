@@ -4,6 +4,7 @@
 // up exactly stable_Alice([10, 8, 3]) — she is consistent with herself up
 // to her operation with timestamp 10, with Bob up to 8, and with Carlos
 // only up to 3. When Carlos comes back online, everything becomes stable.
+// The program exits non-zero if the cut differs from the paper's.
 //
 // Run with:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"faust"
@@ -89,6 +91,9 @@ func main() {
 	fmt.Printf("  consistent with herself up to t=%d\n", cut[aliceID])
 	fmt.Printf("  consistent with Bob     up to t=%d\n", cut[bobID])
 	fmt.Printf("  consistent with Carlos  up to t=%d (he is asleep)\n", cut[carlosID])
+	if want := (faust.Cut{10, 8, 3}); !slices.Equal(cut, want) {
+		log.Fatalf("stable_Alice(%v), want %v", cut, want)
+	}
 
 	fmt.Println("\n— Carlos wakes up and reads Alice's latest work —")
 	if _, _, err := carlos.Read(aliceID); err != nil {

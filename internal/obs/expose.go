@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"faust/internal/obs/trace"
@@ -27,7 +25,6 @@ import (
 //	/trace          retained traces as Chrome trace_event JSON
 //	                (load in Perfetto or chrome://tracing)
 //	/trace/slowest  the n slowest retained traces as span trees (?n=)
-//	/debug/vars     expvar JSON (the registry publishes itself under "faust")
 //	/debug/pprof/*  the standard runtime profiles
 //
 // Everything is standard library; there is no client dependency to take.
@@ -180,56 +177,9 @@ func promLabelPrefix(labels string) string {
 	return labels[:len(labels)-1] + ","
 }
 
-// exportJSON renders the registry as a JSON object: metric key -> value
-// (counters and gauges as numbers, histograms as {count,sum,max,p50,p99,
-// p999}). This is what the expvar integration publishes.
-func (r *Registry) exportJSON() map[string]any {
-	out := make(map[string]any)
-	for _, m := range r.snapshotMetrics() {
-		key := m.family + m.labels
-		switch m.kind {
-		case kindCounter:
-			out[key] = m.c.Value()
-		case kindGauge:
-			out[key] = m.g.Value()
-		case kindHistogram:
-			s := m.h.Snapshot()
-			hj := map[string]any{
-				"count": s.Count,
-				"sum":   s.Sum,
-				"max":   s.Max,
-				"mean":  s.Mean(),
-				"p50":   s.P50(),
-				"p99":   s.P99(),
-				"p999":  s.P999(),
-			}
-			if e := ExemplarOf(m.h); e != nil {
-				hj["exemplar"] = map[string]any{
-					"trace": e.Trace.String(), "value": e.Value, "at": e.At,
-				}
-			}
-			out[key] = hj
-		}
-	}
-	for _, k := range r.events.Kinds() {
-		out["faust_events_total{kind=\""+string(k)+"\"}"] = r.events.Total(k)
-	}
-	return out
-}
-
-// publishExpvarOnce guards the process-global expvar name. Only the first
-// registry served gets the "faust" expvar slot; expvar panics on duplicate
-// names, and serving two registries from one process is a test-only
-// scenario.
-var publishExpvarOnce sync.Once
-
 // Handler returns the registry's HTTP surface (see the file comment for
 // the routes).
 func (r *Registry) Handler() http.Handler {
-	publishExpvarOnce.Do(func() {
-		expvar.Publish("faust", expvar.Func(func() any { return Default().exportJSON() }))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -296,7 +246,6 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		trace.Default().WriteSlowest(w, n)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -307,7 +256,7 @@ func (r *Registry) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprintf(w, "faust observability endpoint\n\n/metrics\n/events\n/trace\n/trace/slowest\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprintf(w, "faust observability endpoint\n\n/metrics\n/events\n/trace\n/trace/slowest\n/debug/pprof/\n")
 	})
 	return mux
 }

@@ -10,8 +10,8 @@
 // metric handles are resolved once at construction time and touched
 // lock-free afterwards. A process-wide default registry (Default) collects
 // everything the built-in instrumentation emits; cmd/faust-server exposes
-// it over HTTP as Prometheus text exposition, expvar JSON and
-// net/http/pprof (see expose.go).
+// it over HTTP as Prometheus text exposition and net/http/pprof (see
+// expose.go).
 package obs
 
 import (

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"faust/internal/obs/trace"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -266,9 +268,10 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("faust_ops_total", "shard", "beta").Add(5)
 	r.Gauge("faust_conns").Set(2)
 	h := r.Histogram("faust_op_latency_ns", "op", "read")
-	for i := int64(1); i <= 1000; i++ {
+	for i := int64(1); i < 1000; i++ {
 		h.Observe(i * 1000)
 	}
+	h.ObserveExemplarAlways(1000*1000, trace.TraceID{1})
 	r.Events().Record(EventFork, 1, "alpha", "line 36")
 	r.Events().Record(EventFail, 1, "alpha", "")
 
@@ -286,6 +289,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE faust_op_latency_ns histogram",
 		`faust_op_latency_ns_bucket{op="read",le="+Inf"} 1000`,
 		`faust_op_latency_ns_count{op="read"} 1000`,
+		`# EXEMPLAR faust_op_latency_ns{op="read"} trace_id=01000000000000000000000000000000 value=0.001 `,
 		"# TYPE faust_op_latency_ns_p50 gauge",
 		`faust_op_latency_ns_p50{op="read"}`,
 		`faust_op_latency_ns_p999{op="read"}`,
@@ -316,19 +320,5 @@ func TestWritePrometheus(t *testing.T) {
 		if len(strings.Fields(line)) != 2 {
 			t.Fatalf("malformed sample line %q", line)
 		}
-	}
-}
-
-func TestExportJSON(t *testing.T) {
-	r := NewRegistry(0)
-	r.Counter("faust_x_total").Add(2)
-	r.Histogram("faust_y_ns").Observe(100)
-	m := r.exportJSON()
-	if m["faust_x_total"] != int64(2) {
-		t.Fatalf("json counter = %v", m["faust_x_total"])
-	}
-	hy, ok := m["faust_y_ns"].(map[string]any)
-	if !ok || hy["count"] != int64(1) {
-		t.Fatalf("json histogram = %v", m["faust_y_ns"])
 	}
 }

@@ -67,8 +67,8 @@ type Trace struct {
 }
 
 // Process-wide tracing state. Tracing is off until a cmd enables it
-// (faust-server -trace-sample/-trace-slow, faust-client, faust-bench);
-// the library never turns it on by itself.
+// (faust-server -trace-sample/-trace-slow, faust-client); the library
+// never turns it on by itself.
 var (
 	enabled atomic.Bool
 	slowNs  atomic.Int64 // tail retention threshold; <= 0 disables

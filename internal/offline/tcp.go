@@ -19,7 +19,9 @@ import (
 // same time (as long as the sender's queue survives).
 //
 // Framing: 4-byte big-endian length, then a 4-byte sender ID, then the
-// canonical wire encoding.
+// canonical wire encoding. A frame whose sender ID is not a peer, or is
+// this endpoint's own ID, is dropped. The ID of a known peer is taken on
+// trust: the mesh does not authenticate connections.
 type TCPMesh struct {
 	id    int
 	ln    net.Listener
@@ -186,6 +188,9 @@ func (m *TCPMesh) readConn(conn net.Conn) {
 			return
 		}
 		from := int(binary.BigEndian.Uint32(body[:4]))
+		if _, known := m.peers[from]; !known || from == m.id {
+			continue // the protocol indexes per-client state by sender
+		}
 		msg, err := wire.Decode(body[4:])
 		if err != nil {
 			continue // a malformed message carries no information

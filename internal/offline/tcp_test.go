@@ -132,6 +132,37 @@ func TestTCPMeshSelfAndUnknownPeer(t *testing.T) {
 	}
 }
 
+// A frame is dropped unless its sender ID names a peer other than the
+// recipient: FAUST indexes per-client state by sender, so a frame that
+// claims client 99 must not reach a two-client protocol.
+func TestTCPMeshDropsUnknownSender(t *testing.T) {
+	_, m1 := meshPair(t)
+	conn, err := net.Dial("tcp", m1.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	version := &wire.VersionMsg{From: 0, SV: wire.ZeroSignedVersion(2)}
+	for _, from := range []int{99, 1, 0} {
+		if _, err := conn.Write((&TCPMesh{id: from}).frame(version)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg, err := m1.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.From != 0 {
+		t.Fatalf("first message From = %d, want 0", msg.From)
+	}
+	m1.mu.Lock()
+	left := len(m1.inbox)
+	m1.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d more messages reached the inbox", left)
+	}
+}
+
 func TestTCPMeshCloseUnblocksRecv(t *testing.T) {
 	m0, _ := meshPair(t)
 	done := make(chan error, 1)

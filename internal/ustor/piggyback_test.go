@@ -44,21 +44,38 @@ func TestPiggybackBasicFlow(t *testing.T) {
 	}
 }
 
+// TestPiggybackHalvesClientMessages checks E5, the paper's one-round
+// claim: every operation is one server->client message (the REPLY) and
+// two client->server messages (SUBMIT, COMMIT), one with the Section 5
+// piggyback, where the COMMIT rides along with the next SUBMIT.
 func TestPiggybackHalvesClientMessages(t *testing.T) {
-	nw, clients, _ := piggyCluster(t, 1, transport.WithMetrics())
-	const ops = 20
-	for i := 0; i < ops; i++ {
-		if err := clients[0].Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := nw.Stats()
-	// Exactly one client->server message per op: the COMMIT rides along.
-	if st.ClientToServerMsgs != ops {
-		t.Fatalf("client->server msgs = %d, want %d (one per op)", st.ClientToServerMsgs, ops)
-	}
-	if st.ServerToClientMsgs != ops {
-		t.Fatalf("server->client msgs = %d, want %d", st.ServerToClientMsgs, ops)
+	for _, tc := range []struct {
+		name      string
+		opts      []ClientOption
+		sentPerOp int64
+	}{
+		{"separate-commit", nil, 2},
+		{"piggyback", []ClientOption{WithCommitPiggyback()}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ring, signers := crypto.NewTestKeyring(1, 4242)
+			nw := transport.NewNetwork(1, NewServer(1), transport.WithMetrics())
+			t.Cleanup(nw.Stop)
+			c := NewClient(0, ring, signers[0], nw.ClientLink(0), tc.opts...)
+			const ops = 20
+			for i := 0; i < ops; i++ {
+				if err := c.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := nw.Stats()
+			if st.ClientToServerMsgs != tc.sentPerOp*ops {
+				t.Fatalf("client->server msgs = %d, want %d (%d per op)", st.ClientToServerMsgs, tc.sentPerOp*ops, tc.sentPerOp)
+			}
+			if st.ServerToClientMsgs != ops {
+				t.Fatalf("server->client msgs = %d, want %d (one per op)", st.ServerToClientMsgs, ops)
+			}
+		})
 	}
 }
 
