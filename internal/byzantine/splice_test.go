@@ -13,19 +13,29 @@ import (
 	"faust/internal/wire"
 )
 
-// Clients sign in pairs and remember the last pair root they verified
-// per signer, so a reply whose signatures all belong to pairs already
-// seen costs no Ed25519 verification. These tests play a server that
-// exploits exactly that: it lets the reader verify genuine signatures
-// first and then presents them recombined. Every recombination changes
-// the recomputed pair root, so it must fall through to a real
-// verification, fail it, and fire the same line as before pairs existed.
+// Clients sign each SUBMIT as one tree over (sigma, delta, psi of the
+// previous operation) and remember the last tree root they verified per
+// signer, so a reply whose signatures all belong to trees already seen
+// costs no Ed25519 verification. These tests play a server that exploits
+// exactly that: it lets the reader verify genuine signatures first and
+// then presents them recombined. Every recombination changes the
+// recomputed root, so it must fall through to a real verification, fail
+// it, and fire the same line as before signatures shared a tree.
 
-// splice joins the Ed25519 part and position of one pair signature to the
-// sibling leaf of another.
-func splice(edAndPos, sibling []byte) []byte {
-	const cut = crypto.PairSigSize - crypto.HashSize
-	return append(append([]byte(nil), edAndPos[:cut]...), sibling[cut:]...)
+// edAndPath is the length of a tree signature's Ed25519 part and path byte.
+const edAndPath = crypto.PairSigSize - crypto.HashSize
+
+// splice joins the Ed25519 part and path of one tree signature to the
+// siblings of another.
+func splice(edAndPos, siblings []byte) []byte {
+	return append(append([]byte(nil), edAndPos[:edAndPath]...), siblings[edAndPath:]...)
+}
+
+// withPath returns sig with its path byte replaced.
+func withPath(sig []byte, path byte) []byte {
+	out := append([]byte(nil), sig...)
+	out[edAndPath-1] = path
+	return out
 }
 
 // spliceCluster is a reader (client 0) and a writer (client 1, deferring
@@ -81,9 +91,10 @@ func expectLine(t *testing.T, err error, line string) {
 	}
 }
 
-// TestSplicedSubmitPairDetected: the reader has verified (sigma, delta) of
-// the writer's operation m and is now shown operation m'. Whatever mix of
-// the two pairs the server presents for m', lines 43 and 50 still fire.
+// TestSplicedSubmitPairDetected: the reader has verified the SUBMIT tree
+// (sigma, delta, psi) of the writer's operation m and is now shown
+// operation m'. Whatever mix of the two trees the server presents for m',
+// lines 41, 43 and 50 still fire.
 func TestSplicedSubmitPairDetected(t *testing.T) {
 	for name, tc := range map[string]struct {
 		line   string
@@ -110,9 +121,32 @@ func TestSplicedSubmitPairDetected(t *testing.T) {
 		"delta of m' passed off as sigma of m'": {"line 43", func(old, r *wire.Reply) {
 			r.L[0].SubmitSig = r.Mem.DataSig
 		}},
+		"psi from the tree of m against M[1] of m": {"line 41", func(old, r *wire.Reply) {
+			r.P[1] = old.P[1]
+		}},
+		"sigma of m' next to the psi leaf of m": {"line 43", func(old, r *wire.Reply) {
+			r.L[0].SubmitSig = append(r.L[0].SubmitSig[:crypto.PairSigSize:crypto.PairSigSize], old.L[0].SubmitSig[crypto.PairSigSize:]...)
+		}},
+		"psi of m' with the siblings of m": {"line 41", func(old, r *wire.Reply) {
+			r.P[1] = splice(r.P[1], old.P[1])
+		}},
+		"psi passed off as sigma of m'": {"line 43", func(old, r *wire.Reply) {
+			r.L[0].SubmitSig = r.P[1]
+		}},
+		"psi passed off as delta of m'": {"line 50", func(old, r *wire.Reply) {
+			r.Mem.DataSig = r.P[1]
+		}},
+		"sigma of m' re-labelled as the DATA leaf": {"line 50", func(old, r *wire.Reply) {
+			r.Mem.DataSig = withPath(r.L[0].SubmitSig, 1)
+		}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			sc := newSpliceCluster(t)
+			// The writer's first operation has no previous one to prove,
+			// so it signs a pair; m and m' are its second and third.
+			if err := sc.writer.Write([]byte("first value")); err != nil {
+				t.Fatal(err)
+			}
 			if err := sc.writer.Write([]byte("value of m")); err != nil {
 				t.Fatal(err)
 			}
@@ -124,8 +158,9 @@ func TestSplicedSubmitPairDetected(t *testing.T) {
 			}
 			sc.arm(func(seen []*wire.Reply, r *wire.Reply) {
 				old := seen[len(seen)-1]
-				if len(old.L) != 1 || len(r.L) != 1 || len(r.Mem.DataSig) != crypto.PairSigSize {
-					t.Errorf("scenario is stale: |L| = %d then %d, |delta| = %d", len(old.L), len(r.L), len(r.Mem.DataSig))
+				if len(old.L) != 1 || len(r.L) != 1 || len(r.Mem.DataSig) != crypto.TripleSigSize ||
+					len(old.Mem.DataSig) != crypto.TripleSigSize || len(r.P[1]) != crypto.PairSigSize || bytes.Equal(old.P[1], r.P[1]) {
+					t.Errorf("scenario is stale: |L| = %d then %d, |delta| = %d, |psi| = %d", len(old.L), len(r.L), len(r.Mem.DataSig), len(r.P[1]))
 					return
 				}
 				tc.tamper(old, r)
@@ -136,11 +171,12 @@ func TestSplicedSubmitPairDetected(t *testing.T) {
 	}
 }
 
-// TestReplayedProofDetected: the writer is the schedule head, so SVER[c]
-// and P[1] come from one COMMIT and the COMMIT-signature pays for the
-// PROOF-signature. A server that shows the newer version next to the
-// PROOF-signature of an older COMMIT (whole, or recombined with the newer
-// one) gets no credit from either memoized root: line 41 fires.
+// TestReplayedProofDetected: the writer is the schedule head and its
+// latest operation is in L, so P[1] is the PROOF-signature of the
+// operation SVER[c] committed, signed in one tree with the latest
+// operation's sigma. A server that shows the PROOF-signature of an older
+// operation instead (whole, or recombined with the newer one) gets no
+// credit from any memoized root: line 41 fires.
 func TestReplayedProofDetected(t *testing.T) {
 	for name, tamper := range map[string]func(old, r *wire.Reply){
 		"psi of the older COMMIT": func(old, r *wire.Reply) {

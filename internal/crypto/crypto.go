@@ -35,17 +35,24 @@ const (
 	// DomainLSChain is used by the lock-step baseline protocol for
 	// signatures over its global hash chain.
 	DomainLSChain byte = 5
-	// DomainPair tags the root of a two-leaf hash tree signed by SignPair.
-	// No protocol payload is ever signed or verified directly under it.
+	// DomainPair tags the root of a hash tree signed by SignPair or
+	// SignTriple. No protocol payload is ever signed or verified directly
+	// under it.
 	DomainPair byte = 6
 )
 
-// PairSigSize is the size of each signature SignPair returns: the shared
-// Ed25519 signature, the leaf's position (0 left, 1 right) and the
-// sibling leaf.
+// PairSigSize is the size of a signature on a leaf one level below the
+// root of a signed tree: the shared Ed25519 signature, the path byte and
+// the one sibling. Both signatures SignPair returns have it, and so does
+// the third one of SignTriple.
 const PairSigSize = ed25519.SignatureSize + 1 + HashSize
 
-// Leaf and inner-node hashes of the pair tree take different prefixes, so
+// TripleSigSize is the size of a signature on a leaf two levels below the
+// root: the first two signatures SignTriple returns carry their sibling
+// leaf and then the sibling of their parent.
+const TripleSigSize = PairSigSize + HashSize
+
+// Leaf and inner-node hashes of a signed tree take different prefixes, so
 // no leaf preimage can pass for a node preimage or the reverse.
 const (
 	pairLeafTag byte = 0x00
@@ -106,9 +113,6 @@ func HashOrNil(x []byte) []byte {
 	return Hash(x)
 }
 
-// HashValue is a convenience alias of Hash for a single slice.
-func HashValue(x []byte) []byte { return Hash(x) }
-
 // Signer holds a client's private key and can issue signatures in its
 // name. The zero value is unusable; construct via GenerateKeyring or
 // NewTestKeyring.
@@ -135,10 +139,22 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 	return sig
 }
 
+// SignMemo is Sign that also records the signature in memo (when non-nil)
+// as verified for this signer, so checking it later costs one SHA-256 of
+// the payload instead of an Ed25519 verification.
+func (s *Signer) SignMemo(memo *PairMemo, domain byte, payload []byte) []byte {
+	sig := s.Sign(domain, payload)
+	if memo != nil {
+		key := plainKey(domain, payload)
+		memo.set(s.id, &key, sig)
+	}
+	return sig
+}
+
 // SignPair signs two domain-separated payloads with one Ed25519
 // operation. It hashes each into a leaf H(0x00‖domain‖payload), signs
 // DomainPair‖H(0x01‖leafA‖leafB) once, and returns two self-contained
-// PairSigSize-byte signatures edsig‖pos‖siblingLeaf that Keyring.Verify
+// PairSigSize-byte signatures edsig‖path‖siblingLeaf that Keyring.Verify
 // accepts independently for (domA, payloadA) and (domB, payloadB). Both
 // are carved from a single allocation. A non-nil memo records the pair
 // as verified for this signer: whoever signed a root need not check it.
@@ -146,28 +162,66 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 //faustlint:hotpath
 func (s *Signer) SignPair(memo *PairMemo, domA byte, payloadA []byte, domB byte, payloadB []byte) (sigA, sigB []byte) {
 	leafA, leafB := pairLeaf(domA, payloadA), pairLeaf(domB, payloadB)
-	msg := pairMessage(&leafA, &leafB)
-	start := obs.StartTimer()
-	ed := ed25519.Sign(s.key, msg[:])
-	signNs.ObserveSince(start)
-	if memo != nil {
-		memo.set(s.id, &msg, ed)
-	}
+	root := pairNode(&leafA, &leafB)
+	ed := s.signRoot(memo, &root)
 	//faustlint:ignore hotpathalloc the one allocation of a pair: both returned signatures, which escape into messages
 	out := make([]byte, 2*PairSigSize)
 	sigA, sigB = out[:PairSigSize:PairSigSize], out[PairSigSize:]
-	putPairSig(sigA, ed, 0, &leafB)
-	putPairSig(sigB, ed, 1, &leafA)
+	putTreeSig(sigA, &ed, 0, &leafB, nil)
+	putTreeSig(sigB, &ed, 1, &leafA, nil)
 	return sigA, sigB
 }
 
-func putPairSig(dst, ed []byte, pos byte, sibling *[HashSize]byte) {
-	copy(dst, ed)
-	dst[ed25519.SignatureSize] = pos
-	copy(dst[ed25519.SignatureSize+1:], sibling[:])
+// SignTriple signs three domain-separated payloads with one Ed25519
+// operation over the tree node(node(A, B), C), signing
+// DomainPair‖root as SignPair does. A and B get TripleSigSize-byte
+// signatures edsig‖path‖siblingLeaf‖node(...) whose path byte is 0 and
+// 1; C gets a PairSigSize-byte signature with path 1 and sibling
+// node(A, B), which is exactly the shape of a pair signature. All three
+// are carved from a single allocation, and a non-nil memo records the
+// root as SignPair does.
+//
+//faustlint:hotpath
+func (s *Signer) SignTriple(memo *PairMemo, domA byte, payloadA []byte, domB byte, payloadB []byte, domC byte, payloadC []byte) (sigA, sigB, sigC []byte) {
+	leafA, leafB, leafC := pairLeaf(domA, payloadA), pairLeaf(domB, payloadB), pairLeaf(domC, payloadC)
+	ab := pairNode(&leafA, &leafB)
+	root := pairNode(&ab, &leafC)
+	ed := s.signRoot(memo, &root)
+	//faustlint:ignore hotpathalloc the one allocation of a triple: the three returned signatures, which escape into messages
+	out := make([]byte, 2*TripleSigSize+PairSigSize)
+	sigA, sigB, sigC = out[:TripleSigSize:TripleSigSize], out[TripleSigSize:2*TripleSigSize:2*TripleSigSize], out[2*TripleSigSize:]
+	putTreeSig(sigA, &ed, 0, &leafB, &leafC)
+	putTreeSig(sigB, &ed, 1, &leafA, &leafC)
+	putTreeSig(sigC, &ed, 1, &ab, nil)
+	return sigA, sigB, sigC
 }
 
-// pairLeaf returns H(0x00‖domain‖payload), one leaf of a pair tree.
+// signRoot signs DomainPair‖root and records it in memo when non-nil. It
+// returns the signature by value: ed25519.Sign's result then never
+// escapes and stays off the heap.
+func (s *Signer) signRoot(memo *PairMemo, root *[HashSize]byte) (ed [ed25519.SignatureSize]byte) {
+	msg := rootMessage(root)
+	start := obs.StartTimer()
+	copy(ed[:], ed25519.Sign(s.key, msg[:]))
+	signNs.ObserveSince(start)
+	if memo != nil {
+		memo.set(s.id, &msg, ed[:])
+	}
+	return ed
+}
+
+// putTreeSig writes edsig‖path‖sibling‖uncle into dst; uncle is nil for a
+// leaf one level below the root.
+func putTreeSig(dst []byte, ed *[ed25519.SignatureSize]byte, path byte, sibling, uncle *[HashSize]byte) {
+	copy(dst, ed[:])
+	dst[ed25519.SignatureSize] = path
+	copy(dst[ed25519.SignatureSize+1:], sibling[:])
+	if uncle != nil {
+		copy(dst[PairSigSize:], uncle[:])
+	}
+}
+
+// pairLeaf returns H(0x00‖domain‖payload), one leaf of a signed tree.
 func pairLeaf(domain byte, payload []byte) [HashSize]byte {
 	bp := scratchPool.Get().(*[]byte)
 	buf := append((*bp)[:0], pairLeafTag, domain)
@@ -178,27 +232,43 @@ func pairLeaf(domain byte, payload []byte) [HashSize]byte {
 	return leaf
 }
 
-// pairMessage returns DomainPair‖H(0x01‖left‖right): the one string the
-// Ed25519 signature of a pair covers.
-func pairMessage(left, right *[HashSize]byte) (msg [1 + HashSize]byte) {
+// pairNode returns H(0x01‖left‖right), an inner node of a signed tree.
+func pairNode(left, right *[HashSize]byte) [HashSize]byte {
 	var node [1 + 2*HashSize]byte
 	node[0] = pairNodeTag
 	copy(node[1:], left[:])
 	copy(node[1+HashSize:], right[:])
-	root := sha256.Sum256(node[:])
+	return sha256.Sum256(node[:])
+}
+
+// rootMessage returns DomainPair‖root: the one string the Ed25519
+// signature of a tree covers.
+func rootMessage(root *[HashSize]byte) (msg [1 + HashSize]byte) {
 	msg[0] = DomainPair
 	copy(msg[1:], root[:])
 	return msg
 }
 
-// PairMemo remembers the last pair root known to carry a valid Ed25519
-// signature of one signer, so the second half of a pair costs two
-// SHA-256 calls instead of a verification. Verification is a pure
-// function of (public key, message, signature): a hit requires all three
-// to be byte-identical to a call that returned true, with the message
-// recomputed from the payload under test, so a hit is exactly as strong
-// as verifying again. The zero value is an empty memo. A PairMemo is not
-// safe for concurrent use.
+// plainKey is what a memo remembers a plain signature under: its domain
+// (never DomainPair, so it cannot collide with a root message) and the
+// leaf hash of its payload.
+func plainKey(domain byte, payload []byte) (key [1 + HashSize]byte) {
+	leaf := pairLeaf(domain, payload)
+	key[0] = domain
+	copy(key[1:], leaf[:])
+	return key
+}
+
+// PairMemo remembers the last message known to carry a valid Ed25519
+// signature of one signer, so the other leaves of a signed tree cost two
+// or three SHA-256 calls instead of a verification. For a tree the
+// message is DomainPair‖root; a plain signature is remembered under
+// plainKey, its domain and the hash of its payload. Verification is a
+// pure function of (public key, message, signature): a hit requires all
+// three to be byte-identical to a call that returned true, with the
+// message recomputed from the payload under test, so a hit is exactly as
+// strong as verifying again (up to SHA-256 collisions). The zero value
+// is an empty memo. A PairMemo is not safe for concurrent use.
 type PairMemo struct {
 	ok     bool
 	signer int
@@ -226,22 +296,23 @@ type Keyring struct {
 func (k *Keyring) N() int { return len(k.pubs) }
 
 // Verify checks a signature supposedly issued by client i over the given
-// domain-separated payload. Both encodings are accepted, told apart by
+// domain-separated payload. Three encodings are accepted, told apart by
 // length: a 64-byte signature must be Ed25519 over domain‖payload; a
-// PairSigSize-byte one (see SignPair) must be Ed25519 over the pair root
-// recomputed from (domain, payload, pos, sibling). Verify returns false
-// for out-of-range client indices and malformed signatures rather than
-// panicking: in this protocol a bad signature is evidence of misbehavior,
-// not a programming error.
+// PairSigSize- or TripleSigSize-byte one (see SignPair and SignTriple)
+// must be Ed25519 over the tree root recomputed from (domain, payload)
+// and the path it carries. Verify returns false for out-of-range client
+// indices and malformed signatures rather than panicking: in this
+// protocol a bad signature is evidence of misbehavior, not a programming
+// error.
 func (k *Keyring) Verify(i int, sig []byte, domain byte, payload []byte) bool {
 	return k.VerifyMemo(nil, i, sig, domain, payload)
 }
 
-// VerifyMemo is Verify with a memo for pair signatures: a pair signature
-// whose recomputed root and Ed25519 part equal what memo last saw verify
-// for client i is accepted without a second Ed25519 operation, and a
-// pair signature verified for real refreshes memo. Plain signatures and
-// a nil memo always verify for real.
+// VerifyMemo is Verify with a memo: a signature whose recomputed message
+// (tree root, or plainKey for a plain signature) and Ed25519 part equal
+// what memo last saw verify for client i is accepted without a second
+// Ed25519 operation, and a signature verified for real refreshes memo. A
+// nil memo always verifies for real.
 func (k *Keyring) VerifyMemo(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
 	if i < 0 || i >= len(k.pubs) {
 		return false
@@ -251,36 +322,51 @@ func (k *Keyring) VerifyMemo(memo *PairMemo, i int, sig []byte, domain byte, pay
 		if domain == DomainPair {
 			return false // roots are only ever reached through a leaf
 		}
+		var key [1 + HashSize]byte
+		if memo != nil {
+			key = plainKey(domain, payload)
+			if memo.hit(i, &key, sig) {
+				return true
+			}
+		}
 		bp := scratchPool.Get().(*[]byte)
 		msg := append((*bp)[:0], domain)
 		msg = append(msg, payload...)
 		ok := k.verifyEd(i, msg, sig)
 		*bp = msg
 		scratchPool.Put(bp)
+		if ok && memo != nil {
+			memo.set(i, &key, sig)
+		}
 		return ok
-	case PairSigSize:
-		return k.verifyPaired(memo, i, sig, domain, payload)
+	case PairSigSize, TripleSigSize:
+		return k.verifyTree(memo, i, sig, domain, payload)
 	}
 	return false
 }
 
-// verifyPaired is VerifyMemo for a PairSigSize-byte signature of an
-// in-range client.
+// verifyTree is VerifyMemo for the signature of a leaf one or two levels
+// below the root of a signed tree, by an in-range client. It recomputes
+// the root bottom up from the leaf and the siblings; bit l of the path
+// byte says whether the node at level l is a right child, and bits past
+// the last level must be zero.
 //
 //faustlint:hotpath
-func (k *Keyring) verifyPaired(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
-	ed := sig[:ed25519.SignatureSize]
-	leaf := pairLeaf(domain, payload)
-	sibling := (*[HashSize]byte)(sig[ed25519.SignatureSize+1:])
-	var msg [1 + HashSize]byte
-	switch sig[ed25519.SignatureSize] {
-	case 0:
-		msg = pairMessage(&leaf, sibling)
-	case 1:
-		msg = pairMessage(sibling, &leaf)
-	default:
+func (k *Keyring) verifyTree(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
+	ed, path, siblings := sig[:ed25519.SignatureSize], sig[ed25519.SignatureSize], sig[ed25519.SignatureSize+1:]
+	if path>>(len(siblings)/HashSize) != 0 {
 		return false
 	}
+	node := pairLeaf(domain, payload)
+	for ; len(siblings) > 0; siblings, path = siblings[HashSize:], path>>1 {
+		sibling := (*[HashSize]byte)(siblings)
+		if path&1 == 0 {
+			node = pairNode(&node, sibling)
+		} else {
+			node = pairNode(sibling, &node)
+		}
+	}
+	msg := rootMessage(&node)
 	if memo != nil && memo.hit(i, &msg, ed) {
 		return true
 	}

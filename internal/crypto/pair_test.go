@@ -3,18 +3,24 @@ package crypto
 import (
 	"bytes"
 	"crypto/ed25519"
+	"fmt"
 	"testing"
 
 	"faust/internal/obs"
 )
 
 var (
-	pairA = []byte("submit payload")
-	pairB = []byte("data payload")
+	pairA   = []byte("submit payload")
+	pairB   = []byte("data payload")
+	tripleC = []byte("proof payload")
 )
 
 func signTestPair(s *Signer) (sigA, sigB []byte) {
 	return s.SignPair(nil, DomainSubmit, pairA, DomainData, pairB)
+}
+
+func signTestTriple(s *Signer) (sigA, sigB, sigC []byte) {
+	return s.SignTriple(nil, DomainSubmit, pairA, DomainData, pairB, DomainProof, tripleC)
 }
 
 func edOps() (signs, verifies int64) {
@@ -91,7 +97,8 @@ func TestVerifyPairedRejects(t *testing.T) {
 	// signature's Ed25519 part in disguise: the root is reachable only
 	// through a leaf.
 	leafA, leafB := pairLeaf(DomainSubmit, pairA), pairLeaf(DomainData, pairB)
-	msg := pairMessage(&leafA, &leafB)
+	root := pairNode(&leafA, &leafB)
+	msg := rootMessage(&root)
 	if !ed25519.Verify(ring.pubs[0], msg[:], ed) {
 		t.Fatal("test is stale: the pair message is not what SignPair signs")
 	}
@@ -135,14 +142,133 @@ func TestPairMemo(t *testing.T) {
 	check("new pair", true, 1, 0, sigC, DomainCommit, pairA)
 	check("evicted pair", true, 1, 0, sigA, DomainSubmit, pairA)
 
-	// Signing fills the memo; plain signatures never touch it.
+	// Signing fills the memo.
 	var own PairMemo
 	sigA, sigB = signers[1].SignPair(&own, DomainSubmit, pairA, DomainData, pairB)
 	m = own
 	check("own first half", true, 0, 1, sigA, DomainSubmit, pairA)
 	check("own second half", true, 0, 1, sigB, DomainData, pairB)
-	check("plain", true, 1, 1, signers[1].Sign(DomainData, pairB), DomainData, pairB)
-	check("own pair after a plain verification", true, 0, 1, sigB, DomainData, pairB)
+
+	// A plain signature is remembered under its domain and payload hash:
+	// the same bytes over the same payload are free, anything else is
+	// verified for real. It takes the memo's one entry like a pair does.
+	plain := signers[1].Sign(DomainCommit, pairA)
+	check("plain", true, 1, 1, plain, DomainCommit, pairA)
+	check("plain again", true, 0, 1, plain, DomainCommit, pairA)
+	check("plain over another payload", false, 1, 1, plain, DomainCommit, pairB)
+	check("plain under another domain", false, 1, 1, plain, DomainProof, pairA)
+	check("plain of client 1 asked about client 0", false, 1, 0, plain, DomainCommit, pairA)
+	badPlain := append([]byte(nil), plain...)
+	badPlain[3] ^= 1
+	check("same payload, other plain signature bytes", false, 1, 1, badPlain, DomainCommit, pairA)
+	check("plain after failures", true, 0, 1, plain, DomainCommit, pairA)
+	check("own pair evicted by the plain signature", true, 1, 1, sigB, DomainData, pairB)
+	check("plain evicted by the pair", true, 1, 1, plain, DomainCommit, pairA)
+
+	// SignMemo fills the memo with a plain signature.
+	var ownPlain PairMemo
+	plain = signers[1].SignMemo(&ownPlain, DomainCommit, pairB)
+	m = ownPlain
+	check("own plain", true, 0, 1, plain, DomainCommit, pairB)
+	check("own plain over another payload", false, 1, 1, plain, DomainCommit, pairA)
+}
+
+func TestSignTripleAllLeavesVerify(t *testing.T) {
+	ring, signers := NewTestKeyring(2, 8)
+	s0, _ := edOps()
+	sigA, sigB, sigC := signTestTriple(signers[1])
+	if s1, _ := edOps(); s1-s0 != 1 {
+		t.Fatalf("SignTriple did %d Ed25519 signs, want 1", s1-s0)
+	}
+	if len(sigA) != TripleSigSize || len(sigB) != TripleSigSize || len(sigC) != PairSigSize {
+		t.Fatalf("triple signature sizes %d/%d/%d, want %d/%d/%d", len(sigA), len(sigB), len(sigC), TripleSigSize, TripleSigSize, PairSigSize)
+	}
+	if !bytes.Equal(sigA[:ed25519.SignatureSize], sigC[:ed25519.SignatureSize]) || !bytes.Equal(sigB[:ed25519.SignatureSize], sigC[:ed25519.SignatureSize]) {
+		t.Fatal("the three leaves carry different Ed25519 signatures")
+	}
+	if !ring.Verify(1, sigA, DomainSubmit, pairA) || !ring.Verify(1, sigB, DomainData, pairB) || !ring.Verify(1, sigC, DomainProof, tripleC) {
+		t.Fatal("a leaf of a triple does not verify on its own")
+	}
+	if ring.Verify(0, sigC, DomainProof, tripleC) {
+		t.Fatal("triple signature verified under another client's key")
+	}
+	if cap(sigA) != TripleSigSize || cap(sigB) != TripleSigSize {
+		t.Fatalf("cap(sigA) = %d, cap(sigB) = %d: an append would overwrite the next leaf", cap(sigA), cap(sigB))
+	}
+}
+
+// TestVerifyTripleRejects: a leaf of a three-leaf tree shown at another
+// position, under another domain, over another payload or with another
+// tree's path fails, without panicking.
+func TestVerifyTripleRejects(t *testing.T) {
+	ring, signers := NewTestKeyring(1, 9)
+	sigA, sigB, sigC := signTestTriple(signers[0])
+	pairSigA, _ := signers[0].SignPair(nil, DomainSubmit, pairA, DomainData, pairB)
+	otherA, _, otherC := signers[0].SignTriple(nil, DomainSubmit, pairA, DomainData, pairB, DomainProof, pairA)
+	withPath := func(sig []byte, path byte) []byte {
+		m := append([]byte(nil), sig...)
+		m[ed25519.SignatureSize] = path
+		return m
+	}
+	reject := func(name string, sig []byte, domain byte, payload []byte) {
+		t.Helper()
+		if ring.Verify(0, sig, domain, payload) {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for path := byte(2); path < 8; path++ {
+		reject(fmt.Sprintf("sigma with path %d", path), withPath(sigA, path), DomainSubmit, pairA)
+	}
+	reject("psi with path 0", withPath(sigC, 0), DomainProof, tripleC)
+	reject("psi with path 2", withPath(sigC, 2), DomainProof, tripleC)
+	reject("sigma re-labelled as the DATA leaf", withPath(sigA, 1), DomainData, pairB)
+	reject("sigma shown as a DATA leaf", sigA, DomainData, pairB)
+	reject("delta shown as a SUBMIT leaf", sigB, DomainSubmit, pairA)
+	reject("psi shown as a SUBMIT leaf", sigC, DomainSubmit, pairA)
+	reject("psi shown as a DATA leaf", sigC, DomainData, pairB)
+	reject("psi over another payload", sigC, DomainProof, pairA)
+	reject("sigma cut to a pair signature", sigA[:PairSigSize], DomainSubmit, pairA)
+	reject("sigma of a pair with the uncle of a triple", append(append([]byte(nil), pairSigA...), sigA[PairSigSize:]...), DomainSubmit, pairA)
+	reject("psi with the Ed25519 part of another tree", append(append([]byte(nil), otherC[:ed25519.SignatureSize]...), sigC[ed25519.SignatureSize:]...), DomainProof, tripleC)
+	reject("sigma with the Ed25519 part of another tree", append(append([]byte(nil), sigA[:ed25519.SignatureSize]...), otherA[ed25519.SignatureSize:]...), DomainSubmit, pairA)
+}
+
+// TestTripleMemo: one real verification of any leaf pays for the other
+// two; a leaf of another tree does not hit.
+func TestTripleMemo(t *testing.T) {
+	ring, signers := NewTestKeyring(1, 10)
+	sigA, sigB, sigC := signTestTriple(signers[0])
+	_, _, otherC := signers[0].SignTriple(nil, DomainSubmit, pairA, DomainData, pairB, DomainProof, pairA)
+	var m PairMemo
+	for _, tc := range []struct {
+		name    string
+		want    bool
+		wantOps int64
+		sig     []byte
+		domain  byte
+		payload []byte
+	}{
+		{"psi first", true, 1, sigC, DomainProof, tripleC},
+		{"sigma", true, 0, sigA, DomainSubmit, pairA},
+		{"delta", true, 0, sigB, DomainData, pairB},
+		{"psi of another tree over another payload", true, 1, otherC, DomainProof, pairA},
+		{"psi of another tree over this payload", false, 1, otherC, DomainProof, tripleC},
+		{"sigma after the other tree", true, 1, sigA, DomainSubmit, pairA},
+	} {
+		_, v0 := edOps()
+		got := ring.VerifyMemo(&m, 0, tc.sig, tc.domain, tc.payload)
+		_, v1 := edOps()
+		if got != tc.want || v1-v0 != tc.wantOps {
+			t.Errorf("%s: verified=%v with %d Ed25519 ops, want %v with %d", tc.name, got, v1-v0, tc.want, tc.wantOps)
+		}
+	}
+	var own PairMemo
+	sigA, sigB, sigC = signers[0].SignTriple(&own, DomainSubmit, pairA, DomainData, pairB, DomainProof, tripleC)
+	_, v0 := edOps()
+	ok := ring.VerifyMemo(&own, 0, sigA, DomainSubmit, pairA) && ring.VerifyMemo(&own, 0, sigB, DomainData, pairB) && ring.VerifyMemo(&own, 0, sigC, DomainProof, tripleC)
+	if _, v1 := edOps(); !ok || v1 != v0 {
+		t.Errorf("own triple: verified=%v with %d Ed25519 ops, want true with 0", ok, v1-v0)
+	}
 }
 
 func TestVerifyBatchAcceptsPairSignatures(t *testing.T) {
@@ -174,21 +300,35 @@ func TestAllocBudgetSignPair(t *testing.T) {
 	if pair > one+1 {
 		t.Fatalf("SignPair allocates %.0f objects, one Sign %.0f: budget is one more", pair, one)
 	}
+	triple := testing.AllocsPerRun(200, func() {
+		pairSink, _, _ = signers[0].SignTriple(&memo, DomainSubmit, pairA, DomainData, pairB, DomainProof, tripleC)
+	})
+	if triple > one+1 {
+		t.Fatalf("SignTriple allocates %.0f objects, one Sign %.0f: budget is one more", triple, one)
+	}
 }
 
-// TestAllocBudgetVerifyPaired: checking a pair signature allocates
-// nothing, on a memo hit or on a real verification.
+// TestAllocBudgetVerifyPaired: checking a pair or triple signature, or a
+// plain one, allocates nothing, on a memo hit or on a real verification.
 func TestAllocBudgetVerifyPaired(t *testing.T) {
 	ring, signers := NewTestKeyring(1, 6)
 	sigA, sigB := signTestPair(signers[0])
+	tA, tB, tC := signTestTriple(signers[0])
+	plain := signers[0].Sign(DomainCommit, pairA)
 	var memo PairMemo
 	for name, m := range map[string]*PairMemo{"memo": &memo, "real": nil} {
 		if got := testing.AllocsPerRun(200, func() {
 			if !ring.VerifyMemo(m, 0, sigA, DomainSubmit, pairA) || !ring.VerifyMemo(m, 0, sigB, DomainData, pairB) {
 				t.Fatal("valid pair rejected")
 			}
+			if !ring.VerifyMemo(m, 0, tC, DomainProof, tripleC) || !ring.VerifyMemo(m, 0, tA, DomainSubmit, pairA) || !ring.VerifyMemo(m, 0, tB, DomainData, pairB) {
+				t.Fatal("valid triple rejected")
+			}
+			if !ring.VerifyMemo(m, 0, plain, DomainCommit, pairA) {
+				t.Fatal("valid plain signature rejected")
+			}
 		}); got != 0 {
-			t.Errorf("%s: verifying a pair allocates %.0f objects, want 0", name, got)
+			t.Errorf("%s: verifying allocates %.0f objects, want 0", name, got)
 		}
 	}
 }
@@ -198,6 +338,7 @@ func TestAllocBudgetVerifyPaired(t *testing.T) {
 func FuzzVerify(f *testing.F) {
 	ring, signers := NewTestKeyring(2, 7)
 	sigA, sigB := signTestPair(signers[0])
+	tA, tB, tC := signTestTriple(signers[0])
 	plain := signers[0].Sign(DomainCommit, pairA)
 	signed := func(i int, domain byte, payload []byte) bool {
 		if i != 0 {
@@ -205,7 +346,8 @@ func FuzzVerify(f *testing.F) {
 		}
 		return domain == DomainSubmit && bytes.Equal(payload, pairA) ||
 			domain == DomainData && bytes.Equal(payload, pairB) ||
-			domain == DomainCommit && bytes.Equal(payload, pairA)
+			domain == DomainCommit && bytes.Equal(payload, pairA) ||
+			domain == DomainProof && bytes.Equal(payload, tripleC)
 	}
 	f.Add(0, sigA, DomainSubmit, pairA)
 	f.Add(0, sigB, DomainData, pairB)
@@ -213,6 +355,12 @@ func FuzzVerify(f *testing.F) {
 	f.Add(0, plain, DomainCommit, pairA)
 	f.Add(1, sigA, DomainSubmit, pairA)
 	f.Add(0, sigA[:ed25519.SignatureSize], DomainPair, pairA)
+	f.Add(0, tA, DomainSubmit, pairA)
+	f.Add(0, tB, DomainData, pairB)
+	f.Add(0, tC, DomainProof, tripleC)
+	f.Add(0, tA, DomainData, pairB)
+	f.Add(0, tC, DomainSubmit, pairA)
+	f.Add(0, append(append([]byte(nil), tA[:ed25519.SignatureSize]...), append([]byte{3}, tA[ed25519.SignatureSize+1:]...)...), DomainSubmit, pairA)
 	f.Add(-1, []byte{}, byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, i int, sig []byte, domain byte, payload []byte) {
 		var memo PairMemo

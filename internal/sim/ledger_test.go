@@ -28,22 +28,22 @@ func (r ledgerRow) String() string {
 // ledger is the table TestCryptoLedger pins. A change to what an
 // operation signs or verifies shows up as a diff of these rows.
 var ledger = []ledgerRow{
-	{2, false, 1, 12, 24, 16},  // 2.00 signs, 1.33 verifies per op
-	{2, false, 2, 12, 24, 10},  // 2.00 signs, 0.83 verifies per op
+	{2, false, 1, 12, 24, 13},  // 2.00 signs, 1.08 verifies per op
+	{2, false, 2, 12, 24, 9},   // 2.00 signs, 0.75 verifies per op
 	{2, false, 3, 12, 24, 12},  // 2.00 signs, 1.00 verifies per op
 	{2, false, 4, 12, 24, 11},  // 2.00 signs, 0.92 verifies per op
-	{2, true, 1, 12, 24, 17},   // 2.00 signs, 1.42 verifies per op
-	{2, true, 2, 12, 24, 15},   // 2.00 signs, 1.25 verifies per op
-	{2, true, 3, 12, 24, 12},   // 2.00 signs, 1.00 verifies per op
-	{2, true, 4, 12, 24, 15},   // 2.00 signs, 1.25 verifies per op
-	{8, false, 1, 48, 96, 251}, // 2.00 signs, 5.23 verifies per op
-	{8, false, 2, 48, 96, 227}, // 2.00 signs, 4.73 verifies per op
-	{8, false, 3, 48, 96, 207}, // 2.00 signs, 4.31 verifies per op
-	{8, false, 4, 48, 96, 186}, // 2.00 signs, 3.88 verifies per op
-	{8, true, 1, 48, 96, 297},  // 2.00 signs, 6.19 verifies per op
-	{8, true, 2, 48, 96, 267},  // 2.00 signs, 5.56 verifies per op
-	{8, true, 3, 48, 96, 319},  // 2.00 signs, 6.65 verifies per op
-	{8, true, 4, 48, 96, 383},  // 2.00 signs, 7.98 verifies per op
+	{2, true, 1, 12, 24, 15},   // 2.00 signs, 1.25 verifies per op
+	{2, true, 2, 12, 24, 14},   // 2.00 signs, 1.17 verifies per op
+	{2, true, 3, 12, 24, 11},   // 2.00 signs, 0.92 verifies per op
+	{2, true, 4, 12, 24, 12},   // 2.00 signs, 1.00 verifies per op
+	{8, false, 1, 48, 96, 179}, // 2.00 signs, 3.73 verifies per op
+	{8, false, 2, 48, 96, 165}, // 2.00 signs, 3.44 verifies per op
+	{8, false, 3, 48, 96, 151}, // 2.00 signs, 3.15 verifies per op
+	{8, false, 4, 48, 96, 145}, // 2.00 signs, 3.02 verifies per op
+	{8, true, 1, 48, 96, 204},  // 2.00 signs, 4.25 verifies per op
+	{8, true, 2, 48, 96, 190},  // 2.00 signs, 3.96 verifies per op
+	{8, true, 3, 48, 96, 212},  // 2.00 signs, 4.42 verifies per op
+	{8, true, 4, 48, 96, 245},  // 2.00 signs, 5.10 verifies per op
 }
 
 // ledgerOps is the number of user operations per client in a ledger run.

@@ -94,16 +94,17 @@ type Client struct {
 	// across operations (guarded by mu). They keep the steady-state
 	// operation path free of per-call allocations; everything that escapes
 	// into a message or result is still freshly allocated or cloned.
-	// payloadB holds the second payload of a pair being signed; readHash
+	// payloadB holds the DATA payload of a SUBMIT being signed; readHash
 	// the hash of a value being read (hash backs xbar and must survive).
 	payload, payloadB []byte
 	hash, readHash    []byte
 
-	// memo[k] remembers, per pair kind, the last pair root of client k
-	// known to carry k's valid signature (see crypto.PairMemo). Clients
-	// sign in pairs — (SUBMIT, DATA) and (COMMIT, PROOF) — so whichever
-	// half a reply shows first pays the Ed25519 verification for both,
-	// and the client's own roots enter at signing time.
+	// memo[k] remembers, per signing point, the last message of client k
+	// known to carry k's valid signature (see crypto.PairMemo). A SUBMIT
+	// signs one tree over (SUBMIT, DATA) and the PROOF of k's previous
+	// operation, so whichever of the three a reply shows first pays the
+	// Ed25519 verification for all; a COMMIT signs the COMMIT-signature
+	// alone. The client's own signatures enter at signing time.
 	memo []pairMemos
 }
 
@@ -278,7 +279,7 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 		c.hash = crypto.HashInto(c.hash[:0], x)
 		c.xbar = c.hash
 	}
-	sigma, delta := c.signSubmit(wire.OpWrite, c.id, t, tc)
+	sigma, delta, psi := c.signSubmit(wire.OpWrite, c.id, t, tc)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -287,6 +288,7 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 		Value:     x,
 		DataSig:   delta,
 		Piggyback: c.takePending(),
+		ProofSig:  psi,
 	}
 	_, hrpc := trace.Child(ctx, spanRPC)
 	//faustlint:ignore lockheldio c.mu is the USTOR session lock; Algorithm 1 serializes a client's own SUBMIT..COMMIT round, and wait-freedom is across clients, not within one
@@ -338,7 +340,7 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 
 	_, hs := trace.Child(ctx, spanSign)
 	t := c.ver.V[c.id] + 1
-	sigma, delta := c.signSubmit(wire.OpRead, j, t, tc)
+	sigma, delta, psi := c.signSubmit(wire.OpRead, j, t, tc)
 	hs.End()
 
 	submit := &wire.Submit{
@@ -346,6 +348,7 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 		Inv:       wire.Invocation{Client: c.id, Op: wire.OpRead, Reg: j, SubmitSig: sigma, Trace: tc},
 		DataSig:   delta,
 		Piggyback: c.takePending(),
+		ProofSig:  psi,
 	}
 	_, hrpc := trace.Child(ctx, spanRPC)
 	//faustlint:ignore lockheldio c.mu is the USTOR session lock; Algorithm 1 serializes a client's own SUBMIT..COMMIT round, and wait-freedom is across clients, not within one
@@ -380,20 +383,29 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 	}, nil
 }
 
-// signSubmit produces the SUBMIT-signature on (op, reg, t) and the
-// DATA-signature on (t, xbar) of the operation being submitted, as one
-// pair.
-func (c *Client) signSubmit(op wire.OpCode, reg int, t int64, tc *wire.TraceCtx) (sigma, delta []byte) {
+// signSubmit produces, with one Ed25519 signature, the SUBMIT-signature
+// on (op, reg, t) and the DATA-signature on (t, xbar) of the operation
+// being submitted and the PROOF-signature psi on M[i] of the client's
+// previous operation, which completed when its COMMIT was signed. The
+// first operation has no previous one: it signs the pair alone and psi
+// is nil.
+func (c *Client) signSubmit(op wire.OpCode, reg int, t int64, tc *wire.TraceCtx) (sigma, delta, psi []byte) {
 	c.payload = wire.AppendSubmitPayload(c.payload[:0], op, reg, t, tc)
 	c.payloadB = wire.AppendDataPayload(c.payloadB[:0], t, c.xbar)
-	return c.signer.SignPair(&c.memo[c.id].submit, crypto.DomainSubmit, c.payload, crypto.DomainData, c.payloadB)
+	memo := &c.memo[c.id].submit
+	if c.ver.M[c.id] == nil {
+		sigma, delta = c.signer.SignPair(memo, crypto.DomainSubmit, c.payload, crypto.DomainData, c.payloadB)
+		return sigma, delta, nil
+	}
+	return c.signer.SignTriple(memo, crypto.DomainSubmit, c.payload, crypto.DomainData, c.payloadB,
+		crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 }
 
 // verify checks client k's signature over a domain-separated payload
-// through k's memo for the pair that domain is signed in.
+// through k's memo for the signing point that domain belongs to.
 func (c *Client) verify(k int, sig []byte, domain byte, payload []byte) bool {
 	m := &c.memo[k].submit
-	if domain == crypto.DomainCommit || domain == crypto.DomainProof {
+	if domain == crypto.DomainCommit {
 		m = &c.memo[k].commit
 	}
 	return c.ring.VerifyMemo(m, k, sig, domain, payload)
@@ -479,7 +491,12 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 	for _, inv := range r.L {
 		k := inv.Client
 		// Line 41: the previous operation of C_k must be committed and
-		// covered by the PROOF-signature the server presents.
+		// covered by the PROOF-signature the server presents. C_k signed
+		// that psi in one tree with the sigma of this very operation and
+		// sent it in this operation's SUBMIT, so verifying it here pays
+		// for the line 43 check below through the memo. It still proves
+		// what line 41 asks: C_k signs psi on M[k] only after completing
+		// the operation with that digest.
 		if c.ver.M[k] != nil {
 			if !c.verify(k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
 				return c.fail("PROOF-signature for concurrent operation invalid (line 41)")
@@ -552,19 +569,19 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
 // it immediately or defers it to the next SUBMIT (piggyback mode). It
-// returns the signed version for the caller.
+// returns the signed version for the caller. The COMMIT carries phi
+// alone: psi on the new M[i] travels with the next SUBMIT (signSubmit).
 func (c *Client) commit() (wire.SignedVersion, error) {
-	// Memoizing the own root at signing time is what makes the next
+	// Memoizing the own phi at signing time is what makes the next
 	// reply's SVER[c] check free in the common uncontended case.
 	c.payload = wire.AppendCommitPayload(c.payload[:0], c.ver)
-	phi, psi := c.signer.SignPair(&c.memo[c.id].commit,
-		crypto.DomainCommit, c.payload, crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
+	phi := c.signer.SignMemo(&c.memo[c.id].commit, crypto.DomainCommit, c.payload)
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received
 	// versions without writing through them, and the FAUST layer clones on
 	// retention), while c.ver itself keeps mutating in later operations.
 	sv := c.ver.Clone()
-	msg := &wire.Commit{Ver: sv, CommitSig: phi, ProofSig: psi}
+	msg := &wire.Commit{Ver: sv, CommitSig: phi}
 	if c.piggyback {
 		c.pending = msg
 	} else if err := c.getLink().Send(msg); err != nil {

@@ -19,11 +19,12 @@ func edOps() (signs, verifies int64) {
 }
 
 // TestEd25519OpsPerOperation pins what an operation costs in private- and
-// public-key operations. Every operation signs exactly twice — the
-// (SUBMIT, DATA) pair and the (COMMIT, PROOF) pair — and verifies once
-// per pair of another client it has not seen before: whichever half of a
-// pair a reply shows first pays for both, the client's own pairs are
-// free.
+// public-key operations. Every operation signs exactly twice: one tree
+// over (SUBMIT, DATA, PROOF of the previous operation) and the COMMIT
+// alone. It verifies once per tree of another client it has not seen
+// before, whichever leaf a reply shows first, and once per COMMIT
+// signature of another client it has not seen before; the client's own
+// signatures are free.
 func TestEd25519OpsPerOperation(t *testing.T) {
 	ring, signers := crypto.NewTestKeyring(2, 1234)
 	nw := transport.NewNetwork(2, NewServer(2))
@@ -69,22 +70,29 @@ func TestEd25519OpsPerOperation(t *testing.T) {
 	step("the same register again: delta_1 unchanged", 0, read(c0, 1, "one"))
 
 	// c1's second write delivers the COMMIT of its first, which c0 has
-	// overtaken: c stays 0, SVER[1] = phi_1 and P[1] = psi_1 of that COMMIT.
+	// overtaken: c stays 0 and SVER[1] = phi_1 of that COMMIT. P[1] =
+	// psi_1 of the same operation came in the SUBMIT, in one tree with
+	// the second write's sigma_1 and delta_1.
 	step("peer write: SVER[c] carries a newer phi_0", 1, write(c1, "two"))
-	step("psi_1 in P and a new sigma_1 in L", 2, write(c0, "mine"))
-	step("psi_1 paid for phi_1 in SVER[1], sigma_1 for delta_1", 0, read(c0, 1, "two"))
+	// Was 2 while psi_1 shared a root with phi_1: the line 41 check now
+	// pays for the line 43 check of the same operation.
+	step("psi_1 in P pays for the new sigma_1 in L", 1, write(c0, "mine"))
+	// Was 0 while phi_1 shared a root with psi_1: phi_1 is signed alone,
+	// so the line 49 check pays for it unless line 35 already saw it.
+	step("phi_1 in SVER[1] is new; sigma_1 paid for delta_1", 1, read(c0, 1, "two"))
 
 	// Two more writes of c1 with c0 idle make c1 the schedule head: SVER[c]
-	// = phi_1 and P[1] = psi_1 of one COMMIT, L = [c1's latest write].
+	// = phi_1 of its third write, L = [c1's fourth write] and P[1] = psi_1
+	// of the third, from the fourth's SUBMIT.
 	step("peer write: SVER[c] carries a newer phi_0", 1, write(c1, "three"))
 	step("peer write: SVER[c] is its own COMMIT", 0, write(c1, "four"))
-	step("phi_1 in SVER[c] pays for psi_1 in P; sigma_1 in L is new", 2, write(c0, "mine"))
-	step("all four of c1's signatures seen", 0, read(c0, 1, "four"))
-	step("own pairs and c1's sit in separate memos", 0, read(c0, 0, "mine"))
+	step("phi_1 in SVER[c] is new; psi_1 in P pays for sigma_1 in L", 2, write(c0, "mine"))
+	step("all of c1's signatures seen", 0, read(c0, 1, "four"))
+	step("own signatures and c1's sit in separate memos", 0, read(c0, 0, "mine"))
 	step("so neither evicts the other", 0, read(c0, 1, "four"))
 }
 
-// TestOwnReadStillDetectsTampering: a memo hit needs the pair root
+// TestOwnReadStillDetectsTampering: a memo hit needs the tree root
 // recomputed from the payload under test to equal the memoized one, so a
 // server that returns the client's GENUINE just-produced DATA-signature
 // next to a different value or timestamp gets no benefit from it — the

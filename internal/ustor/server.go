@@ -40,8 +40,10 @@ import (
 //     and existing entries are never mutated in place. A commit that
 //     truncates L installs a freshly allocated slice, leaving every view
 //     handed out earlier intact.
-//   - P is an immutable array: a commit installs a new [][]byte with the
-//     one entry replaced rather than writing through the old one.
+//   - P is an immutable array: a SUBMIT carrying a PROOF-signature (or a
+//     COMMIT from an old log that carries one) installs a new [][]byte
+//     with the one entry replaced rather than writing through the old
+//     one.
 //   - SVER entries and MEM entries are replaced wholesale; the versions
 //     and signatures they reference come from received messages, which
 //     are immutable once handed to the server.
@@ -95,9 +97,14 @@ func (s *Server) N() int { return s.n }
 // never in its REPLY), appends the new invocation tuple, and assembles the
 // REPLY from the copy-on-write snapshot outside the critical section —
 // HandleSubmit holds the mutex only for a few pointer-sized writes and is
-// O(1) allocation regardless of n. A piggybacked COMMIT (Section 5
-// optimization) is processed first, exactly as if it had arrived as its
-// own message.
+// O(1) allocation regardless of n, plus the one copy of P when the
+// SUBMIT carries the PROOF-signature of the client's previous operation,
+// which becomes P[from]. A piggybacked COMMIT (Section 5 optimization) is
+// processed first, exactly as if it had arrived as its own message.
+//
+// Keeping P[from] from the SUBMIT rather than the COMMIT departs from
+// Algorithm 2 (line 121). A reply shows P[k] only to vouch for k's
+// operation in L, and that operation's SUBMIT is the one that set it.
 func (s *Server) HandleSubmit(ctx context.Context, from int, m *wire.Submit) *wire.Reply {
 	_, span := trace.Child(ctx, "apply")
 	defer span.End()
@@ -128,6 +135,9 @@ func (s *Server) HandleSubmit(ctx context.Context, from int, m *wire.Submit) *wi
 		mem = s.mem[j]
 	} else {
 		s.mem[from] = wire.MemEntry{T: m.T, Value: m.Value, DataSig: m.DataSig}
+	}
+	if m.ProofSig != nil {
+		s.setProof(from, m.ProofSig)
 	}
 	c = s.c
 	cver = s.sver[c]
@@ -160,6 +170,9 @@ func (s *Server) HandleSubmit(ctx context.Context, from int, m *wire.Submit) *wi
 // HandleCommit implements Algorithm 2 lines 117-123. When the committed
 // version exceeds the current maximum, the committer becomes the new
 // schedule head and its tuple — plus all earlier tuples — leave L.
+// Clients send the PROOF-signature with their next SUBMIT instead, so
+// P[from] changes here only for a COMMIT that still carries one: a
+// record of a log written before that change.
 func (s *Server) HandleCommit(_ context.Context, from int, m *wire.Commit) {
 	if from < 0 || from >= s.n {
 		return
@@ -181,12 +194,19 @@ func (s *Server) HandleCommit(_ context.Context, from int, m *wire.Commit) {
 	// The message is immutable once received, so its version and signatures
 	// can be adopted without cloning.
 	s.sver[from] = wire.SignedVersion{Committer: from, Ver: m.Ver, Sig: m.CommitSig}
-	// COW: replies alias P, so replace the array instead of writing through.
+	if m.ProofSig != nil {
+		s.setProof(from, m.ProofSig)
+	}
+	s.gen++
+}
+
+// setProof installs psi as P[from]. Replies alias P, so it replaces the
+// array instead of writing through. Caller holds s.mu.
+func (s *Server) setProof(from int, psi []byte) {
 	newP := make([][]byte, s.n)
 	copy(newP, s.p)
-	newP[from] = m.ProofSig
+	newP[from] = psi
 	s.p = newP
-	s.gen++
 }
 
 // ExportState serializes the server's complete state (MEM, c, SVER, L, P)

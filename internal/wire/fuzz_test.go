@@ -28,6 +28,8 @@ func seedMessages() []wire.Message {
 		&wire.Submit{T: 7, Inv: inv, Value: []byte("value"), DataSig: []byte("delta")},
 		&wire.Submit{T: 8, Inv: inv, Value: nil, DataSig: []byte("delta"), Piggyback: commit},
 		&wire.Submit{T: 9, Inv: tinv, Value: []byte("traced"), DataSig: []byte("delta")},
+		&wire.Submit{T: 10, Inv: inv, Value: []byte("value"), DataSig: []byte("delta"), ProofSig: []byte("psi")},
+		&wire.Submit{T: 11, Inv: tinv, DataSig: []byte("delta"), Piggyback: &wire.Commit{Ver: ver, CommitSig: []byte("phi")}, ProofSig: []byte{}},
 		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{inv}, P: [][]byte{[]byte("p")}},
 		&wire.Reply{IsRead: false, C: 2, CVer: sv, L: []wire.Invocation{tinv}, Trace: tc},
 		&wire.Reply{IsRead: true, C: 2, CVer: sv, JVer: sv,
@@ -71,6 +73,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0x00})
 	f.Add(wire.Encode(&wire.Probe{From: 1})[:3])
 	f.Add(append(wire.Encode(&wire.Probe{From: 1}), 0x00))
+	// A SUBMIT's last byte is its flags byte when nothing optional
+	// follows: an unknown flag, and the proof flag with nothing after it.
+	for _, flags := range []byte{4, 2} {
+		bad := wire.Encode(&wire.Submit{T: 1, DataSig: []byte("delta")})
+		bad[len(bad)-1] = flags
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wire.Decode(data)

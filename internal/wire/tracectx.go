@@ -10,9 +10,9 @@ package wire
 // traces its clients chose to keep.
 //
 // The field is optional everywhere it appears (Invocation, Reply and
-// the four blob messages) and encodes with the same presence-bool
-// discipline as Submit.Piggyback: one strictly-validated 0/1 byte
-// followed, when present, by a fixed-width body. Fixed width plus the
+// the four blob messages) and encodes behind a presence bool: one
+// strictly-validated 0/1 byte followed, when present, by a fixed-width
+// body. Fixed width plus the
 // strict bool keeps the codec canonical — there is exactly one byte
 // string for every decoded value, which FuzzWireDecode pins.
 //

@@ -150,7 +150,22 @@ type Submit struct {
 	// SUBMIT message of the next operation"). The server processes it
 	// before the submit, preserving FIFO semantics.
 	Piggyback *Commit
+	// ProofSig is the PROOF-signature psi on M[i] of the client's
+	// previous operation, signed in one tree with this operation's sigma
+	// and delta; nil on a client's first operation. The server stores it
+	// as P[i] (Algorithm 2 keeps P[i] from the COMMIT instead). A flags
+	// byte says which of Piggyback and ProofSig follow, so a SUBMIT
+	// without ProofSig encodes as it did when that byte was the piggyback
+	// bool.
+	ProofSig []byte
 }
+
+// Submit flags: the optional sections that follow a SUBMIT's fixed
+// fields, in this order.
+const (
+	submitPiggyback byte = 1 << iota
+	submitProof
+)
 
 // Reply is the REPLY message of Algorithm 2 (lines 111 and 114). For
 // write operations JVer and Mem are absent (IsRead == false). Trace
@@ -205,7 +220,11 @@ func (rp *Reply) Clone() *Reply {
 type Commit struct {
 	Ver       version.Version
 	CommitSig []byte // phi on the version
-	ProofSig  []byte // psi on M[i]
+	// ProofSig is psi on M[i]. Clients now send it with their next
+	// SUBMIT (Submit.ProofSig) and leave it nil here; a non-nil one comes
+	// from a log written before that change, and the server still keeps
+	// it as P[i].
+	ProofSig []byte
 }
 
 // Probe is FAUST's offline PROBE message.
@@ -540,9 +559,19 @@ func (s *Submit) encodeBody(buf []byte) []byte {
 	buf = appendInvocation(buf, s.Inv)
 	buf = appendBytes(buf, s.Value)
 	buf = appendBytes(buf, s.DataSig)
-	buf = appendBool(buf, s.Piggyback != nil)
+	var flags byte
+	if s.Piggyback != nil {
+		flags |= submitPiggyback
+	}
+	if s.ProofSig != nil {
+		flags |= submitProof
+	}
+	buf = appendU8(buf, flags)
 	if s.Piggyback != nil {
 		buf = s.Piggyback.encodeBody(buf)
+	}
+	if s.ProofSig != nil {
+		buf = appendBytes(buf, s.ProofSig)
 	}
 	return buf
 }
@@ -659,12 +688,22 @@ func Decode(data []byte) (Message, error) {
 		s.Inv = r.invocation()
 		s.Value = r.value()
 		s.DataSig = r.bytes()
-		if r.bool() {
+		flags := r.u8()
+		if flags&^(submitPiggyback|submitProof) != 0 {
+			r.fail()
+		}
+		if flags&submitPiggyback != 0 {
 			c := &Commit{}
 			c.Ver = r.version()
 			c.CommitSig = r.bytes()
 			c.ProofSig = r.bytes()
 			s.Piggyback = c
+		}
+		if flags&submitProof != 0 {
+			// A set flag with the nil sentinel would re-encode without it.
+			if s.ProofSig = r.bytes(); s.ProofSig == nil {
+				r.fail()
+			}
 		}
 		m = s
 	case KindReply:
