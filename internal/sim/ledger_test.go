@@ -46,6 +46,20 @@ var ledger = []ledgerRow{
 	{8, true, 4, 48, 96, 245},  // 2.00 signs, 5.10 verifies per op
 }
 
+// faustLedger is ledger for FAUST clients, piggyback off: their USTOR
+// operations plus the dummy reads, VERSION and evidence checks of the
+// failure detector.
+var faustLedger = []ledgerRow{
+	{2, false, 1, 12, 124, 82},   // 10.33 signs, 6.83 verifies per op
+	{2, false, 2, 12, 48, 28},    // 4.00 signs, 2.33 verifies per op
+	{2, false, 3, 12, 284, 210},  // 23.67 signs, 17.50 verifies per op
+	{2, false, 4, 12, 52, 39},    // 4.33 signs, 3.25 verifies per op
+	{8, false, 1, 48, 754, 2664}, // 15.71 signs, 55.50 verifies per op
+	{8, false, 2, 48, 426, 1348}, // 8.88 signs, 28.08 verifies per op
+	{8, false, 3, 48, 822, 2934}, // 17.12 signs, 61.12 verifies per op
+	{8, false, 4, 48, 968, 3484}, // 20.17 signs, 72.58 verifies per op
+}
+
 // ledgerOps is the number of user operations per client in a ledger run.
 const ledgerOps = 6
 
@@ -56,38 +70,49 @@ func edOps() (signs, verifies int64) {
 	return r.Histogram("faust_ed25519_sign_ns").Snapshot().Count, r.Histogram("faust_ed25519_verify_ns").Snapshot().Count
 }
 
-// TestCryptoLedger runs honest USTOR configurations and checks the real
-// Ed25519 signatures and verifications per completed operation against
-// ledger. The counters are process-wide, so this test must never run in
-// parallel with another. A failure prints the row the run produced.
+// TestCryptoLedger runs honest USTOR and FAUST configurations and checks
+// the real Ed25519 signatures and verifications per completed operation
+// against ledger and faustLedger. The counters are process-wide, so this
+// test must never run in parallel with another. A failure prints the
+// rows the runs produced.
 func TestCryptoLedger(t *testing.T) {
-	var got []ledgerRow
+	run := func(cfg Config) ledgerRow {
+		s0, v0 := edOps()
+		r := Run(cfg)
+		s1, v1 := edOps()
+		if err := check(cfg, r); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		return ledgerRow{cfg.N, cfg.Piggyback, cfg.Seed, len(r.History.Complete().Ops), s1 - s0, v1 - v0}
+	}
+	var got, gotFaust []ledgerRow
 	for _, n := range []int{2, 8} {
 		for _, piggyback := range []bool{false, true} {
 			for seed := int64(1); seed <= 4; seed++ {
-				cfg := Config{N: n, Ops: ledgerOps, Seed: seed, Piggyback: piggyback}
-				s0, v0 := edOps()
-				r := Run(cfg)
-				s1, v1 := edOps()
-				if err := check(cfg, r); err != nil {
-					t.Fatalf("n=%d piggyback=%v seed=%d: %v", n, piggyback, seed, err)
-				}
-				got = append(got, ledgerRow{n, piggyback, seed, len(r.History.Complete().Ops), s1 - s0, v1 - v0})
+				got = append(got, run(Config{N: n, Ops: ledgerOps, Seed: seed, Piggyback: piggyback}))
 			}
 		}
+		for seed := int64(1); seed <= 4; seed++ {
+			gotFaust = append(gotFaust, run(Config{N: n, Ops: ledgerOps, Seed: seed, Faust: true}))
+		}
 	}
-	if fmt.Sprint(got) == fmt.Sprint(ledger) {
+	compareLedger(t, "ledger", got, ledger)
+	compareLedger(t, "faustLedger", gotFaust, faustLedger)
+}
+
+// compareLedger reports every row of got that differs from want.
+func compareLedger(t *testing.T, name string, got, want []ledgerRow) {
+	t.Helper()
+	if fmt.Sprint(got) == fmt.Sprint(want) {
 		return
 	}
 	for i, g := range got {
-		if i >= len(ledger) || g != ledger[i] {
-			t.Errorf("row %d: got %v", i, g)
+		if i >= len(want) || g != want[i] {
+			t.Errorf("%s row %d: got %v", name, i, g)
 		}
 	}
-	if t.Failed() {
-		t.Log("the runs' ledger:")
-		for _, g := range got {
-			t.Logf("\t%v", g)
-		}
+	t.Logf("the runs' %s:", name)
+	for _, g := range got {
+		t.Logf("\t%v", g)
 	}
 }
