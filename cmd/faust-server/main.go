@@ -12,11 +12,10 @@
 // # Batched dispatch
 //
 // Each shard dispatcher drains its inbox in arrival-order batches of up
-// to -max-batch messages: SUBMIT signatures verify in parallel across
-// -verify-workers goroutines (with -verify), ops apply in order, the WAL
-// syncs once per batch, and replies coalesce into one framed write per
-// connection. A batch of one runs the same body; -max-batch 1 makes
-// every batch one.
+// to transport.DefaultMaxBatch messages: SUBMIT signatures verify in
+// parallel across GOMAXPROCS goroutines (with -verify), ops apply in
+// order, the WAL syncs once per batch, and replies coalesce into one
+// framed write per connection. A batch of one runs the same body.
 //
 // Example:
 //
@@ -145,9 +144,7 @@ func main() {
 	blobFaults := flag.String("blob-faults", "", "fault-inject one fleet backend, e.g. 'backend=0,errs=0.3,latency=2ms,seed=7' (requires -blob-backends)")
 	traceSample := flag.Int("trace-sample", 0, "retain 1 in N traces by head sampling (0 = head sampling off)")
 	traceSlow := flag.Duration("trace-slow", 0, "always retain traces at least this slow (tail sampling; 0 = off)")
-	maxBatch := flag.Int("max-batch", transport.DefaultMaxBatch, "max messages a shard dispatcher drains per batch (1 = unbatched)")
 	verify := flag.Bool("verify", false, "verify SUBMIT signatures at the dispatcher (admission hygiene; keys derived from -seed)")
-	verifyWorkers := flag.Int("verify-workers", 0, "goroutines for parallel batch signature verification (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 42, "deterministic demo key seed for -verify (must match the clients' -seed)")
 	flag.Parse()
 
@@ -226,7 +223,6 @@ func main() {
 		BlobFaults:   faultPlan,
 	}
 	if *verify {
-		crypto.SetVerifyWorkers(*verifyWorkers)
 		opts.VerifyKeyring = func(name string, n int) *crypto.Keyring {
 			// Same derivation as faust-client: seed + group size. Every
 			// shard with the same n shares the demo key set.
@@ -274,7 +270,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("faust-server: listen: %v", err)
 	}
-	srv := transport.ServeTCPSharded(ln, router, transport.WithTCPMaxBatch(*maxBatch))
+	srv := transport.ServeTCPSharded(ln, router)
 	fmt.Printf("faust-server: serving %d registers on %s (default shard)\n", defInfo.N, ln.Addr())
 	if declared := router.DeclaredShards(); len(declared) > 1 {
 		fmt.Printf("faust-server: declared shards: %v\n", declared)
@@ -282,11 +278,8 @@ func main() {
 	if def != nil {
 		fmt.Printf("faust-server: lazy shard creation enabled (n=%d, persist=%v)\n", def.N, def.Persist)
 	}
-	if *maxBatch != 1 {
-		fmt.Printf("faust-server: batched dispatch on (max-batch=%d)\n", *maxBatch)
-	}
 	if *verify {
-		fmt.Printf("faust-server: SUBMIT signature verification on (seed=%d, workers=%d)\n", *seed, crypto.VerifyWorkers())
+		fmt.Printf("faust-server: SUBMIT signature verification on (seed=%d)\n", *seed)
 	}
 	fmt.Println("faust-server: this process is the UNTRUSTED party; clients verify everything")
 

@@ -16,16 +16,19 @@ import (
 // hygiene (shedding forged traffic before it pollutes the operation log)
 // and, more importantly for throughput, it can verify a whole dispatch
 // batch at once: Ed25519 verifies are embarrassingly parallel, so a batch
-// drained from the inbox fans out across a bounded worker pool while the
-// single-writer apply stage stays sequential.
+// drained from the inbox fans out across a worker pool GOMAXPROCS wide
+// while the single-writer apply stage stays sequential. The pool is
+// shared process-wide by every dispatcher, matching the "one server, many
+// shards" deployment: parallelism is bounded by cores, not by tenant
+// count.
 //
 // VerifyBatch reports per-job results rather than a single verdict: one
 // forged signature must reject only its own operation, never the batch.
 
 // Batch-verification volume: how often the dispatcher verified a drained
 // batch at all, and how often the batch was wide enough to fan out across
-// the worker pool (a batch of one, or a single-worker configuration,
-// verifies inline on the dispatcher goroutine).
+// the worker pool (a batch of one, or GOMAXPROCS 1, verifies inline on
+// the dispatcher goroutine).
 var (
 	vmBatches  = obs.Default().Counter("faust_verify_batch_total")
 	vmParallel = obs.Default().Counter("faust_verify_parallel_total")
@@ -49,28 +52,6 @@ type VerifyJob struct {
 	Sig     []byte
 	Payload []byte
 	OK      bool
-}
-
-// verifyWorkersCfg is the configured pool width; 0 means GOMAXPROCS.
-var verifyWorkersCfg atomic.Int64
-
-// SetVerifyWorkers bounds the verification worker pool. n <= 0 restores
-// the default (GOMAXPROCS at call time). The pool is shared process-wide
-// by every dispatcher, matching the "one server, many shards" deployment:
-// parallelism is bounded by cores, not by tenant count.
-func SetVerifyWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	verifyWorkersCfg.Store(int64(n))
-}
-
-// VerifyWorkers reports the effective pool width.
-func VerifyWorkers() int {
-	if n := verifyWorkersCfg.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // verifyTask carries one batch through the pool. Workers (and the
@@ -107,7 +88,7 @@ func verifyOne(j *VerifyJob) {
 var verifyQueue = make(chan *verifyTask, 64)
 
 // liveWorkers counts started pool goroutines. Workers are spawned lazily
-// up to the configured width and then parked on verifyQueue forever —
+// up to GOMAXPROCS and then parked on verifyQueue forever —
 // idle workers cost one blocked goroutine each, and single-CPU or
 // verification-free deployments never start any.
 var liveWorkers atomic.Int64
@@ -129,9 +110,10 @@ func ensureWorkers(n int) {
 }
 
 // VerifyBatch checks every job and sets its OK field. Batches of one (or
-// a pool bounded to a single worker) verify inline on the caller's
-// goroutine — one ed25519.Verify and no synchronization. Wider batches fan out: the caller participates too, so
-// the batch completes even when every pool worker is busy elsewhere.
+// GOMAXPROCS 1) verify inline on the caller's goroutine — one
+// ed25519.Verify and no synchronization. Wider batches fan out: the
+// caller participates too, so the batch completes even when every pool
+// worker is busy elsewhere.
 //
 //faustlint:hotpath
 func VerifyBatch(jobs []VerifyJob) {
@@ -140,7 +122,7 @@ func VerifyBatch(jobs []VerifyJob) {
 		return
 	}
 	vmBatches.Inc()
-	w := VerifyWorkers()
+	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n
 	}

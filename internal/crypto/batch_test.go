@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -22,11 +23,15 @@ func buildJobs(t *testing.T, ring *Keyring, signers []*Signer, count int, forged
 	return jobs
 }
 
+// The verification pool is GOMAXPROCS wide; the tests below set it and
+// restore the old value.
+
 func TestVerifyBatchMatchesVerify(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ring, signers := NewTestKeyring(4, 7)
 	forged := map[int]bool{3: true, 10: true}
-	for _, workers := range []int{0, 1, 2, 8} {
-		SetVerifyWorkers(workers)
+	for _, workers := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(workers)
 		for _, count := range []int{1, 2, 5, 17, 64} {
 			jobs := buildJobs(t, ring, signers, count, forged)
 			VerifyBatch(jobs)
@@ -41,12 +46,10 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 			}
 		}
 	}
-	SetVerifyWorkers(0)
 }
 
 func TestVerifyBatchEdgeJobs(t *testing.T) {
-	SetVerifyWorkers(4)
-	defer SetVerifyWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ring, signers := NewTestKeyring(2, 9)
 	payload := []byte("edge")
 	sig := signers[0].Sign(DomainSubmit, payload)
@@ -71,8 +74,7 @@ func TestVerifyBatchEdgeJobs(t *testing.T) {
 // TestVerifyBatchConcurrent exercises the shared pool from many
 // dispatchers at once; run with -race.
 func TestVerifyBatchConcurrent(t *testing.T) {
-	SetVerifyWorkers(4)
-	defer SetVerifyWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ring, signers := NewTestKeyring(3, 11)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

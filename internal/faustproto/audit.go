@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"faust/internal/crypto"
+	"faust/internal/ustor"
 	"faust/internal/version"
 	"faust/internal/wire"
 )
@@ -29,11 +30,8 @@ func Audit(ring *crypto.Keyring, versions []wire.SignedVersion) AuditReport {
 		if sv.Ver.IsZero() {
 			continue
 		}
-		if sv.Committer < 0 || sv.Committer >= ring.N() {
-			return AuditReport{Reason: fmt.Sprintf("version %d names invalid committer %d", i, sv.Committer)}
-		}
-		if !ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Ver)) {
-			return AuditReport{Reason: fmt.Sprintf("version %d carries an invalid COMMIT-signature", i)}
+		if !ustor.VerifyVersion(ring, nil, sv) {
+			return AuditReport{Reason: fmt.Sprintf("version %d (committer %d) carries no valid COMMIT-signature", i, sv.Committer)}
 		}
 		valid = append(valid, sv)
 	}

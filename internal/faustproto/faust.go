@@ -241,6 +241,13 @@ func (c *Client) Read(j int) ([]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	c.integrateRead(j, res)
+	return res.Value, res.Timestamp, nil
+}
+
+// integrateRead folds a completed read of register j into VER: the
+// operation's own version and, for a written register, the writer's.
+func (c *Client) integrateRead(j int, res ustor.ReadResult) {
 	c.integrateVersion(c.id, res.Version)
 	if !res.WriterVersion.Ver.IsZero() {
 		sv := res.WriterVersion.Clone()
@@ -249,7 +256,6 @@ func (c *Client) Read(j int) ([]byte, int64, error) {
 		sv.Committer = j
 		c.integrateVersion(j, sv)
 	}
-	return res.Value, res.Timestamp, nil
 }
 
 // StableCut returns a copy of the current stability cut W. An operation
@@ -281,26 +287,25 @@ func (c *Client) Failed() (bool, error) {
 func (c *Client) IsStable(t int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, wj := range c.w {
-		if wj < t {
-			return false
-		}
-	}
-	return true
+	return c.stable(t)
 }
 
 // WaitStable blocks until the operation with timestamp t is stable w.r.t.
 // all clients, the client fails (returning the failure), or the timeout
 // elapses.
 func (c *Client) WaitStable(t int64, timeout time.Duration) error {
-	return c.waitCut(timeout, func() bool {
-		for _, wj := range c.w {
-			if wj < t {
-				return false
-			}
+	return c.waitCut(timeout, func() bool { return c.stable(t) })
+}
+
+// stable reports whether the cut covers timestamp t for every client.
+// Caller holds c.mu.
+func (c *Client) stable(t int64) bool {
+	for _, wj := range c.w {
+		if wj < t {
+			return false
 		}
-		return true
-	})
+	}
+	return true
 }
 
 // WaitStableFor blocks until the operation with timestamp t is stable
@@ -486,20 +491,14 @@ func (c *Client) handleProbe(from int) {
 	_ = c.ep.Send(from, &wire.VersionMsg{From: c.id, SV: sv})
 }
 
+// handleVersion integrates a VERSION message whose version verifies. An
+// unverifiable one carries no information and leaves VER, the cut and
+// the sender's silence timer as they were; the initial version carries
+// none either, but refreshes the timer: the peer is alive.
 func (c *Client) handleVersion(from int, m *wire.VersionMsg) {
-	sv := m.SV
-	if sv.Ver.IsZero() {
-		// Nothing to learn, but the peer is alive: refresh its timer.
-		c.integrateVersion(from, wire.ZeroSignedVersion(c.n))
-		return
+	if m.SV.Ver.IsZero() || ustor.VerifyVersion(c.ring, c.us, m.SV) {
+		c.integrateVersion(from, m.SV)
 	}
-	if sv.Committer < 0 || sv.Committer >= c.n {
-		return // malformed; honest clients never send this
-	}
-	if !c.ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Ver)) {
-		return // unverifiable version carries no information
-	}
-	c.integrateVersion(from, sv)
 }
 
 func (c *Client) handleFailure(m *wire.Failure) {
@@ -507,11 +506,8 @@ func (c *Client) handleFailure(m *wire.Failure) {
 		// Evidence is verifiable: two validly signed, incomparable
 		// versions prove server misbehavior regardless of the sender.
 		a, b := m.EvidenceA, m.EvidenceB
-		okA := a.Committer >= 0 && a.Committer < c.n &&
-			c.ring.Verify(a.Committer, a.Sig, crypto.DomainCommit, wire.CommitPayload(a.Ver))
-		okB := b.Committer >= 0 && b.Committer < c.n &&
-			c.ring.Verify(b.Committer, b.Sig, crypto.DomainCommit, wire.CommitPayload(b.Ver))
-		if !okA || !okB || version.Comparable(a.Ver, b.Ver) {
+		if !ustor.VerifyVersion(c.ring, c.us, a) || !ustor.VerifyVersion(c.ring, c.us, b) ||
+			version.Comparable(a.Ver, b.Ver) {
 			return // bogus evidence; ignore
 		}
 		c.events.Record(obs.EventFork, c.id, "",
@@ -554,12 +550,7 @@ func (c *Client) dummyReadLoop(ticker *clock.Ticker) {
 			// mean shutdown. Either way this loop is done.
 			return
 		}
-		c.integrateVersion(c.id, res.Version)
-		if !res.WriterVersion.Ver.IsZero() {
-			sv := res.WriterVersion.Clone()
-			sv.Committer = reg
-			c.integrateVersion(reg, sv)
-		}
+		c.integrateRead(reg, res)
 	}
 }
 

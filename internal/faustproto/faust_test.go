@@ -219,8 +219,20 @@ func TestBogusFailureEvidenceIgnored(t *testing.T) {
 		EvidenceA:   wire.SignedVersion{Committer: 0, Ver: mkVer(2, 1, 0), Sig: []byte("junk")},
 		EvidenceB:   wire.SignedVersion{Committer: 1, Ver: mkVer(2, 0, 1), Sig: []byte("junk")},
 	}
-	if err := cl.hub.Endpoint(1).Send(0, bogus); err != nil {
-		t.Fatal(err)
+	// An unsigned initial version of another dimension is incomparable
+	// with everything, so it must not pass as half of a fork proof.
+	_, signers := crypto.NewTestKeyring(2, 42) // same seed as newCluster
+	verB := mkVer(2, 0, 1)
+	unsigned := &wire.Failure{
+		From:        1,
+		HasEvidence: true,
+		EvidenceA:   wire.SignedVersion{Committer: 0, Ver: version.New(1)},
+		EvidenceB:   wire.SignedVersion{Committer: 1, Ver: verB, Sig: signers[1].Sign(crypto.DomainCommit, wire.CommitPayload(verB))},
+	}
+	for _, m := range []*wire.Failure{bogus, unsigned} {
+		if err := cl.hub.Endpoint(1).Send(0, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c0.WaitFail(300 * time.Millisecond); err == nil {
 		t.Fatal("client failed on unverifiable evidence")
@@ -413,4 +425,73 @@ func mkVer(n int, ts ...int64) version.Version {
 		}
 	}
 	return v
+}
+
+// TestVersionCheckRejectsUnverifiable: a VERSION message whose version
+// does not verify carries no information. A forged phi, an out-of-range
+// committer and another client's phi each leave VER[max], the stability
+// cut and the sender's silence timer (which drives the next probe) as
+// they were; the genuine version then moves all three.
+func TestVersionCheckRejectsUnverifiable(t *testing.T) {
+	_, signers := crypto.NewTestKeyring(2, 42) // same seed as newCluster
+	clk := clock.NewFake()
+	cl := newCluster(t, 2, nil, fastConfig(false), WithClock(clk))
+	c0, c1 := cl.clients[0], cl.clients[1] // not started: the test delivers VERSIONs itself
+	ts, err := c0.Write([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c1.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	genuine := c1.MaxVersion() // phi_1 on a version that covers ts
+	if genuine.Committer != 1 || genuine.Ver.V[0] != ts {
+		t.Fatalf("client 1's version %v (committer %d) does not cover timestamp %d", genuine.Ver, genuine.Committer, ts)
+	}
+	lastUpd := func() time.Time {
+		c0.mu.Lock()
+		defer c0.mu.Unlock()
+		return c0.lastUpd[1]
+	}
+
+	forgedSig := genuine.Clone()
+	forgedSig.Sig[0] ^= 1
+	outOfRange := genuine.Clone()
+	outOfRange.Committer = 2
+	othersPhi := genuine.Clone()
+	othersPhi.Sig = signers[0].Sign(crypto.DomainCommit, wire.CommitPayload(genuine.Ver))
+	for _, tc := range []struct {
+		name string
+		sv   wire.SignedVersion
+	}{
+		{"forged phi", forgedSig},
+		{"committer out of range", outOfRange},
+		{"another client's phi", othersPhi},
+	} {
+		name, sv := tc.name, tc.sv
+		clk.Advance(time.Millisecond)
+		maxBefore, cutBefore, updBefore := c0.MaxVersion(), c0.StableCut(), lastUpd()
+		c0.handleVersion(1, &wire.VersionMsg{From: 1, SV: sv})
+		if got := c0.MaxVersion(); fmt.Sprint(got) != fmt.Sprint(maxBefore) {
+			t.Errorf("%s: VER[max] moved from %v to %v", name, maxBefore.Ver, got.Ver)
+		}
+		if got := c0.StableCut(); fmt.Sprint(got) != fmt.Sprint(cutBefore) {
+			t.Errorf("%s: cut moved from %v to %v", name, cutBefore, got)
+		}
+		if got := lastUpd(); !got.Equal(updBefore) {
+			t.Errorf("%s: silence timer of client 1 refreshed", name)
+		}
+	}
+
+	clk.Advance(time.Millisecond)
+	c0.handleVersion(1, &wire.VersionMsg{From: 1, SV: genuine})
+	if got := c0.MaxVersion(); got.Committer != 1 || !got.Ver.Equal(genuine.Ver) {
+		t.Errorf("genuine VERSION: VER[max] is %v (committer %d), want %v", got.Ver, got.Committer, genuine.Ver)
+	}
+	if got := c0.StableCut(); got[1] < ts {
+		t.Errorf("genuine VERSION: cut %v leaves timestamp %d unstable w.r.t. client 1", got, ts)
+	}
+	if !lastUpd().Equal(clk.Now()) {
+		t.Error("genuine VERSION: silence timer of client 1 not refreshed")
+	}
 }

@@ -50,14 +50,14 @@ var ledger = []ledgerRow{
 // operations plus the dummy reads, VERSION and evidence checks of the
 // failure detector.
 var faustLedger = []ledgerRow{
-	{2, false, 1, 12, 124, 82},   // 10.33 signs, 6.83 verifies per op
-	{2, false, 2, 12, 48, 28},    // 4.00 signs, 2.33 verifies per op
-	{2, false, 3, 12, 284, 210},  // 23.67 signs, 17.50 verifies per op
-	{2, false, 4, 12, 52, 39},    // 4.33 signs, 3.25 verifies per op
-	{8, false, 1, 48, 754, 2664}, // 15.71 signs, 55.50 verifies per op
-	{8, false, 2, 48, 426, 1348}, // 8.88 signs, 28.08 verifies per op
-	{8, false, 3, 48, 822, 2934}, // 17.12 signs, 61.12 verifies per op
-	{8, false, 4, 48, 968, 3484}, // 20.17 signs, 72.58 verifies per op
+	{2, false, 1, 12, 124, 77},   // 10.33 signs, 6.42 verifies per op
+	{2, false, 2, 12, 48, 26},    // 4.00 signs, 2.17 verifies per op
+	{2, false, 3, 12, 284, 182},  // 23.67 signs, 15.17 verifies per op
+	{2, false, 4, 12, 52, 35},    // 4.33 signs, 2.92 verifies per op
+	{8, false, 1, 48, 754, 2371}, // 15.71 signs, 49.40 verifies per op
+	{8, false, 2, 48, 426, 1225}, // 8.88 signs, 25.52 verifies per op
+	{8, false, 3, 48, 822, 2572}, // 17.12 signs, 53.58 verifies per op
+	{8, false, 4, 48, 968, 3101}, // 20.17 signs, 64.60 verifies per op
 }
 
 // ledgerOps is the number of user operations per client in a ledger run.

@@ -158,13 +158,6 @@ func StaticShards(shards map[string]ServerCore) ShardResolver { return staticSha
 // TCPOption configures a TCPServer.
 type TCPOption func(*TCPServer)
 
-// WithTCPMaxBatch caps how many queued envelopes a dispatcher drains per
-// batch (default DefaultMaxBatch); 1 makes every batch one. Wired to the
-// faust-server -max-batch flag.
-func WithTCPMaxBatch(n int) TCPOption {
-	return func(s *TCPServer) { s.maxBatch = n }
-}
-
 // WithVerifyKeyring arms server-side SUBMIT-signature verification with
 // one ring for every shard; a resolver's Shard.Ring overrides it per
 // shard. Admission hygiene only: the protocol's guarantees remain
@@ -257,7 +250,6 @@ func (rt *shardRT) deliver(to int, msgs []wire.Message) error {
 type TCPServer struct {
 	resolver ShardResolver
 	ln       net.Listener
-	maxBatch int
 	ring     *crypto.Keyring // server-wide verification fallback
 
 	mu        sync.Mutex
@@ -421,7 +413,7 @@ func (s *TCPServer) runtimeFor(name string, sh Shard) (*shardRT, error) {
 	}
 	rt.hub.deliver = rt.deliver
 	initHub(rt.hub)
-	go rt.hub.run(s.maxBatch)
+	go rt.hub.run(DefaultMaxBatch)
 	s.shards[name] = rt
 	return rt, nil
 }

@@ -104,8 +104,17 @@ type Client struct {
 	// signs one tree over (SUBMIT, DATA) and the PROOF of k's previous
 	// operation, so whichever of the three a reply shows first pays the
 	// Ed25519 verification for all; a COMMIT signs the COMMIT-signature
-	// alone. The client's own signatures enter at signing time.
+	// alone. The client's own signatures enter at signing time. The
+	// submit memos are guarded by mu, the commit memos by memoMu.
 	memo []pairMemos
+
+	// memoMu guards every memo[k].commit and commitBuf, the payload
+	// scratch of VerifyVersion. It is not mu: an operation holds mu while
+	// it waits for a silent server, and the FAUST layer checks VERSION
+	// messages and FAILURE evidence through these memos from its offline
+	// receive loop, which must keep running exactly then (Section 6).
+	memoMu    sync.Mutex
+	commitBuf []byte
 }
 
 type pairMemos struct{ submit, commit crypto.PairMemo }
@@ -260,59 +269,8 @@ func (c *Client) Read(j int) ([]byte, error) {
 // becomes a new trace root, and the context travels inside the SUBMIT —
 // covered by the SUBMIT-signature — so server-side spans join it.
 func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.failed {
-		return OpResult{}, ErrHalted
-	}
-	ctx, op := trace.Start(ctx, spanWrite)
-	defer op.End()
-	tc := transport.WireTrace(ctx)
-	start := obs.StartTimer()
-	defer func() { cmWriteNs.ObserveSinceExemplar(start, traceExemplar(tc)) }()
-
-	_, hs := trace.Child(ctx, spanSign)
-	t := c.ver.V[c.id] + 1
-	if x == nil {
-		c.xbar = nil
-	} else {
-		c.hash = crypto.HashInto(c.hash[:0], x)
-		c.xbar = c.hash
-	}
-	sigma, delta, psi := c.signSubmit(wire.OpWrite, c.id, t, tc)
-	hs.End()
-
-	submit := &wire.Submit{
-		T:         t,
-		Inv:       wire.Invocation{Client: c.id, Op: wire.OpWrite, Reg: c.id, SubmitSig: sigma, Trace: tc},
-		Value:     x,
-		DataSig:   delta,
-		Piggyback: c.takePending(),
-		ProofSig:  psi,
-	}
-	_, hrpc := trace.Child(ctx, spanRPC)
-	//faustlint:ignore lockheldio c.mu is the USTOR session lock; Algorithm 1 serializes a client's own SUBMIT..COMMIT round, and wait-freedom is across clients, not within one
-	if err := c.getLink().Send(submit); err != nil {
-		hrpc.End()
-		return OpResult{}, fmt.Errorf("ustor: submitting write: %w", err)
-	}
-
-	reply, err := c.recvReply(false)
-	hrpc.End()
-	if err != nil {
-		return OpResult{}, err
-	}
-	_, hv := trace.Child(ctx, spanVerify)
-	err = c.updateVersion(reply)
-	hv.End()
-	if err != nil {
-		return OpResult{}, err
-	}
-	sv, err := c.commit()
-	if err != nil {
-		return OpResult{}, err
-	}
-	return OpResult{Version: sv, Timestamp: c.ver.V[c.id]}, nil
+	res, err := c.round(ctx, wire.OpWrite, c.id, x)
+	return res.OpResult, err
 }
 
 // ReadX is the extended read (Algorithm 1 lines 24-33): identical to Read
@@ -324,28 +282,50 @@ func (c *Client) WriteX(ctx context.Context, x []byte) (OpResult, error) {
 // never an error. See Read for the nil / empty / never-written
 // distinctions.
 func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
+	return c.round(ctx, wire.OpRead, j, nil)
+}
+
+// round is the one operation round of Algorithm 1, lines 11-20 for a
+// write of x and lines 24-33 for a read of register reg: sign, SUBMIT,
+// await the REPLY, lines 34-47 (and 48-52 for a read), COMMIT. A write's
+// result carries only the OpResult part.
+func (c *Client) round(ctx context.Context, op wire.OpCode, reg int, x []byte) (ReadResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed {
 		return ReadResult{}, ErrHalted
 	}
-	if j < 0 || j >= c.n {
-		return ReadResult{}, fmt.Errorf("ustor: register %d out of range [0,%d)", j, c.n)
+	if reg < 0 || reg >= c.n {
+		return ReadResult{}, fmt.Errorf("ustor: register %d out of range [0,%d)", reg, c.n)
 	}
-	ctx, op := trace.Start(ctx, spanRead)
-	defer op.End()
+	isRead := op == wire.OpRead
+	name, hist := spanWrite, cmWriteNs
+	if isRead {
+		name, hist = spanRead, cmReadNs
+	}
+	ctx, sp := trace.Start(ctx, name)
+	defer sp.End()
 	tc := transport.WireTrace(ctx)
 	start := obs.StartTimer()
-	defer func() { cmReadNs.ObserveSinceExemplar(start, traceExemplar(tc)) }()
+	defer func() { hist.ObserveSinceExemplar(start, traceExemplar(tc)) }()
 
 	_, hs := trace.Child(ctx, spanSign)
 	t := c.ver.V[c.id] + 1
-	sigma, delta, psi := c.signSubmit(wire.OpRead, j, t, tc)
+	if !isRead {
+		if x == nil {
+			c.xbar = nil
+		} else {
+			c.hash = crypto.HashInto(c.hash[:0], x)
+			c.xbar = c.hash
+		}
+	}
+	sigma, delta, psi := c.signSubmit(op, reg, t, tc)
 	hs.End()
 
 	submit := &wire.Submit{
 		T:         t,
-		Inv:       wire.Invocation{Client: c.id, Op: wire.OpRead, Reg: j, SubmitSig: sigma, Trace: tc},
+		Inv:       wire.Invocation{Client: c.id, Op: op, Reg: reg, SubmitSig: sigma, Trace: tc},
+		Value:     x,
 		DataSig:   delta,
 		Piggyback: c.takePending(),
 		ProofSig:  psi,
@@ -354,18 +334,18 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 	//faustlint:ignore lockheldio c.mu is the USTOR session lock; Algorithm 1 serializes a client's own SUBMIT..COMMIT round, and wait-freedom is across clients, not within one
 	if err := c.getLink().Send(submit); err != nil {
 		hrpc.End()
-		return ReadResult{}, fmt.Errorf("ustor: submitting read: %w", err)
+		return ReadResult{}, fmt.Errorf("ustor: submitting %s: %w", name, err)
 	}
 
-	reply, err := c.recvReply(true)
+	reply, err := c.recvReply(isRead)
 	hrpc.End()
 	if err != nil {
 		return ReadResult{}, err
 	}
 	_, hv := trace.Child(ctx, spanVerify)
 	err = c.updateVersion(reply)
-	if err == nil {
-		err = c.checkData(reply, j)
+	if err == nil && isRead {
+		err = c.checkData(reply, reg)
 	}
 	hv.End()
 	if err != nil {
@@ -375,12 +355,11 @@ func (c *Client) ReadX(ctx context.Context, j int) (ReadResult, error) {
 	if err != nil {
 		return ReadResult{}, err
 	}
-	return ReadResult{
-		OpResult:        OpResult{Version: sv, Timestamp: c.ver.V[c.id]},
-		Value:           reply.Mem.Value,
-		WriterVersion:   reply.JVer.Clone(),
-		WriterTimestamp: reply.Mem.T,
-	}, nil
+	res := ReadResult{OpResult: OpResult{Version: sv, Timestamp: c.ver.V[c.id]}}
+	if isRead {
+		res.Value, res.WriterVersion, res.WriterTimestamp = reply.Mem.Value, reply.JVer.Clone(), reply.Mem.T
+	}
+	return res, nil
 }
 
 // signSubmit produces, with one Ed25519 signature, the SUBMIT-signature
@@ -401,14 +380,34 @@ func (c *Client) signSubmit(op wire.OpCode, reg int, t int64, tc *wire.TraceCtx)
 		crypto.DomainProof, wire.ProofPayload(c.ver.M[c.id]))
 }
 
-// verify checks client k's signature over a domain-separated payload
-// through k's memo for the signing point that domain belongs to.
+// verify checks client k's SUBMIT-, DATA- or PROOF-signature over a
+// domain-separated payload through k's submit memo. COMMIT-signatures go
+// through VerifyVersion.
 func (c *Client) verify(k int, sig []byte, domain byte, payload []byte) bool {
-	m := &c.memo[k].submit
-	if domain == crypto.DomainCommit {
-		m = &c.memo[k].commit
+	return c.ring.VerifyMemo(&c.memo[k].submit, k, sig, domain, payload)
+}
+
+// VerifyVersion decides a signed version: sv.Committer is a client of
+// ring and sv.Sig is its COMMIT-signature on sv.Ver. It is the one such
+// check: Algorithm 1 lines 35 and 49, FAUST's VERSION and
+// FAILURE-evidence checks and the offline audit all call it. Whether the
+// initial version, which nobody signs, is acceptable is the caller's
+// decision. With a non-nil c the check goes through c's per-signer
+// COMMIT memo under c.memoMu, so a signature the client has already
+// verified or produced costs no second Ed25519 verification and no
+// allocation; ring must then be c's keyring. With a nil c it always
+// verifies for real.
+func VerifyVersion(ring *crypto.Keyring, c *Client, sv wire.SignedVersion) bool {
+	if sv.Committer < 0 || sv.Committer >= ring.N() {
+		return false
 	}
-	return c.ring.VerifyMemo(m, k, sig, domain, payload)
+	if c == nil {
+		return ring.Verify(sv.Committer, sv.Sig, crypto.DomainCommit, wire.CommitPayload(sv.Ver))
+	}
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	c.commitBuf = wire.AppendCommitPayload(c.commitBuf[:0], sv.Ver)
+	return ring.VerifyMemo(&c.memo[sv.Committer].commit, sv.Committer, sv.Sig, crypto.DomainCommit, c.commitBuf)
 }
 
 // recvReply waits for the REPLY message. A response of the wrong shape is
@@ -469,11 +468,8 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 
 	// Line 35: the shown version is either the initial one or carries a
 	// valid COMMIT-signature by client C_c.
-	if !vc.IsZero() {
-		c.payload = wire.AppendCommitPayload(c.payload[:0], vc)
-		if !c.verify(r.C, r.CVer.Sig, crypto.DomainCommit, c.payload) {
-			return c.fail("COMMIT-signature on SVER[c] invalid (line 35)")
-		}
+	if !vc.IsZero() && !VerifyVersion(c.ring, c, wire.SignedVersion{Committer: r.C, Ver: vc, Sig: r.CVer.Sig}) {
+		return c.fail("COMMIT-signature on SVER[c] invalid (line 35)")
 	}
 	// Line 36: the shown version extends the client's own version and
 	// agrees on the client's own timestamp.
@@ -536,11 +532,8 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 	tj, xj := r.Mem.T, r.Mem.Value
 
 	// Line 49: the writer's version is initial or properly signed by C_j.
-	if !vj.IsZero() {
-		c.payload = wire.AppendCommitPayload(c.payload[:0], vj)
-		if !c.verify(j, r.JVer.Sig, crypto.DomainCommit, c.payload) {
-			return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
-		}
+	if !vj.IsZero() && !VerifyVersion(c.ring, c, wire.SignedVersion{Committer: j, Ver: vj, Sig: r.JVer.Sig}) {
+		return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
 	}
 	// Line 50: the value integrity check via the DATA-signature.
 	if tj != 0 {
@@ -575,7 +568,9 @@ func (c *Client) commit() (wire.SignedVersion, error) {
 	// Memoizing the own phi at signing time is what makes the next
 	// reply's SVER[c] check free in the common uncontended case.
 	c.payload = wire.AppendCommitPayload(c.payload[:0], c.ver)
+	c.memoMu.Lock()
 	phi := c.signer.SignMemo(&c.memo[c.id].commit, crypto.DomainCommit, c.payload)
+	c.memoMu.Unlock()
 	// One clone, shared by the COMMIT message and the returned result:
 	// both treat the version as immutable (the server adopts received
 	// versions without writing through them, and the FAUST layer clones on
