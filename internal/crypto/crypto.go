@@ -6,6 +6,13 @@
 // a digital signature scheme where only client C_i can sign as C_i and
 // every party can verify. We instantiate H with SHA-256 and signatures
 // with Ed25519 from the Go standard library.
+//
+// Signatures that are checked together — those of one REPLY, or the
+// SUBMITs of one dispatch batch — are decided by one randomized batch
+// equation (Batch, VerifyBatch), computed by internal/edwards25519, a
+// subset of the standard library's curve code. Its verdict per signature
+// is ed25519.Verify's: see Batch for how, and README "Why the batch
+// equation is sound" for why that holds here.
 package crypto
 
 import (
@@ -19,6 +26,7 @@ import (
 	mathrand "math/rand/v2"
 	"sync"
 
+	"faust/internal/crypto/internal/edwards25519"
 	"faust/internal/obs"
 )
 
@@ -288,11 +296,30 @@ func (m *PairMemo) set(signer int, msg *[1 + HashSize]byte, ed []byte) {
 	copy(m.sig[:], ed)
 }
 
-// Keyring holds the public keys of all n clients and, optionally, the
-// private key of one of them. All parties (clients and the server, if it
-// chose to verify) share the same public keyring.
+// Keyring holds the public keys of all n clients. All parties (clients
+// and the server, if it chose to verify) share the same public keyring.
+// Each key is also kept decoded, with the table of its point that batch
+// equations use (see Batch).
 type Keyring struct {
 	pubs []ed25519.PublicKey
+	keys []*edwards25519.PublicKey
+}
+
+// newKeyring returns the keyring of pubs. It refuses a key that is not
+// the encoding of a curve point, or whose point has small order: the
+// batch equation is cofactored, and only for keys without a small-order
+// part does it decide exactly what ed25519.Verify decides on every
+// signature their owners did not craft themselves.
+func newKeyring(pubs []ed25519.PublicKey) (*Keyring, error) {
+	ring := &Keyring{pubs: pubs, keys: make([]*edwards25519.PublicKey, len(pubs))}
+	for i, p := range pubs {
+		key, err := edwards25519.NewPublicKey(p)
+		if err != nil {
+			return nil, fmt.Errorf("crypto: public key %d: %w", i, err)
+		}
+		ring.keys[i] = key
+	}
+	return ring, nil
 }
 
 // N returns the number of clients the keyring covers.
@@ -349,27 +376,14 @@ func (k *Keyring) VerifyMemo(memo *PairMemo, i int, sig []byte, domain byte, pay
 }
 
 // verifyTree is VerifyMemo for the signature of a leaf one or two levels
-// below the root of a signed tree, by an in-range client. It recomputes
-// the root bottom up from the leaf and the siblings; bit l of the path
-// byte says whether the node at level l is a right child, and bits past
-// the last level must be zero.
+// below the root of a signed tree, by an in-range client.
 //
 //faustlint:hotpath
 func (k *Keyring) verifyTree(memo *PairMemo, i int, sig []byte, domain byte, payload []byte) bool {
-	ed, path, siblings := sig[:ed25519.SignatureSize], sig[ed25519.SignatureSize], sig[ed25519.SignatureSize+1:]
-	if path>>(len(siblings)/HashSize) != 0 {
+	msg, ed, ok := treeMessage(sig, domain, payload)
+	if !ok {
 		return false
 	}
-	node := pairLeaf(domain, payload)
-	for ; len(siblings) > 0; siblings, path = siblings[HashSize:], path>>1 {
-		sibling := (*[HashSize]byte)(siblings)
-		if path&1 == 0 {
-			node = pairNode(&node, sibling)
-		} else {
-			node = pairNode(sibling, &node)
-		}
-	}
-	msg := rootMessage(&node)
 	if memo != nil && memo.hit(i, &msg, ed) {
 		return true
 	}
@@ -380,6 +394,28 @@ func (k *Keyring) verifyTree(memo *PairMemo, i int, sig []byte, domain byte, pay
 		memo.set(i, &msg, ed)
 	}
 	return true
+}
+
+// treeMessage returns the message DomainPair‖root that the Ed25519 part
+// ed of a tree signature covers, with the root recomputed bottom up from
+// the leaf (domain, payload) and the siblings sig carries; bit l of the
+// path byte says whether the node at level l is a right child. ok is
+// false when the path has bits past the last level.
+func treeMessage(sig []byte, domain byte, payload []byte) (msg [1 + HashSize]byte, ed []byte, ok bool) {
+	ed, path, siblings := sig[:ed25519.SignatureSize], sig[ed25519.SignatureSize], sig[ed25519.SignatureSize+1:]
+	if path>>(len(siblings)/HashSize) != 0 {
+		return msg, nil, false
+	}
+	node := pairLeaf(domain, payload)
+	for ; len(siblings) > 0; siblings, path = siblings[HashSize:], path>>1 {
+		sibling := (*[HashSize]byte)(siblings)
+		if path&1 == 0 {
+			node = pairNode(&node, sibling)
+		} else {
+			node = pairNode(sibling, &node)
+		}
+	}
+	return rootMessage(&node), ed, true
 }
 
 // verifyEd is the one place an Ed25519 verification happens, so
@@ -399,15 +435,19 @@ func GenerateKeyring(n int) (*Keyring, []*Signer, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("crypto: keyring size must be positive, got %d", n)
 	}
-	ring := &Keyring{pubs: make([]ed25519.PublicKey, n)}
+	pubs := make([]ed25519.PublicKey, n)
 	signers := make([]*Signer, n)
 	for i := 0; i < n; i++ {
 		pub, priv, err := ed25519.GenerateKey(rand.Reader)
 		if err != nil {
 			return nil, nil, fmt.Errorf("crypto: generating key %d: %w", i, err)
 		}
-		ring.pubs[i] = pub
+		pubs[i] = pub
 		signers[i] = &Signer{id: i, key: priv}
+	}
+	ring, err := newKeyring(pubs)
+	if err != nil {
+		return nil, nil, err
 	}
 	return ring, signers, nil
 }
@@ -420,7 +460,7 @@ func NewTestKeyring(n int, seed int64) (*Keyring, []*Signer) {
 		panic(fmt.Sprintf("crypto: test keyring size must be positive, got %d", n))
 	}
 	rng := mathrand.New(mathrand.NewPCG(uint64(seed), uint64(seed)^0x9e3779b97f4a7c15))
-	ring := &Keyring{pubs: make([]ed25519.PublicKey, n)}
+	pubs := make([]ed25519.PublicKey, n)
 	signers := make([]*Signer, n)
 	for i := 0; i < n; i++ {
 		seedBytes := make([]byte, ed25519.SeedSize)
@@ -428,8 +468,12 @@ func NewTestKeyring(n int, seed int64) (*Keyring, []*Signer) {
 			seedBytes[j] = byte(rng.IntN(256))
 		}
 		priv := ed25519.NewKeyFromSeed(seedBytes)
-		ring.pubs[i] = priv.Public().(ed25519.PublicKey)
+		pubs[i] = priv.Public().(ed25519.PublicKey)
 		signers[i] = &Signer{id: i, key: priv}
+	}
+	ring, err := newKeyring(pubs)
+	if err != nil {
+		panic(err) // ed25519 key generation yields prime-order points only
 	}
 	return ring, signers
 }
@@ -448,7 +492,9 @@ func MarshalKeyring(k *Keyring) []byte {
 	return buf
 }
 
-// UnmarshalKeyring decodes a keyring produced by MarshalKeyring.
+// UnmarshalKeyring decodes a keyring produced by MarshalKeyring. Like
+// the constructors, it refuses a key that does not decode to a curve
+// point or whose point has small order.
 func UnmarshalKeyring(data []byte) (*Keyring, error) {
 	if len(data) < 4 {
 		return nil, ErrShortBuffer
@@ -458,11 +504,11 @@ func UnmarshalKeyring(data []byte) (*Keyring, error) {
 	if n < 0 || len(data) != n*ed25519.PublicKeySize {
 		return nil, ErrShortBuffer
 	}
-	ring := &Keyring{pubs: make([]ed25519.PublicKey, n)}
-	for i := 0; i < n; i++ {
+	pubs := make([]ed25519.PublicKey, n)
+	for i := range pubs {
 		key := make([]byte, ed25519.PublicKeySize)
 		copy(key, data[i*ed25519.PublicKeySize:])
-		ring.pubs[i] = key
+		pubs[i] = key
 	}
-	return ring, nil
+	return newKeyring(pubs)
 }

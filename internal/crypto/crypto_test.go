@@ -2,6 +2,9 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"encoding/hex"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +162,53 @@ func TestKeyringUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := UnmarshalKeyring([]byte{0, 0, 0, 2, 1, 2, 3}); err == nil {
 		t.Fatal("truncated input accepted")
+	}
+}
+
+// keyringWith returns the MarshalKeyring encoding of a two-key ring
+// whose second key is bad.
+func keyringWith(t *testing.T, bad []byte) []byte {
+	t.Helper()
+	ring, _ := NewTestKeyring(2, 3)
+	data := MarshalKeyring(ring)
+	copy(data[4+ed25519.PublicKeySize:], bad)
+	return data
+}
+
+// TestKeyringRefusesUndecodableKey: a public key that is not the
+// encoding of a curve point is refused by UnmarshalKeyring and by the
+// constructor the key generators share.
+func TestKeyringRefusesUndecodableKey(t *testing.T) {
+	notOnCurve := make([]byte, ed25519.PublicKeySize)
+	notOnCurve[0] = 2 // no curve point has y = 2
+	if _, err := UnmarshalKeyring(keyringWith(t, notOnCurve)); err == nil {
+		t.Error("UnmarshalKeyring accepted a key that is not a curve point")
+	}
+	if _, err := newKeyring([]ed25519.PublicKey{notOnCurve}); err == nil {
+		t.Error("newKeyring accepted a key that is not a curve point")
+	}
+}
+
+// TestKeyringRefusesSmallOrderKey: a public key of small order (the
+// identity and points of order 2, 4 and 8) is refused, since the batch
+// equation multiplies by the cofactor.
+func TestKeyringRefusesSmallOrderKey(t *testing.T) {
+	for name, hexKey := range map[string]string{
+		"identity": "0100000000000000000000000000000000000000000000000000000000000000",
+		"order 2":  "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+		"order 4":  "0000000000000000000000000000000000000000000000000000000000000000",
+		"order 8":  "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+	} {
+		key, err := hex.DecodeString(hexKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalKeyring(keyringWith(t, key)); err == nil || !strings.Contains(err.Error(), "small order") {
+			t.Errorf("UnmarshalKeyring on the %s point: %v, want a small-order refusal", name, err)
+		}
+		if _, err := newKeyring([]ed25519.PublicKey{key}); err == nil || !strings.Contains(err.Error(), "small order") {
+			t.Errorf("newKeyring on the %s point: %v, want a small-order refusal", name, err)
+		}
 	}
 }
 

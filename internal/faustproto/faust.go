@@ -250,9 +250,11 @@ func (c *Client) Read(j int) ([]byte, int64, error) {
 func (c *Client) integrateRead(j int, res ustor.ReadResult) {
 	c.integrateVersion(c.id, res.Version)
 	if !res.WriterVersion.Ver.IsZero() {
-		sv := res.WriterVersion.Clone()
 		// USTOR verified the COMMIT-signature with key j (line 49); pin
-		// the committer rather than trusting the server's field.
+		// the committer rather than trusting the server's field. The
+		// version is the read's own clone, and integrateVersion clones
+		// what it retains, so setting the field on a copy is enough.
+		sv := res.WriterVersion
 		sv.Committer = j
 		c.integrateVersion(j, sv)
 	}

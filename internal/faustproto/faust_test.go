@@ -1,6 +1,7 @@
 package faustproto
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -493,5 +494,28 @@ func TestVersionCheckRejectsUnverifiable(t *testing.T) {
 	}
 	if !lastUpd().Equal(clk.Now()) {
 		t.Error("genuine VERSION: silence timer of client 1 not refreshed")
+	}
+}
+
+// TestAllocBudgetIntegrateRead: folding a read that brings nothing new
+// into VER allocates nothing. The read's versions are the USTOR round's
+// own clones, and integrateVersion clones only what it retains, so the
+// writer's version needs no copy of its own on the way in.
+func TestAllocBudgetIntegrateRead(t *testing.T) {
+	cl := newCluster(t, 2, nil, fastConfig(false))
+	c0, c1 := cl.clients[0], cl.clients[1] // not started: no dummy reads or probes
+	if _, err := c1.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c0.us.ReadX(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WriterVersion.Ver.IsZero() {
+		t.Fatal("read of a written register returned the initial version")
+	}
+	c0.integrateRead(1, res)
+	if got := testing.AllocsPerRun(100, func() { c0.integrateRead(1, res) }); got != 0 {
+		t.Errorf("integrateRead allocates %.0f objects, want 0", got)
 	}
 }

@@ -30,36 +30,36 @@ func (r ledgerRow) String() string {
 // ledger is the table TestCryptoLedger pins. A change to what an
 // operation signs or verifies shows up as a diff of these rows.
 var ledger = []ledgerRow{
-	{2, false, 1, 12, 24, 13, 13},   // 2.00 signs, 1.08 verifies, 1.08 equations per op
-	{2, false, 2, 12, 24, 9, 9},     // 2.00 signs, 0.75 verifies, 0.75 equations per op
-	{2, false, 3, 12, 24, 12, 12},   // 2.00 signs, 1.00 verifies, 1.00 equations per op
-	{2, false, 4, 12, 24, 11, 11},   // 2.00 signs, 0.92 verifies, 0.92 equations per op
-	{2, true, 1, 12, 24, 15, 15},    // 2.00 signs, 1.25 verifies, 1.25 equations per op
-	{2, true, 2, 12, 24, 14, 14},    // 2.00 signs, 1.17 verifies, 1.17 equations per op
-	{2, true, 3, 12, 24, 11, 11},    // 2.00 signs, 0.92 verifies, 0.92 equations per op
-	{2, true, 4, 12, 24, 12, 12},    // 2.00 signs, 1.00 verifies, 1.00 equations per op
-	{8, false, 1, 48, 96, 179, 179}, // 2.00 signs, 3.73 verifies, 3.73 equations per op
-	{8, false, 2, 48, 96, 165, 165}, // 2.00 signs, 3.44 verifies, 3.44 equations per op
-	{8, false, 3, 48, 96, 151, 151}, // 2.00 signs, 3.15 verifies, 3.15 equations per op
-	{8, false, 4, 48, 96, 145, 145}, // 2.00 signs, 3.02 verifies, 3.02 equations per op
-	{8, true, 1, 48, 96, 204, 204},  // 2.00 signs, 4.25 verifies, 4.25 equations per op
-	{8, true, 2, 48, 96, 190, 190},  // 2.00 signs, 3.96 verifies, 3.96 equations per op
-	{8, true, 3, 48, 96, 212, 212},  // 2.00 signs, 4.42 verifies, 4.42 equations per op
-	{8, true, 4, 48, 96, 245, 245},  // 2.00 signs, 5.10 verifies, 5.10 equations per op
+	{2, false, 1, 12, 24, 13, 10},  // 2.00 signs, 1.08 verifies, 0.83 equations per op
+	{2, false, 2, 12, 24, 9, 6},    // 2.00 signs, 0.75 verifies, 0.50 equations per op
+	{2, false, 3, 12, 24, 12, 8},   // 2.00 signs, 1.00 verifies, 0.67 equations per op
+	{2, false, 4, 12, 24, 11, 8},   // 2.00 signs, 0.92 verifies, 0.67 equations per op
+	{2, true, 1, 12, 24, 15, 10},   // 2.00 signs, 1.25 verifies, 0.83 equations per op
+	{2, true, 2, 12, 24, 14, 10},   // 2.00 signs, 1.17 verifies, 0.83 equations per op
+	{2, true, 3, 12, 24, 11, 8},    // 2.00 signs, 0.92 verifies, 0.67 equations per op
+	{2, true, 4, 12, 24, 12, 8},    // 2.00 signs, 1.00 verifies, 0.67 equations per op
+	{8, false, 1, 48, 96, 179, 47}, // 2.00 signs, 3.73 verifies, 0.98 equations per op
+	{8, false, 2, 48, 96, 165, 46}, // 2.00 signs, 3.44 verifies, 0.96 equations per op
+	{8, false, 3, 48, 96, 151, 46}, // 2.00 signs, 3.15 verifies, 0.96 equations per op
+	{8, false, 4, 48, 96, 145, 46}, // 2.00 signs, 3.02 verifies, 0.96 equations per op
+	{8, true, 1, 48, 96, 204, 47},  // 2.00 signs, 4.25 verifies, 0.98 equations per op
+	{8, true, 2, 48, 96, 190, 47},  // 2.00 signs, 3.96 verifies, 0.98 equations per op
+	{8, true, 3, 48, 96, 212, 46},  // 2.00 signs, 4.42 verifies, 0.96 equations per op
+	{8, true, 4, 48, 96, 245, 47},  // 2.00 signs, 5.10 verifies, 0.98 equations per op
 }
 
 // faustLedger is ledger for FAUST clients, piggyback off: their USTOR
 // operations plus the dummy reads, VERSION and evidence checks of the
 // failure detector.
 var faustLedger = []ledgerRow{
-	{2, false, 1, 12, 124, 77, 77},     // 10.33 signs, 6.42 verifies, 6.42 equations per op
-	{2, false, 2, 12, 48, 26, 26},      // 4.00 signs, 2.17 verifies, 2.17 equations per op
-	{2, false, 3, 12, 284, 182, 182},   // 23.67 signs, 15.17 verifies, 15.17 equations per op
-	{2, false, 4, 12, 52, 35, 35},      // 4.33 signs, 2.92 verifies, 2.92 equations per op
-	{8, false, 1, 48, 754, 2371, 2371}, // 15.71 signs, 49.40 verifies, 49.40 equations per op
-	{8, false, 2, 48, 426, 1225, 1225}, // 8.88 signs, 25.52 verifies, 25.52 equations per op
-	{8, false, 3, 48, 822, 2572, 2572}, // 17.12 signs, 53.58 verifies, 53.58 equations per op
-	{8, false, 4, 48, 968, 3101, 3101}, // 20.17 signs, 64.60 verifies, 64.60 equations per op
+	{2, false, 1, 12, 124, 77, 60},     // 10.33 signs, 6.42 verifies, 5.00 equations per op
+	{2, false, 2, 12, 48, 26, 18},      // 4.00 signs, 2.17 verifies, 1.50 equations per op
+	{2, false, 3, 12, 284, 182, 137},   // 23.67 signs, 15.17 verifies, 11.42 equations per op
+	{2, false, 4, 12, 52, 35, 28},      // 4.33 signs, 2.92 verifies, 2.33 equations per op
+	{8, false, 1, 48, 754, 2371, 1093}, // 15.71 signs, 49.40 verifies, 22.77 equations per op
+	{8, false, 2, 48, 426, 1225, 560},  // 8.88 signs, 25.52 verifies, 11.67 equations per op
+	{8, false, 3, 48, 822, 2572, 1199}, // 17.12 signs, 53.58 verifies, 24.98 equations per op
+	{8, false, 4, 48, 968, 3101, 1485}, // 20.17 signs, 64.60 verifies, 30.94 equations per op
 }
 
 // ledgerOps is the number of user operations per client in a ledger run.

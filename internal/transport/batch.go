@@ -22,10 +22,12 @@ import (
 // them should be. The dispatcher goroutine runs one loop with one body
 // over whatever a drain returned:
 //
-//	drain     popBatch takes everything queued, up to the -max-batch cap,
+//	drain     popBatch takes everything queued, up to the transport's cap
+//	          (DefaultMaxBatch unless WithMaxBatch says otherwise),
 //	          preserving arrival (and therefore per-connection FIFO) order
-//	verify    SUBMIT signatures of the whole batch check in parallel on
-//	          crypto's worker pool — a forged one rejects only its own op
+//	verify    SUBMIT signatures of the whole batch check with one batch
+//	          equation (crypto.VerifyBatch) — a forged one still rejects
+//	          only its own op
 //	apply     verified ops run sequentially against the single-writer
 //	          core, exactly as the paper's atomic handlers require; a
 //	          BatchCore buffers its WAL appends
@@ -34,14 +36,14 @@ import (
 //	reply     replies coalesce into one framed write per destination
 //
 // A batch of one is a small batch, not a second code path: it verifies
-// inline (crypto.VerifyBatch does not fan out below two jobs), flushes
+// with one ed25519.Verify (an equation needs two signatures), flushes
 // once and sends one reply. Batches never reorder: ops apply in arrival
 // order and per-client reply order is preserved, so the reliable-FIFO
 // contract the protocol assumes is untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
 // transport was not configured otherwise. Large enough to amortize fsync
-// and verification fan-out, small enough to bound the latency a first-in
+// and batch verification, small enough to bound the latency a first-in
 // op waits for its batchmates' apply stage.
 const DefaultMaxBatch = 64
 
@@ -88,8 +90,8 @@ type batchOp struct {
 // hub is one core's inbox and dispatcher. The transport sets name, core,
 // ring, count and deliver; initHub sets the rest. The scratch buffers
 // at the end belong to the dispatcher goroutine and are reused across
-// batches, so the steady state allocates nothing per batch beyond what
-// crypto's pool needs for fan-out.
+// batches, so the steady state allocates nothing per batch (the
+// verifier's scratch is crypto's, pooled).
 type hub struct {
 	name  string // shard name for events; "" in memory
 	core  ServerCore
@@ -267,8 +269,7 @@ func (h *hub) runBatch(batch []envelope) {
 	h.jobs = jobs
 	h.payload = payload
 
-	// Stage 2 — verify the whole batch at once, fanning out across the
-	// shared worker pool when it is wide enough to pay off.
+	// Stage 2 — verify the whole batch at once: one batch equation.
 	if len(jobs) > 0 {
 		var vstart time.Time
 		if trace.Enabled() {

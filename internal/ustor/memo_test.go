@@ -158,3 +158,70 @@ func TestAllocBudgetCheckData(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetReplyBatch: checking a REPLY none of whose signatures a
+// memo vouches for — lines 35, 41, 43, 49 and 50, one batch equation —
+// allocates nothing: the batch is client-owned scratch and the
+// equation's scratch is pooled. Runs without -race in CI.
+func TestAllocBudgetReplyBatch(t *testing.T) {
+	const n = 3
+	ring, signers := crypto.NewTestKeyring(n, 77)
+	var reply *wire.Reply
+	core := &tamperCore{inner: NewServer(n), tamper: func(from int, r *wire.Reply) *wire.Reply {
+		if from == 0 && r.IsRead {
+			reply = r
+		}
+		return r
+	}}
+	nw := transport.NewNetwork(n, core)
+	t.Cleanup(nw.Stop)
+	c := NewClient(0, ring, signers[0], nw.ClientLink(0))
+	// Clients 1 and 2 defer their COMMITs, so their last operations stay
+	// in L, and client 0 knows their previous digests: line 41 applies.
+	peers := []*Client{
+		NewClient(1, ring, signers[1], nw.ClientLink(1), WithCommitPiggyback()),
+		NewClient(2, ring, signers[2], nw.ClientLink(2), WithCommitPiggyback()),
+	}
+	for round := 0; round < 2; round++ {
+		for _, p := range peers {
+			if err := p.Write([]byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			if _, err := c.Read(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := c.Version()
+	if _, err := c.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.L) != 2 {
+		t.Fatalf("L holds %d operations, want 2", len(reply.L))
+	}
+	check := func() {
+		c.ver.CopyFrom(before)
+		for k := 1; k < n; k++ {
+			c.memo[k] = pairMemos{}
+		}
+		if err := c.updateVersion(reply); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.checkData(reply, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equations := func() int64 { return obs.Default().Histogram("faust_ed25519_batch_ns").Snapshot().Count }
+	_, v0 := edOps()
+	e0 := equations()
+	check()
+	_, v1 := edOps()
+	if e1 := equations(); v1-v0 < 4 || e1-e0 != 1 {
+		t.Fatalf("the reply took %d verifications in %d equations, want at least 4 in 1", v1-v0, e1-e0)
+	}
+	if got := testing.AllocsPerRun(50, check); got != 0 {
+		t.Errorf("checking the reply allocates %.0f objects, want 0", got)
+	}
+}

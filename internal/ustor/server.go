@@ -185,8 +185,11 @@ func (s *Server) HandleCommit(_ context.Context, from int, m *wire.Commit) {
 		for idx := len(s.l) - 1; idx >= 0; idx-- {
 			if s.l[idx].Client == from {
 				// COW: install a fresh slice; views of the old L handed out
-				// in earlier replies stay intact.
-				s.l = append([]wire.Invocation(nil), s.l[idx+1:]...)
+				// in earlier replies stay intact. Spare room for the
+				// SUBMITs that follow spares their appends a reallocation
+				// (views are capped at their length, so they never see it).
+				rest := s.l[idx+1:]
+				s.l = append(make([]wire.Invocation, 0, 2*len(rest)+4), rest...)
 				break
 			}
 		}
