@@ -190,14 +190,6 @@ func (v *Point) fromP1xP1(p *projP1xP1) *Point {
 	return v
 }
 
-func (v *Point) fromP2(p *projP2) *Point {
-	v.x.Multiply(&p.X, &p.Z)
-	v.y.Multiply(&p.Y, &p.Z)
-	v.z.Square(&p.Z)
-	v.t.Multiply(&p.X, &p.Y)
-	return v
-}
-
 // d is a constant in the curve equation.
 var d, _ = new(field.Element).SetBytes([]byte{
 	0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75,
