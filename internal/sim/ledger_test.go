@@ -8,7 +8,9 @@ import (
 )
 
 // ledgerRow is the exact Ed25519 cost of one honest run: the completed
-// operations, the real signatures and verifications the whole stack
+// user operations, the protocol operations (the SUBMITs the dispatcher
+// applied: the user operations plus, for FAUST clients, their dummy
+// reads), the real signatures and verifications the whole stack
 // performed for them, and the equations those verifications took (one
 // per single verification, one per batch).
 type ledgerRow struct {
@@ -16,60 +18,64 @@ type ledgerRow struct {
 	piggyback bool
 	seed      int64
 	ops       int
+	submits   int64
 	signs     int64
 	verifies  int64
 	equations int64
 }
 
 func (r ledgerRow) String() string {
-	return fmt.Sprintf("{%d, %v, %d, %d, %d, %d, %d}, // %.2f signs, %.2f verifies, %.2f equations per op",
-		r.n, r.piggyback, r.seed, r.ops, r.signs, r.verifies, r.equations,
-		float64(r.signs)/float64(r.ops), float64(r.verifies)/float64(r.ops), float64(r.equations)/float64(r.ops))
+	return fmt.Sprintf("{%d, %v, %d, %d, %d, %d, %d, %d}, // per op %.2f signs, %.2f verifies, %.2f equations; per SUBMIT %.2f, %.2f, %.2f",
+		r.n, r.piggyback, r.seed, r.ops, r.submits, r.signs, r.verifies, r.equations,
+		float64(r.signs)/float64(r.ops), float64(r.verifies)/float64(r.ops), float64(r.equations)/float64(r.ops),
+		float64(r.signs)/float64(r.submits), float64(r.verifies)/float64(r.submits), float64(r.equations)/float64(r.submits))
 }
 
 // ledger is the table TestCryptoLedger pins. A change to what an
 // operation signs or verifies shows up as a diff of these rows.
 var ledger = []ledgerRow{
-	{2, false, 1, 12, 24, 13, 10},  // 2.00 signs, 1.08 verifies, 0.83 equations per op
-	{2, false, 2, 12, 24, 9, 6},    // 2.00 signs, 0.75 verifies, 0.50 equations per op
-	{2, false, 3, 12, 24, 12, 8},   // 2.00 signs, 1.00 verifies, 0.67 equations per op
-	{2, false, 4, 12, 24, 11, 8},   // 2.00 signs, 0.92 verifies, 0.67 equations per op
-	{2, true, 1, 12, 24, 15, 10},   // 2.00 signs, 1.25 verifies, 0.83 equations per op
-	{2, true, 2, 12, 24, 14, 10},   // 2.00 signs, 1.17 verifies, 0.83 equations per op
-	{2, true, 3, 12, 24, 11, 8},    // 2.00 signs, 0.92 verifies, 0.67 equations per op
-	{2, true, 4, 12, 24, 12, 8},    // 2.00 signs, 1.00 verifies, 0.67 equations per op
-	{8, false, 1, 48, 96, 179, 47}, // 2.00 signs, 3.73 verifies, 0.98 equations per op
-	{8, false, 2, 48, 96, 165, 46}, // 2.00 signs, 3.44 verifies, 0.96 equations per op
-	{8, false, 3, 48, 96, 151, 46}, // 2.00 signs, 3.15 verifies, 0.96 equations per op
-	{8, false, 4, 48, 96, 145, 46}, // 2.00 signs, 3.02 verifies, 0.96 equations per op
-	{8, true, 1, 48, 96, 204, 47},  // 2.00 signs, 4.25 verifies, 0.98 equations per op
-	{8, true, 2, 48, 96, 190, 47},  // 2.00 signs, 3.96 verifies, 0.98 equations per op
-	{8, true, 3, 48, 96, 212, 46},  // 2.00 signs, 4.42 verifies, 0.96 equations per op
-	{8, true, 4, 48, 96, 245, 47},  // 2.00 signs, 5.10 verifies, 0.98 equations per op
+	{2, false, 1, 12, 12, 24, 13, 10},  // per op 2.00 signs, 1.08 verifies, 0.83 equations; per SUBMIT 2.00, 1.08, 0.83
+	{2, false, 2, 12, 12, 24, 9, 6},    // per op 2.00 signs, 0.75 verifies, 0.50 equations; per SUBMIT 2.00, 0.75, 0.50
+	{2, false, 3, 12, 12, 24, 12, 8},   // per op 2.00 signs, 1.00 verifies, 0.67 equations; per SUBMIT 2.00, 1.00, 0.67
+	{2, false, 4, 12, 12, 24, 11, 8},   // per op 2.00 signs, 0.92 verifies, 0.67 equations; per SUBMIT 2.00, 0.92, 0.67
+	{2, true, 1, 12, 12, 24, 15, 10},   // per op 2.00 signs, 1.25 verifies, 0.83 equations; per SUBMIT 2.00, 1.25, 0.83
+	{2, true, 2, 12, 12, 24, 14, 10},   // per op 2.00 signs, 1.17 verifies, 0.83 equations; per SUBMIT 2.00, 1.17, 0.83
+	{2, true, 3, 12, 12, 24, 11, 8},    // per op 2.00 signs, 0.92 verifies, 0.67 equations; per SUBMIT 2.00, 0.92, 0.67
+	{2, true, 4, 12, 12, 24, 12, 8},    // per op 2.00 signs, 1.00 verifies, 0.67 equations; per SUBMIT 2.00, 1.00, 0.67
+	{8, false, 1, 48, 48, 96, 179, 47}, // per op 2.00 signs, 3.73 verifies, 0.98 equations; per SUBMIT 2.00, 3.73, 0.98
+	{8, false, 2, 48, 48, 96, 165, 46}, // per op 2.00 signs, 3.44 verifies, 0.96 equations; per SUBMIT 2.00, 3.44, 0.96
+	{8, false, 3, 48, 48, 96, 151, 46}, // per op 2.00 signs, 3.15 verifies, 0.96 equations; per SUBMIT 2.00, 3.15, 0.96
+	{8, false, 4, 48, 48, 96, 145, 46}, // per op 2.00 signs, 3.02 verifies, 0.96 equations; per SUBMIT 2.00, 3.02, 0.96
+	{8, true, 1, 48, 48, 96, 204, 47},  // per op 2.00 signs, 4.25 verifies, 0.98 equations; per SUBMIT 2.00, 4.25, 0.98
+	{8, true, 2, 48, 48, 96, 190, 47},  // per op 2.00 signs, 3.96 verifies, 0.98 equations; per SUBMIT 2.00, 3.96, 0.98
+	{8, true, 3, 48, 48, 96, 212, 46},  // per op 2.00 signs, 4.42 verifies, 0.96 equations; per SUBMIT 2.00, 4.42, 0.96
+	{8, true, 4, 48, 48, 96, 245, 47},  // per op 2.00 signs, 5.10 verifies, 0.98 equations; per SUBMIT 2.00, 5.10, 0.98
 }
 
 // faustLedger is ledger for FAUST clients, piggyback off: their USTOR
 // operations plus the dummy reads, VERSION and evidence checks of the
 // failure detector.
 var faustLedger = []ledgerRow{
-	{2, false, 1, 12, 124, 77, 60},     // 10.33 signs, 6.42 verifies, 5.00 equations per op
-	{2, false, 2, 12, 48, 26, 18},      // 4.00 signs, 2.17 verifies, 1.50 equations per op
-	{2, false, 3, 12, 284, 182, 137},   // 23.67 signs, 15.17 verifies, 11.42 equations per op
-	{2, false, 4, 12, 52, 35, 28},      // 4.33 signs, 2.92 verifies, 2.33 equations per op
-	{8, false, 1, 48, 754, 2371, 1093}, // 15.71 signs, 49.40 verifies, 22.77 equations per op
-	{8, false, 2, 48, 426, 1225, 560},  // 8.88 signs, 25.52 verifies, 11.67 equations per op
-	{8, false, 3, 48, 822, 2572, 1199}, // 17.12 signs, 53.58 verifies, 24.98 equations per op
-	{8, false, 4, 48, 968, 3101, 1485}, // 20.17 signs, 64.60 verifies, 30.94 equations per op
+	{2, false, 1, 12, 62, 124, 77, 60},      // per op 10.33 signs, 6.42 verifies, 5.00 equations; per SUBMIT 2.00, 1.24, 0.97
+	{2, false, 2, 12, 24, 48, 26, 18},       // per op 4.00 signs, 2.17 verifies, 1.50 equations; per SUBMIT 2.00, 1.08, 0.75
+	{2, false, 3, 12, 142, 284, 182, 137},   // per op 23.67 signs, 15.17 verifies, 11.42 equations; per SUBMIT 2.00, 1.28, 0.96
+	{2, false, 4, 12, 25, 52, 35, 28},       // per op 4.33 signs, 2.92 verifies, 2.33 equations; per SUBMIT 2.08, 1.40, 1.12
+	{8, false, 1, 48, 378, 754, 2371, 1093}, // per op 15.71 signs, 49.40 verifies, 22.77 equations; per SUBMIT 1.99, 6.27, 2.89
+	{8, false, 2, 48, 214, 426, 1225, 560},  // per op 8.88 signs, 25.52 verifies, 11.67 equations; per SUBMIT 1.99, 5.72, 2.62
+	{8, false, 3, 48, 411, 822, 2572, 1199}, // per op 17.12 signs, 53.58 verifies, 24.98 equations; per SUBMIT 2.00, 6.26, 2.92
+	{8, false, 4, 48, 483, 968, 3101, 1485}, // per op 20.17 signs, 64.60 verifies, 30.94 equations; per SUBMIT 2.00, 6.42, 3.07
 }
 
 // ledgerOps is the number of user operations per client in a ledger run.
 const ledgerOps = 6
 
-// edOps returns how many Ed25519 signatures, verifications and
-// verification equations the process has performed so far.
-func edOps() (signs, verifies, equations int64) {
+// edOps returns how many SUBMITs the dispatcher has applied, and how
+// many Ed25519 signatures, verifications and verification equations the
+// process has performed so far.
+func edOps() (submits, signs, verifies, equations int64) {
 	r := obs.Default()
-	return r.Histogram("faust_ed25519_sign_ns").Snapshot().Count, r.Histogram("faust_ed25519_verify_ns").Snapshot().Count,
+	return r.Histogram("faust_ustor_op_latency_ns", "op", "submit").Snapshot().Count,
+		r.Histogram("faust_ed25519_sign_ns").Snapshot().Count, r.Histogram("faust_ed25519_verify_ns").Snapshot().Count,
 		r.Histogram("faust_ed25519_batch_ns").Snapshot().Count
 }
 
@@ -80,13 +86,13 @@ func edOps() (signs, verifies, equations int64) {
 // rows the runs produced.
 func TestCryptoLedger(t *testing.T) {
 	run := func(cfg Config) ledgerRow {
-		s0, v0, e0 := edOps()
+		p0, s0, v0, e0 := edOps()
 		r := Run(cfg)
-		s1, v1, e1 := edOps()
+		p1, s1, v1, e1 := edOps()
 		if err := check(cfg, r); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		return ledgerRow{cfg.N, cfg.Piggyback, cfg.Seed, len(r.History.Complete().Ops), s1 - s0, v1 - v0, e1 - e0}
+		return ledgerRow{cfg.N, cfg.Piggyback, cfg.Seed, len(r.History.Complete().Ops), p1 - p0, s1 - s0, v1 - v0, e1 - e0}
 	}
 	var got, gotFaust []ledgerRow
 	for _, n := range []int{2, 8} {
