@@ -418,12 +418,16 @@ func treeMessage(sig []byte, domain byte, payload []byte) (msg [1 + HashSize]byt
 	return rootMessage(&node), ed, true
 }
 
-// verifyEd is the one place an Ed25519 verification happens, so
+// verifyEd is the one place a single Ed25519 verification happens, so
 // faust_ed25519_verify_ns counts exactly the real ones. Each is one
-// equation of its own.
+// equation of its own, solved by the kernel of the batch equations on
+// the key's cached tables with pooled scratch; its verdict is
+// ed25519.Verify's (see edwards25519.Batch.VerifyOne).
 func (k *Keyring) verifyEd(i int, msg, sig []byte) bool {
 	start := obs.StartTimer()
-	ok := ed25519.Verify(k.pubs[i], msg, sig)
+	eq := eqPool.Get().(*edwards25519.Batch)
+	ok := eq.VerifyOne(k.keys[i], msg, sig)
+	eqPool.Put(eq)
 	verifyNs.ObserveSince(start)
 	batchNs.ObserveSince(start)
 	return ok

@@ -2,14 +2,9 @@ package edwards25519
 
 import (
 	crand "crypto/rand"
-	"crypto/sha512"
 	"encoding/binary"
-	"errors"
-	"hash"
 	"math/big"
 	"math/rand/v2"
-
-	"faust/internal/crypto/internal/edwards25519/field"
 )
 
 // Batch verification of Ed25519 signatures (Bernstein et al., "High-speed
@@ -22,11 +17,11 @@ import (
 // holds for a batch containing a signature that fails its own check only
 // with probability 2⁻¹²⁸, so it replaces one verification per signature.
 // The multiplication by the cofactor 8 is RFC 8032 §5.1.7's cofactored
-// check. The sum is one variable-time multiscalar multiplication (Straus):
-// all terms share one chain of 256 doublings, each term adds its
-// width-w NAF digits from a table of odd multiples of its point. Scalars
-// of one key are summed first, so a key costs one term however many of
-// its signatures the batch holds.
+// check. The sum runs on the verification kernel (verify.go): the zᵢ take
+// width-5 NAF digits against a table of Rᵢ built per signature, and the
+// Aᵢ terms use the tables their keys keep. Scalars of one key are summed
+// first, so a key costs one term however many of its signatures the
+// batch holds.
 
 // order is ℓ, the prime order of the group generated by B.
 var order, _ = new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
@@ -37,73 +32,13 @@ var orderLE = [32]byte{
 	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10,
 }
 
-// PublicKey is a decoded Ed25519 public key: its encoding, which every
-// challenge hash covers, and the NAF table of its point, built once.
-type PublicKey struct {
-	enc   [32]byte
-	table keyTable
-}
-
-// keyTable holds the odd multiples Q, 3Q, ..., 127Q of a key's point for
-// width-8 NAF digits: keys are fixed, so the wider table, built once,
-// saves additions in every batch. Cached projective points need no field
-// inversion to build, unlike the basepoint's affine table.
-type keyTable struct {
-	points [64]projCached
-}
-
-func (v *keyTable) FromP3(q *Point) {
-	v.points[0].FromP3(q)
-	var q2, tmpP3 Point
-	var tmpP1xP1 projP1xP1
-	q2.Add(q, q)
-	for i := 0; i < 63; i++ {
-		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.Add(&q2, &v.points[i])))
-	}
-}
-
-// SelectInto sets dest to x·Q for odd 0 < x < 2⁷, in variable time.
-func (v *keyTable) SelectInto(dest *projCached, x int8) {
-	*dest = v.points[x/2]
-}
-
-// NewPublicKey decodes enc. It refuses an encoding that is not a point
-// of the curve and a point of small order, whose signatures the
-// cofactored equation cannot tell apart.
-func NewPublicKey(enc []byte) (*PublicKey, error) {
-	if len(enc) != 32 {
-		return nil, errors.New("edwards25519: public key is not 32 bytes")
-	}
-	var a Point
-	if _, err := a.SetBytes(enc); err != nil {
-		return nil, err
-	}
-	var p projP2
-	if timesEightIsIdentity(p.FromP3(&a)) {
-		return nil, errors.New("edwards25519: public key has small order")
-	}
-	k := &PublicKey{}
-	copy(k.enc[:], enc)
-	k.table.FromP3(&a)
-	return k, nil
-}
-
-// timesEightIsIdentity reports whether [8]p is the identity, overwriting p.
-func timesEightIsIdentity(p *projP2) bool {
-	var t projP1xP1
-	for i := 0; i < 3; i++ {
-		p.FromP1xP1(t.Double(p))
-	}
-	var zero field.Element
-	return p.X.Equal(&zero) == 1 && p.Y.Equal(&p.Z) == 1
-}
-
-// Batch gathers signatures for one batch equation. The zero value is an
-// empty batch; Reset empties it and keeps its storage, so a reused Batch
-// verifies without allocating. A Batch is not safe for concurrent use.
+// Batch gathers signatures for one batch equation, and is the scratch of
+// a single check (VerifyOne). The zero value is an empty batch; Reset
+// empties it and keeps its storage, so a reused Batch verifies without
+// allocating. A Batch is not safe for concurrent use.
 type Batch struct {
 	rng *rand.ChaCha8 // draws the zᵢ; seeded from crypto/rand on first use
-	h   hash.Hash     // SHA-512 for the kᵢ
+	ram []byte        // R‖A‖M, hashed for a challenge
 
 	n    int               // signatures added since Reset
 	bad  bool              // an added signature satisfies no equation
@@ -117,7 +52,6 @@ type Batch struct {
 
 	x, y, q, rem big.Int // scalar scratch
 	be           [64]byte
-	digest       [sha512.Size]byte
 }
 
 // Reset empties the batch.
@@ -148,7 +82,7 @@ func (b *Batch) Add(pub *PublicKey, msg, sig []byte) bool {
 			b.bad = true // no equation without randomness; callers verify one by one
 			return false
 		}
-		b.rng, b.h = rand.NewChaCha8(seed), sha512.New()
+		b.rng = rand.NewChaCha8(seed)
 	}
 	if b.n == len(b.r) {
 		b.r = append(b.r, nafLookupTable5{})
@@ -161,14 +95,9 @@ func (b *Batch) Add(pub *PublicKey, msg, sig []byte) bool {
 	nonAdjacentForm(&b.z[b.n], &z, 5)
 	b.n++
 
-	b.h.Reset()
-	b.h.Write(sig[:32])
-	b.h.Write(pub.enc[:])
-	b.h.Write(msg)
-	b.h.Sum(b.digest[:0])
+	k := b.challenge(pub, sig[:32], msg)
 	b.setLE(&b.x, z[:16])
-	b.setLE(&b.y, b.digest[:])
-	b.q.Mul(&b.x, &b.y)
+	b.q.Mul(&b.x, k)
 	j := b.keyIndex(pub)
 	b.kSum[j].Add(&b.kSum[j], &b.q)
 	b.setLE(&b.y, sig[32:])
@@ -208,45 +137,8 @@ func (b *Batch) Verify() bool {
 	for j := range b.keys {
 		b.nafModOrder(&b.kNaf[j], &b.kSum[j], 8)
 	}
-	base := basepointNafTable()
-	var (
-		acc projP2
-		t   projP1xP1
-		p   Point
-		pc  projCached
-		pa  affineCached
-	)
-	acc.Zero()
-	for i := 255; i >= 0; i-- {
-		t.Double(&acc)
-		if d := b.sNaf[i]; d > 0 {
-			base.SelectInto(&pa, d)
-			t.AddAffine(p.fromP1xP1(&t), &pa)
-		} else if d < 0 {
-			base.SelectInto(&pa, -d)
-			t.SubAffine(p.fromP1xP1(&t), &pa)
-		}
-		// The R and A terms enter negated: a positive digit subtracts.
-		for j := 0; j < b.n; j++ {
-			if d := b.z[j][i]; d > 0 {
-				b.r[j].SelectInto(&pc, d)
-				t.Sub(p.fromP1xP1(&t), &pc)
-			} else if d < 0 {
-				b.r[j].SelectInto(&pc, -d)
-				t.Add(p.fromP1xP1(&t), &pc)
-			}
-		}
-		for j, k := range b.keys {
-			if d := b.kNaf[j][i]; d > 0 {
-				k.table.SelectInto(&pc, d)
-				t.Sub(p.fromP1xP1(&t), &pc)
-			} else if d < 0 {
-				k.table.SelectInto(&pc, -d)
-				t.Add(p.fromP1xP1(&t), &pc)
-			}
-		}
-		acc.FromP1xP1(&t)
-	}
+	var acc projP2
+	b.sum(&acc)
 	return timesEightIsIdentity(&acc)
 }
 

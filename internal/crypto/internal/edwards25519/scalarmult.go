@@ -6,16 +6,17 @@ package edwards25519
 
 import "sync"
 
-// basepointNafTable is the nafLookupTable8 for the basepoint.
-// It is precomputed the first time it's used.
-func basepointNafTable() *nafLookupTable8 {
+// basepointNafTables returns the nafLookupTable8s for the basepoint B and
+// for [2¹²⁸]B. They are precomputed the first time they're used.
+func basepointNafTables() (b, b2h *nafLookupTable8) {
 	basepointNafTablePrecomp.initOnce.Do(func() {
 		basepointNafTablePrecomp.table.FromP3(NewGeneratorPoint())
+		basepointNafTablePrecomp.table2h.FromP3(new(Point).timesTwoToHalf(NewGeneratorPoint()))
 	})
-	return &basepointNafTablePrecomp.table
+	return &basepointNafTablePrecomp.table, &basepointNafTablePrecomp.table2h
 }
 
 var basepointNafTablePrecomp struct {
-	table    nafLookupTable8
-	initOnce sync.Once
+	table, table2h nafLookupTable8
+	initOnce       sync.Once
 }
