@@ -24,6 +24,7 @@
 package faustproto
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -496,11 +497,31 @@ func (c *Client) handleProbe(from int) {
 // handleVersion integrates a VERSION message whose version verifies. An
 // unverifiable one carries no information and leaves VER, the cut and
 // the sender's silence timer as they were; the initial version carries
-// none either, but refreshes the timer: the peer is alive.
+// none either, but refreshes the timer: the peer is alive. A VERSION
+// byte-equal to VER[from] is not verified again: every entry of VER
+// verified, or is this client's own, when it was integrated.
 func (c *Client) handleVersion(from int, m *wire.VersionMsg) {
-	if m.SV.Ver.IsZero() || ustor.VerifyVersion(c.ring, c.us, m.SV) {
+	c.mu.Lock()
+	known := from >= 0 && from < len(c.ver) && sameSignedVersion(c.ver[from], m.SV)
+	c.mu.Unlock()
+	if known || m.SV.Ver.IsZero() || ustor.VerifyVersion(c.ring, c.us, m.SV) {
 		c.integrateVersion(from, m.SV)
 	}
+}
+
+// sameSignedVersion reports whether a and b are byte-equal: the same
+// committer, signature and version, a bottom digest and an empty one
+// told apart as the COMMIT payload tells them apart.
+func sameSignedVersion(a, b wire.SignedVersion) bool {
+	if a.Committer != b.Committer || !bytes.Equal(a.Sig, b.Sig) || !a.Ver.Equal(b.Ver) {
+		return false
+	}
+	for k := range a.Ver.M {
+		if (a.Ver.M[k] == nil) != (b.Ver.M[k] == nil) {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Client) handleFailure(m *wire.Failure) {

@@ -497,6 +497,27 @@ func TestVersionCheckRejectsUnverifiable(t *testing.T) {
 	}
 }
 
+// TestSameSignedVersion: only a byte-equal VERSION skips verification.
+// A bottom digest and an empty one encode differently in the COMMIT
+// payload, so a φ on one never covers the other.
+func TestSameSignedVersion(t *testing.T) {
+	sv := wire.SignedVersion{Committer: 1, Ver: version.Version{V: []int64{0, 3}, M: [][]byte{nil, {7}}}, Sig: []byte{1, 2}}
+	if !sameSignedVersion(sv, sv.Clone()) {
+		t.Fatal("a clone is not the same signed version")
+	}
+	emptyDigest := sv.Clone()
+	emptyDigest.Ver.M[0] = []byte{}
+	otherSig := sv.Clone()
+	otherSig.Sig[1] ^= 1
+	otherCommitter := sv.Clone()
+	otherCommitter.Committer = 0
+	for name, o := range map[string]wire.SignedVersion{"empty digest for bottom": emptyDigest, "signature": otherSig, "committer": otherCommitter} {
+		if sameSignedVersion(sv, o) || sameSignedVersion(o, sv) {
+			t.Errorf("%s differs, yet the versions count as the same", name)
+		}
+	}
+}
+
 // TestAllocBudgetIntegrateRead: folding a read that brings nothing new
 // into VER allocates nothing. The read's versions are the USTOR round's
 // own clones, and integrateVersion clones only what it retains, so the

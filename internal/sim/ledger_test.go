@@ -56,14 +56,14 @@ var ledger = []ledgerRow{
 // operations plus the dummy reads, VERSION and evidence checks of the
 // failure detector.
 var faustLedger = []ledgerRow{
-	{2, false, 1, 12, 62, 124, 77, 60},      // per op 10.33 signs, 6.42 verifies, 5.00 equations; per SUBMIT 2.00, 1.24, 0.97
+	{2, false, 1, 12, 62, 124, 76, 59},      // per op 10.33 signs, 6.33 verifies, 4.92 equations; per SUBMIT 2.00, 1.23, 0.95
 	{2, false, 2, 12, 24, 48, 26, 18},       // per op 4.00 signs, 2.17 verifies, 1.50 equations; per SUBMIT 2.00, 1.08, 0.75
-	{2, false, 3, 12, 142, 284, 182, 137},   // per op 23.67 signs, 15.17 verifies, 11.42 equations; per SUBMIT 2.00, 1.28, 0.96
+	{2, false, 3, 12, 142, 284, 182, 136},   // per op 23.67 signs, 15.17 verifies, 11.33 equations; per SUBMIT 2.00, 1.28, 0.96
 	{2, false, 4, 12, 25, 52, 35, 28},       // per op 4.33 signs, 2.92 verifies, 2.33 equations; per SUBMIT 2.08, 1.40, 1.12
-	{8, false, 1, 48, 378, 754, 2371, 1093}, // per op 15.71 signs, 49.40 verifies, 22.77 equations; per SUBMIT 1.99, 6.27, 2.89
-	{8, false, 2, 48, 214, 426, 1225, 560},  // per op 8.88 signs, 25.52 verifies, 11.67 equations; per SUBMIT 1.99, 5.72, 2.62
-	{8, false, 3, 48, 411, 822, 2572, 1199}, // per op 17.12 signs, 53.58 verifies, 24.98 equations; per SUBMIT 2.00, 6.26, 2.92
-	{8, false, 4, 48, 483, 968, 3101, 1485}, // per op 20.17 signs, 64.60 verifies, 30.94 equations; per SUBMIT 2.00, 6.42, 3.07
+	{8, false, 1, 48, 378, 754, 2367, 1088}, // per op 15.71 signs, 49.31 verifies, 22.67 equations; per SUBMIT 1.99, 6.26, 2.88
+	{8, false, 2, 48, 214, 426, 1223, 558},  // per op 8.88 signs, 25.48 verifies, 11.62 equations; per SUBMIT 1.99, 5.71, 2.61
+	{8, false, 3, 48, 411, 822, 2564, 1191}, // per op 17.12 signs, 53.42 verifies, 24.81 equations; per SUBMIT 2.00, 6.24, 2.90
+	{8, false, 4, 48, 483, 968, 3097, 1481}, // per op 20.17 signs, 64.52 verifies, 30.85 equations; per SUBMIT 2.00, 6.41, 3.07
 }
 
 // ledgerOps is the number of user operations per client in a ledger run.
