@@ -16,9 +16,10 @@ import (
 // whole dispatch batch as hygiene (shedding forged traffic before it
 // pollutes the operation log). Either way many signatures are decided at
 // once, so they are decided by one randomized batch equation (see the
-// edwards25519 package) instead of one ed25519.Verify each. The verdict
+// edwards25519 package) instead of one single check each. The verdict
 // per signature is unchanged: a batch whose equation fails is resolved
-// by ed25519.Verify one signature at a time.
+// by single checks one signature at a time, and a single check decides
+// what ed25519.Verify decides.
 
 // Batch-verification volume of the dispatch pipeline.
 var vmBatches = obs.Default().Counter("faust_verify_batch_total")
@@ -121,10 +122,10 @@ func (b *Batch) known(memo *PairMemo, signer int, key *[1 + HashSize]byte, ed []
 
 // Verify decides every check waiting in b and returns -1 when all hold,
 // or the index, in the order they joined, of the first that does not.
-// One check is one ed25519.Verify; more are one batch equation, and
-// when that fails, ed25519.Verify one at a time up to the first bad
-// one. The memos learn each signature found valid, in the order the
-// checks joined.
+// One check is one single check (Keyring.verifyEd); more are one batch
+// equation, and when that fails, single checks one at a time up to the
+// first bad one. The memos learn each signature found valid, in the
+// order the checks joined.
 func (b *Batch) Verify() int { return b.verifyFrom(0) }
 
 // verifyFrom is Verify for the checks from index start on.

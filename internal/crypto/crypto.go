@@ -5,13 +5,16 @@
 // The paper (Section 2) assumes a collision-resistant hash function H and
 // a digital signature scheme where only client C_i can sign as C_i and
 // every party can verify. We instantiate H with SHA-256 and signatures
-// with Ed25519 from the Go standard library.
+// with Ed25519; signing is the Go standard library's.
 //
-// Signatures that are checked together — those of one REPLY, or the
-// SUBMITs of one dispatch batch — are decided by one randomized batch
-// equation (Batch, VerifyBatch), computed by internal/edwards25519, a
-// subset of the standard library's curve code. Its verdict per signature
-// is ed25519.Verify's: see Batch for how, and README "Why the batch
+// Every verification runs on one kernel in internal/edwards25519, a
+// subset of the standard library's curve code, over tables each
+// keyring builds once per key. A single check (Keyring.Verify) is the
+// cofactorless check of crypto/ed25519.Verify. Signatures that are
+// checked together — those of one REPLY, or the SUBMITs of one dispatch
+// batch — are decided by one randomized batch equation (Batch,
+// VerifyBatch). Either way the verdict per signature is
+// ed25519.Verify's: see Batch for how, and README "Why the batch
 // equation is sound" for why that holds here.
 package crypto
 
@@ -298,8 +301,8 @@ func (m *PairMemo) set(signer int, msg *[1 + HashSize]byte, ed []byte) {
 
 // Keyring holds the public keys of all n clients. All parties (clients
 // and the server, if it chose to verify) share the same public keyring.
-// Each key is also kept decoded, with the table of its point that batch
-// equations use (see Batch).
+// Each key is also kept decoded, with the tables of its point that every
+// verification uses, single or batched (15 KiB per key).
 type Keyring struct {
 	pubs []ed25519.PublicKey
 	keys []*edwards25519.PublicKey

@@ -11,10 +11,12 @@
 //
 // It is the variable-time subset of the Go standard library's
 // crypto/internal/fips140/edwards25519 (Go 1.24, BSD license, see LICENSE)
-// that a batch verifier needs: point decoding and addition, the NAF
-// lookup tables and the field arithmetic with its amd64 assembly. The
-// constant-time scalar multiplications and the Scalar type are left out;
-// batch.go adds the batch equation and does its scalar arithmetic modulo
-// the group order with math/big. Signing and single verification stay
-// with crypto/ed25519.
+// that a verifier needs: point decoding and addition, the NAF lookup
+// tables and the field arithmetic with its amd64 assembly. The
+// constant-time scalar multiplications and the Scalar type are left out.
+// verify.go adds the verification kernel, the public keys' tables and
+// the single check; batch.go adds the batch equation. Both do their
+// scalar arithmetic modulo the group order with math/big. Everything
+// here runs in variable time on public data only: signing, which must
+// stay constant-time, stays with crypto/ed25519.
 package edwards25519

@@ -4,6 +4,8 @@
 
 package edwards25519
 
+import "faust/internal/crypto/internal/edwards25519/field"
+
 // A dynamic lookup table for variable-base, variable-time scalar muls.
 type nafLookupTable5 struct {
 	points [8]projCached
@@ -30,26 +32,35 @@ func (v *nafLookupTable5) FromP3(q *Point) {
 	}
 }
 
-// This is not optimised for speed; fixed-base tables should be precomputed.
+// FromP3 builds the odd multiples Q, 3Q, ..., 127Q in projective form,
+// then makes them affine with one field inversion for all 64
+// (Montgomery's trick), so a key's table is cheap enough to build once
+// per keyring.
 func (v *nafLookupTable8) FromP3(q *Point) {
-	v.points[0].FromP3(q)
+	var cached [64]projCached
+	cached[0].FromP3(q)
 	q2 := Point{}
 	q2.Add(q, q)
 	tmpP3 := Point{}
 	tmpP1xP1 := projP1xP1{}
 	for i := 0; i < 63; i++ {
-		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.AddAffine(&q2, &v.points[i])))
+		cached[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.Add(&q2, &cached[i])))
 	}
-}
-
-// Selectors.
-
-// Given odd x with 0 < x < 2^4, return x*Q (in variable time).
-func (v *nafLookupTable5) SelectInto(dest *projCached, x int8) {
-	*dest = v.points[x/2]
-}
-
-// Given odd x with 0 < x < 2^7, return x*Q (in variable time).
-func (v *nafLookupTable8) SelectInto(dest *affineCached, x int8) {
-	*dest = v.points[x/2]
+	var prefix [64]field.Element // prefix[i] = Z₀·Z₁·…·Zᵢ
+	prefix[0] = cached[0].Z
+	for i := 1; i < 64; i++ {
+		prefix[i].Multiply(&prefix[i-1], &cached[i].Z)
+	}
+	var inv, zInv field.Element // inv = 1/(Z₀·…·Zᵢ) at step i
+	inv.Invert(&prefix[63])
+	for i := 63; i >= 0; i-- {
+		zInv = inv
+		if i > 0 {
+			zInv.Multiply(&inv, &prefix[i-1])
+			inv.Multiply(&inv, &cached[i].Z)
+		}
+		v.points[i].YplusX.Multiply(&cached[i].YplusX, &zInv)
+		v.points[i].YminusX.Multiply(&cached[i].YminusX, &zInv)
+		v.points[i].T2d.Multiply(&cached[i].T2d, &zInv)
+	}
 }

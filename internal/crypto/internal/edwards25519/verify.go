@@ -1,6 +1,7 @@
 package edwards25519
 
 import (
+	"bytes"
 	"crypto/sha512"
 	"errors"
 	"math/big"
@@ -12,42 +13,27 @@ import (
 // signature's (VerifyOne) and a batch equation's (Batch.Verify), are one
 // variable-time multiscalar multiplication (Straus): all terms share one
 // chain of doublings, and each term adds its NAF digits from a table of
-// odd multiples of its point. The chain is 129 doublings, not 256: a
-// scalar below ℓ < 2²⁵³ is split at 2¹²⁸ into digits 0–127, taken against
-// P, and digits 128–255, taken against [2¹²⁸]P. The basepoint has a
-// static table for each half; a key keeps its two tables for the life of
-// its keyring. The zᵢ of a batch equation are 128 bits, so their NAF
-// needs no split and reaches digit 128, the chain's first doubling.
+// odd multiples of its point. The chain is 128 doublings, not 256: the
+// NAF of a scalar below ℓ < 2²⁵³ is split at 2¹²⁸ into digits 0–127,
+// taken against P, and digits 128–255, taken against [2¹²⁸]P. The split
+// is exact whatever the carries, as each digit keeps its weight. The
+// basepoint has a static table for each half; a key keeps its two
+// tables for the life of its keyring. The zᵢ of a batch equation are 128
+// bits, so their NAF needs no split, but it may carry into digit 128: a
+// batch equation's chain starts one doubling higher.
 
 // half is where a scalar is split: its digit i ≥ half is digit i − half
 // of the multiple of [2¹²⁸]P.
 const half = 128
 
 // PublicKey is a decoded Ed25519 public key: its encoding, which every
-// challenge hash covers, and the NAF tables of its point A and of
-// [2¹²⁸]A, built once.
+// challenge hash covers, and the width-8 NAF tables of its point A and
+// of [2¹²⁸]A, built once: keys are fixed, so the wide tables save
+// additions in every check.
 type PublicKey struct {
 	enc     [32]byte
-	table   keyTable // odd multiples of A
-	table2h keyTable // odd multiples of [2¹²⁸]A
-}
-
-// keyTable holds the odd multiples Q, 3Q, ..., 127Q of a key's point for
-// width-8 NAF digits: keys are fixed, so the wider table, built once,
-// saves additions in every check. Cached projective points need no field
-// inversion to build, unlike the basepoint's affine tables.
-type keyTable struct {
-	points [64]projCached
-}
-
-func (v *keyTable) FromP3(q *Point) {
-	v.points[0].FromP3(q)
-	var q2, tmpP3 Point
-	var tmpP1xP1 projP1xP1
-	q2.Add(q, q)
-	for i := 0; i < 63; i++ {
-		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.Add(&q2, &v.points[i])))
-	}
+	table   nafLookupTable8 // odd multiples of A
+	table2h nafLookupTable8 // odd multiples of [2¹²⁸]A
 }
 
 // NewPublicKey decodes enc. It refuses an encoding that is not a point
@@ -110,15 +96,10 @@ func (b *Batch) VerifyOne(pub *PublicKey, msg, sig []byte) bool {
 	var acc projP2
 	b.sum(&acc)
 	b.Reset()
-
-	var zInv, x, y field.Element
-	zInv.Invert(&acc.Z)
-	x.Multiply(&acc.X, &zInv)
-	y.Multiply(&acc.Y, &zInv)
+	var r Point // encoding reads X, Y and Z only
+	r.x, r.y, r.z = acc.X, acc.Y, acc.Z
 	var enc [32]byte
-	copy(enc[:], y.Bytes())
-	enc[31] |= byte(x.IsNegative() << 7)
-	return enc == [32]byte(sig[:32])
+	return bytes.Equal(r.bytes(&enc), sig[:32])
 }
 
 // challenge returns k = SHA-512(R‖A‖M) as an unreduced integer, in b's
@@ -151,8 +132,8 @@ func (b *Batch) sum(acc *projP2) {
 			t.addAffine(&p, base.points[:], b.sNaf[i])
 			t.addAffine(&p, base2h.points[:], b.sNaf[i+half])
 			for j, k := range b.keys {
-				t.subCached(&p, k.table.points[:], b.kNaf[j][i])
-				t.subCached(&p, k.table2h.points[:], b.kNaf[j][i+half])
+				t.addAffine(&p, k.table.points[:], -b.kNaf[j][i])
+				t.addAffine(&p, k.table2h.points[:], -b.kNaf[j][i+half])
 			}
 		}
 		for j := 0; j < b.n; j++ {

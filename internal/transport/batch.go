@@ -36,7 +36,7 @@ import (
 //	reply     replies coalesce into one framed write per destination
 //
 // A batch of one is a small batch, not a second code path: it verifies
-// with one ed25519.Verify (an equation needs two signatures), flushes
+// with one single check (an equation needs two signatures), flushes
 // once and sends one reply. Batches never reorder: ops apply in arrival
 // order and per-client reply order is preserved, so the reliable-FIFO
 // contract the protocol assumes is untouched.
