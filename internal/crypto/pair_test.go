@@ -333,26 +333,6 @@ func TestAllocBudgetVerifyPaired(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetKeyringVerify: one Keyring.Verify of each encoding
-// (plain, pair, triple), decided by the single-check kernel on pooled
-// scratch, allocates nothing. Runs without -race in CI.
-func TestAllocBudgetKeyringVerify(t *testing.T) {
-	ring, signers := NewTestKeyring(2, 8)
-	pair, _ := signTestPair(signers[1])
-	triple, _, _ := signTestTriple(signers[1])
-	for name, sig := range map[string][]byte{"plain": signers[1].Sign(DomainSubmit, pairA), "pair": pair, "triple": triple} {
-		verify := func() {
-			if !ring.Verify(1, sig, DomainSubmit, pairA) {
-				t.Fatalf("%s: valid signature rejected", name)
-			}
-		}
-		verify()
-		if got := testing.AllocsPerRun(100, verify); got != 0 {
-			t.Errorf("%s: Verify allocates %.1f objects, want 0", name, got)
-		}
-	}
-}
-
 // FuzzVerify: arbitrary signature bytes never panic Verify, never verify
 // for a payload the signer did not sign, and get the verdict of
 // crypto/ed25519.Verify on the Ed25519 message (stdVerify).
