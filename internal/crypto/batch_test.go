@@ -258,50 +258,27 @@ func firstFailure(ring *Keyring, checks []check) int {
 	return -1
 }
 
-// batchFirstFailure decides checks the way a USTOR client decides a
-// REPLY: in order, through VerifyBatched, until one cannot verify at
-// all; then one Batch.Verify. It returns the index of the first check
-// that fails, or -1. With memos, each signer's checks go through its
-// memo, so identical signatures merge.
-func batchFirstFailure(ring *Keyring, checks []check, memos []PairMemo) int {
-	var b Batch
-	var job []int // job[k] is the check batch entry k came from
-	stop := -1
+// memoFirstFailure decides checks the way a USTOR client decides a
+// REPLY: in order, through VerifyMemo with one memo per signer, so
+// identical signatures merge, until one fails. It returns the index of
+// that check, or -1.
+func memoFirstFailure(ring *Keyring, checks []check) int {
+	memos := make([]PairMemo, ring.N())
 	for i, c := range checks {
-		var memo *PairMemo
-		if memos != nil {
-			memo = &memos[c.signer]
-		}
-		n := b.Len()
-		if !ring.VerifyBatched(&b, memo, c.signer, c.sig, c.domain, c.payload) {
-			stop = i
-			break
-		}
-		if b.Len() > n {
-			job = append(job, i)
+		if !ring.VerifyMemo(&memos[c.signer], c.signer, c.sig, c.domain, c.payload) {
+			return i
 		}
 	}
-	if bad := b.Verify(); bad >= 0 {
-		return job[bad]
-	}
-	return stop
+	return -1
 }
 
-// checkBatch compares the batch verdicts on checks with stdVerify's, one
-// check at a time: the first failing check through Batch, with and
-// without memos, and every job's OK through VerifyBatch. A failed
-// equation falls back to Keyring.Verify, which runs the same kernel as
-// the equation, so only the standard library can tell whether either is
-// wrong.
+// checkBatch compares the verdicts on checks with stdVerify's, one check
+// at a time: every job's OK through VerifyBatch, and the first check
+// that fails through memos. Keyring.Verify runs the kernel under test,
+// so only the standard library can tell whether it is wrong.
 func checkBatch(t *testing.T, ring *Keyring, checks []check) {
 	t.Helper()
 	want := firstFailure(ring, checks)
-	if got := batchFirstFailure(ring, checks, nil); got != want {
-		t.Fatalf("Batch: first failure %d, ed25519.Verify: %d", got, want)
-	}
-	if got := batchFirstFailure(ring, checks, make([]PairMemo, ring.N())); got != want {
-		t.Fatalf("Batch with memos: first failure %d, ed25519.Verify: %d", got, want)
-	}
 	jobs := make([]VerifyJob, len(checks))
 	for i, c := range checks {
 		jobs[i] = VerifyJob{Ring: ring, Signer: c.signer, Domain: c.domain, Sig: c.sig, Payload: c.payload}
@@ -311,6 +288,9 @@ func checkBatch(t *testing.T, ring *Keyring, checks []check) {
 		if want := stdVerify(ring, c); jobs[i].OK != want {
 			t.Fatalf("VerifyBatch job %d: OK=%v, ed25519.Verify=%v", i, jobs[i].OK, want)
 		}
+	}
+	if got := memoFirstFailure(ring, checks); got != want {
+		t.Fatalf("VerifyMemo: first failure %d, ed25519.Verify: %d", got, want)
 	}
 }
 
@@ -335,8 +315,9 @@ func TestBatchVerifyMutations(t *testing.T) {
 }
 
 // FuzzBatchVerify: for a batch of honest plain, pair and triple
-// signatures with one mutation, the verdict and the first failing check
-// of a batch equation are those of ed25519.Verify one at a time.
+// signatures with one mutation, the verdict of VerifyBatch per job, and
+// the first failing check through memos, are those of ed25519.Verify
+// one at a time.
 func FuzzBatchVerify(f *testing.F) {
 	ring, signers := NewTestKeyring(3, 22)
 	honest := honestChecks(signers)

@@ -5,17 +5,14 @@
 // The paper (Section 2) assumes a collision-resistant hash function H and
 // a digital signature scheme where only client C_i can sign as C_i and
 // every party can verify. We instantiate H with SHA-256 and signatures
-// with Ed25519; signing is the Go standard library's.
+// with Ed25519 (RFC 8032).
 //
-// Every verification runs on one kernel in internal/edwards25519, a
-// subset of the standard library's curve code, over tables each
-// keyring builds once per key. A single check (Keyring.Verify) is the
-// cofactorless check of crypto/ed25519.Verify. Signatures that are
-// checked together — those of one REPLY, or the SUBMITs of one dispatch
-// batch — are decided by one randomized batch equation (Batch,
-// VerifyBatch). Either way the verdict per signature is
-// ed25519.Verify's: see Batch for how, and README "Why the batch
-// equation is sound" for why that holds here.
+// Both run in internal/edwards25519, a subset of the Go standard
+// library's curve code. A Signer expands its key once and signs with
+// the standard library's constant-time scalar code; its signatures are
+// byte for byte crypto/ed25519.Sign's. Every verification is one single
+// check on a variable-time kernel, over tables each keyring builds once
+// per key, and decides exactly what crypto/ed25519.Verify decides.
 package crypto
 
 import (
@@ -75,16 +72,18 @@ const (
 // allocation beyond the returned digest or signature.
 var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
+// kernelPool recycles the scratch of the Ed25519 kernel, so signing and
+// verifying need no lock and allocate nothing.
+var kernelPool = sync.Pool{New: func() any { return new(edwards25519.Scratch) }}
+
 // Signature timing feeds the observability layer: Ed25519 dominates the
 // client-side cost of every USTOR operation (Section 6 measures exactly
 // this), so per-call histograms make the crypto share of op latency
 // visible on /metrics wherever signing or verification happens.
-// verifyNs has one observation per signature verified for real, batchNs
-// one per verification equation solved.
+// verifyNs has one observation per signature verified for real.
 var (
 	signNs   = obs.Default().Histogram("faust_ed25519_sign_ns")
 	verifyNs = obs.Default().Histogram("faust_ed25519_verify_ns")
-	batchNs  = obs.Default().Histogram("faust_ed25519_batch_ns")
 )
 
 // Hash returns the SHA-256 digest of the concatenation of the given byte
@@ -127,12 +126,23 @@ func HashOrNil(x []byte) []byte {
 	return Hash(x)
 }
 
-// Signer holds a client's private key and can issue signatures in its
-// name. The zero value is unusable; construct via GenerateKeyring or
-// NewTestKeyring.
+// Signer holds a client's private key, expanded once, and can issue
+// signatures in its name. It is safe for concurrent use. The zero value
+// is unusable; construct via GenerateKeyring or NewTestKeyring.
 type Signer struct {
 	id  int
-	key ed25519.PrivateKey
+	key *edwards25519.PrivateKey
+}
+
+// newSigner expands the private key seed of client id and returns its
+// signer and public key.
+func newSigner(id int, seed []byte) (*Signer, ed25519.PublicKey) {
+	key, err := edwards25519.NewPrivateKey(seed)
+	if err != nil {
+		panic(err) // every caller passes ed25519.SeedSize bytes
+	}
+	pub := key.Public()
+	return &Signer{id: id, key: key}, pub[:]
 }
 
 // ID returns the client index this signer signs for.
@@ -145,11 +155,20 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 	bp := scratchPool.Get().(*[]byte)
 	msg := append((*bp)[:0], domain)
 	msg = append(msg, payload...)
-	start := obs.StartTimer()
-	sig := ed25519.Sign(s.key, msg)
-	signNs.ObserveSince(start)
+	sig := s.sign(msg)
 	*bp = msg
 	scratchPool.Put(bp)
+	return sig[:]
+}
+
+// sign is the one place an Ed25519 signature is made, so
+// faust_ed25519_sign_ns counts exactly the real ones.
+func (s *Signer) sign(msg []byte) [ed25519.SignatureSize]byte {
+	start := obs.StartTimer()
+	sc := kernelPool.Get().(*edwards25519.Scratch)
+	sig := s.key.Sign(sc, msg)
+	kernelPool.Put(sc)
+	signNs.ObserveSince(start)
 	return sig
 }
 
@@ -211,13 +230,10 @@ func (s *Signer) SignTriple(memo *PairMemo, domA byte, payloadA []byte, domB byt
 }
 
 // signRoot signs DomainPair‖root and records it in memo when non-nil. It
-// returns the signature by value: ed25519.Sign's result then never
-// escapes and stays off the heap.
+// returns the signature by value, so it stays off the heap.
 func (s *Signer) signRoot(memo *PairMemo, root *[HashSize]byte) (ed [ed25519.SignatureSize]byte) {
 	msg := rootMessage(root)
-	start := obs.StartTimer()
-	copy(ed[:], ed25519.Sign(s.key, msg[:]))
-	signNs.ObserveSince(start)
+	ed = s.sign(msg[:])
 	if memo != nil {
 		memo.set(s.id, &msg, ed[:])
 	}
@@ -302,17 +318,17 @@ func (m *PairMemo) set(signer int, msg *[1 + HashSize]byte, ed []byte) {
 // Keyring holds the public keys of all n clients. All parties (clients
 // and the server, if it chose to verify) share the same public keyring.
 // Each key is also kept decoded, with the tables of its point that every
-// verification uses, single or batched (15 KiB per key).
+// verification uses (30 KiB per key).
 type Keyring struct {
 	pubs []ed25519.PublicKey
 	keys []*edwards25519.PublicKey
 }
 
 // newKeyring returns the keyring of pubs. It refuses a key that is not
-// the encoding of a curve point, or whose point has small order: the
-// batch equation is cofactored, and only for keys without a small-order
-// part does it decide exactly what ed25519.Verify decides on every
-// signature their owners did not craft themselves.
+// the encoding of a curve point, or whose point has small order: anyone
+// can forge a signature under such a key (see edwards25519.NewPublicKey),
+// so it cannot stand for one client, which the paper's signature scheme
+// assumes (Section 2).
 func newKeyring(pubs []ed25519.PublicKey) (*Keyring, error) {
 	ring := &Keyring{pubs: pubs, keys: make([]*edwards25519.PublicKey, len(pubs))}
 	for i, p := range pubs {
@@ -421,18 +437,16 @@ func treeMessage(sig []byte, domain byte, payload []byte) (msg [1 + HashSize]byt
 	return rootMessage(&node), ed, true
 }
 
-// verifyEd is the one place a single Ed25519 verification happens, so
-// faust_ed25519_verify_ns counts exactly the real ones. Each is one
-// equation of its own, solved by the kernel of the batch equations on
-// the key's cached tables with pooled scratch; its verdict is
-// ed25519.Verify's (see edwards25519.Batch.VerifyOne).
+// verifyEd is the one place an Ed25519 verification happens, so
+// faust_ed25519_verify_ns counts exactly the real ones. It runs on the
+// key's cached tables with pooled scratch, and its verdict is
+// ed25519.Verify's (see edwards25519.PublicKey.Verify).
 func (k *Keyring) verifyEd(i int, msg, sig []byte) bool {
 	start := obs.StartTimer()
-	eq := eqPool.Get().(*edwards25519.Batch)
-	ok := eq.VerifyOne(k.keys[i], msg, sig)
-	eqPool.Put(eq)
+	sc := kernelPool.Get().(*edwards25519.Scratch)
+	ok := k.keys[i].Verify(sc, msg, sig)
+	kernelPool.Put(sc)
 	verifyNs.ObserveSince(start)
-	batchNs.ObserveSince(start)
 	return ok
 }
 
@@ -445,12 +459,11 @@ func GenerateKeyring(n int) (*Keyring, []*Signer, error) {
 	pubs := make([]ed25519.PublicKey, n)
 	signers := make([]*Signer, n)
 	for i := 0; i < n; i++ {
-		pub, priv, err := ed25519.GenerateKey(rand.Reader)
-		if err != nil {
+		seed := make([]byte, ed25519.SeedSize)
+		if _, err := rand.Read(seed); err != nil {
 			return nil, nil, fmt.Errorf("crypto: generating key %d: %w", i, err)
 		}
-		pubs[i] = pub
-		signers[i] = &Signer{id: i, key: priv}
+		signers[i], pubs[i] = newSigner(i, seed)
 	}
 	ring, err := newKeyring(pubs)
 	if err != nil {
@@ -474,9 +487,7 @@ func NewTestKeyring(n int, seed int64) (*Keyring, []*Signer) {
 		for j := range seedBytes {
 			seedBytes[j] = byte(rng.IntN(256))
 		}
-		priv := ed25519.NewKeyFromSeed(seedBytes)
-		pubs[i] = priv.Public().(ed25519.PublicKey)
-		signers[i] = &Signer{id: i, key: priv}
+		signers[i], pubs[i] = newSigner(i, seedBytes)
 	}
 	ring, err := newKeyring(pubs)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,31 @@ func TestGenerateKeyring(t *testing.T) {
 	}
 }
 
+// TestSignerConcurrent: one Signer signs from many goroutines at once
+// and every signature is the one it makes alone (RFC 8032 signing is
+// deterministic); run with -race.
+func TestSignerConcurrent(t *testing.T) {
+	ring, signers := NewTestKeyring(1, 17)
+	want := signers[0].Sign(DomainSubmit, []byte("concurrent"))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if sig := signers[0].Sign(DomainSubmit, []byte("concurrent")); !bytes.Equal(sig, want) {
+					t.Errorf("signature %x, want %x", sig, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !ring.Verify(0, want, DomainSubmit, []byte("concurrent")) {
+		t.Fatal("signature does not verify")
+	}
+}
+
 func TestSignerID(t *testing.T) {
 	_, signers := NewTestKeyring(3, 7)
 	for i, s := range signers {
@@ -190,8 +216,8 @@ func TestKeyringRefusesUndecodableKey(t *testing.T) {
 }
 
 // TestKeyringRefusesSmallOrderKey: a public key of small order (the
-// identity and points of order 2, 4 and 8) is refused, since the batch
-// equation multiplies by the cofactor.
+// identity and points of order 2, 4 and 8) is refused, since anyone can
+// forge a signature under it.
 func TestKeyringRefusesSmallOrderKey(t *testing.T) {
 	for name, hexKey := range map[string]string{
 		"identity": "0100000000000000000000000000000000000000000000000000000000000000",

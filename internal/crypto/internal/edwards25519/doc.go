@@ -9,14 +9,14 @@
 // This is better known as the Edwards curve equivalent to Curve25519, and is
 // the curve used by the Ed25519 signature scheme.
 //
-// It is the variable-time subset of the Go standard library's
+// It is the subset of the Go standard library's
 // crypto/internal/fips140/edwards25519 (Go 1.24, BSD license, see LICENSE)
-// that a verifier needs: point decoding and addition, the NAF lookup
-// tables and the field arithmetic with its amd64 assembly. The
-// constant-time scalar multiplications and the Scalar type are left out.
-// verify.go adds the verification kernel, the public keys' tables and
-// the single check; batch.go adds the batch equation. Both do their
-// scalar arithmetic modulo the group order with math/big. Everything
-// here runs in variable time on public data only: signing, which must
-// stay constant-time, stays with crypto/ed25519.
+// that Ed25519 needs: point decoding, encoding and addition, the field
+// arithmetic with its amd64 assembly, the fiat-crypto Scalar type
+// (scalar.go, scalar_fiat.go) and the constant-time ScalarBaseMult with
+// its tables (scalarmult.go, tables.go). Those files are copied as they
+// are, with the standard library's internal imports replaced by their
+// public equivalents. sign.go signs with them: the secret scalars only
+// ever meet that constant-time code. verify.go adds the variable-time
+// verification kernel, which runs on public data only.
 package edwards25519

@@ -25,6 +25,9 @@ const (
 	oneMutations
 )
 
+// order is ℓ, the prime order of the group generated by B.
+var order, _ = new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+
 func mustHex(s string) []byte {
 	b, err := hex.DecodeString(s)
 	if err != nil {
@@ -156,7 +159,7 @@ func reversed(b []byte) []byte {
 	return out
 }
 
-// FuzzVerifyOne: the verdict of the single check equals
+// FuzzVerifyOne: the verdict of the single check (PublicKey.Verify) equals
 // crypto/ed25519.Verify's on honest signatures of messages of 0–200
 // bytes and on each mutation of them.
 func FuzzVerifyOne(f *testing.F) {
@@ -167,7 +170,7 @@ func FuzzVerifyOne(f *testing.F) {
 		}
 	}
 	f.Add(uint64(99), uint8(200), uint8(2), uint8(oneFlipS), uint16(31), byte(0x80))
-	var b Batch
+	var sc Scratch
 	f.Fuzz(func(t *testing.T, seed uint64, size, key, kind uint8, pos uint16, val byte) {
 		rng := rand.New(rand.NewPCG(seed, 1))
 		msg := make([]byte, int(size)%201)
@@ -178,8 +181,8 @@ func FuzzVerifyOne(f *testing.F) {
 		sig := ed25519.Sign(privs[k], msg)
 		msg, sig, pub := mutateOne(pubs, k, msg, sig, int(kind)%oneMutations, int(pos), val)
 		want := ed25519.Verify(pub.enc[:], msg, sig)
-		if got := b.VerifyOne(pub, msg, sig); got != want {
-			t.Fatalf("mutation %d: VerifyOne = %v, ed25519.Verify = %v (sig %x)", kind%oneMutations, got, want, sig)
+		if got := pub.Verify(&sc, msg, sig); got != want {
+			t.Fatalf("mutation %d: Verify = %v, ed25519.Verify = %v (sig %x)", kind%oneMutations, got, want, sig)
 		}
 		if kind%oneMutations == oneHonest && !want {
 			t.Fatal("honest signature rejected")
@@ -193,11 +196,53 @@ func TestAllocBudgetVerifyOne(t *testing.T) {
 	privs, pubs := oneVerifyKeys(t)
 	msg := make([]byte, 200)
 	sig := ed25519.Sign(privs[0], msg)
-	var b Batch
-	if !b.VerifyOne(pubs[0], msg, sig) {
+	var sc Scratch
+	if !pubs[0].Verify(&sc, msg, sig) {
 		t.Fatal("valid signature rejected")
 	}
-	if got := testing.AllocsPerRun(50, func() { b.VerifyOne(pubs[0], msg, sig) }); got != 0 {
+	if got := testing.AllocsPerRun(50, func() { pubs[0].Verify(&sc, msg, sig) }); got != 0 {
 		t.Fatalf("a single check allocates %.1f objects", got)
+	}
+}
+
+func TestNonAdjacentForm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, w := range []uint{keyWidth, baseWidth} {
+		for k := 0; k < 50; k++ {
+			var le [32]byte
+			for i := range le {
+				le[i] = byte(rng.IntN(256))
+			}
+			le[31] &= 0x0f
+			var s Scalar
+			if _, err := s.SetCanonicalBytes(le[:]); err != nil {
+				t.Fatal(err)
+			}
+			naf := s.nonAdjacentForm(w)
+			got := new(big.Int)
+			for i := 255; i >= 0; i-- {
+				got.Lsh(got, 1)
+				got.Add(got, big.NewInt(int64(naf[i])))
+			}
+			if want := new(big.Int).SetBytes(reversed(le[:])); got.Cmp(want) != 0 {
+				t.Fatalf("w=%d: NAF sums to %v, want %v", w, got, want)
+			}
+		}
+	}
+}
+
+func TestPublicKeyRefusals(t *testing.T) {
+	identity := make([]byte, 32)
+	identity[0] = 1
+	if _, err := NewPublicKey(identity); err == nil {
+		t.Error("identity accepted as a public key")
+	}
+	notOnCurve := make([]byte, 32)
+	notOnCurve[0] = 2
+	if _, err := NewPublicKey(notOnCurve); err == nil {
+		t.Error("y = 2, which is not on the curve, accepted")
+	}
+	if _, err := NewPublicKey(NewGeneratorPoint().Bytes()); err != nil {
+		t.Errorf("generator refused: %v", err)
 	}
 }

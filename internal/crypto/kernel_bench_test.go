@@ -1,14 +1,11 @@
 package crypto
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// BenchmarkKernel times the two uses of the Ed25519 verification kernel
-// through the public API: one plain Keyring.Verify, and one batch
-// equation over n plain signatures of n distinct signers (the equation
-// holds, so no signature falls back to a single check).
+// BenchmarkKernel times the Ed25519 kernel through the public API: one
+// plain Keyring.Verify under one key; the same round robin over 16 keys
+// with 1 MiB written between checks, so each check finds its key's
+// tables out of the cache; and one plain Signer.Sign.
 //
 //	go test -run '^$' -bench Kernel -benchmem ./internal/crypto
 func BenchmarkKernel(b *testing.B) {
@@ -26,19 +23,25 @@ func BenchmarkKernel(b *testing.B) {
 			}
 		}
 	})
-	for _, n := range []int{2, 4, 12, 16} {
-		b.Run(fmt.Sprintf("equation/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var batch Batch
-			for i := 0; i < b.N; i++ {
-				batch.Reset()
-				for j := 0; j < n; j++ {
-					ring.VerifyBatched(&batch, nil, j, sigs[j], DomainCommit, payload)
-				}
-				if batch.Verify() >= 0 {
-					b.Fatal("valid batch rejected")
-				}
+	evict := make([]byte, 1<<20)
+	b.Run("verify/keys=16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < len(evict); j += 64 {
+				evict[j]++
 			}
-		})
-	}
+			b.StartTimer()
+			k := i % len(signers)
+			if !ring.Verify(k, sigs[k], DomainCommit, payload) {
+				b.Fatal("valid signature rejected")
+			}
+		}
+	})
+	b.Run("sign", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			signers[0].Sign(DomainCommit, payload)
+		}
+	})
 }

@@ -25,9 +25,9 @@ import (
 //	drain     popBatch takes everything queued, up to the transport's cap
 //	          (DefaultMaxBatch unless WithMaxBatch says otherwise),
 //	          preserving arrival (and therefore per-connection FIFO) order
-//	verify    SUBMIT signatures of the whole batch check with one batch
-//	          equation (crypto.VerifyBatch) — a forged one still rejects
-//	          only its own op
+//	verify    SUBMIT signatures of the whole batch check in one call
+//	          (crypto.VerifyBatch), one single check each — a forged one
+//	          rejects only its own op
 //	apply     verified ops run sequentially against the single-writer
 //	          core, exactly as the paper's atomic handlers require; a
 //	          BatchCore buffers its WAL appends
@@ -36,10 +36,10 @@ import (
 //	reply     replies coalesce into one framed write per destination
 //
 // A batch of one is a small batch, not a second code path: it verifies
-// with one single check (an equation needs two signatures), flushes
-// once and sends one reply. Batches never reorder: ops apply in arrival
-// order and per-client reply order is preserved, so the reliable-FIFO
-// contract the protocol assumes is untouched.
+// its one signature, flushes once and sends one reply. Batches never
+// reorder: ops apply in arrival order and per-client reply order is
+// preserved, so the reliable-FIFO contract the protocol assumes is
+// untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
 // transport was not configured otherwise. Large enough to amortize fsync
@@ -269,7 +269,7 @@ func (h *hub) runBatch(batch []envelope) {
 	h.jobs = jobs
 	h.payload = payload
 
-	// Stage 2 — verify the whole batch at once: one batch equation.
+	// Stage 2 — verify the whole batch's SUBMIT signatures.
 	if len(jobs) > 0 {
 		var vstart time.Time
 		if trace.Enabled() {

@@ -115,12 +115,6 @@ type Client struct {
 	// receive loop, which must keep running exactly then (Section 6).
 	memoMu    sync.Mutex
 	commitBuf []byte
-
-	// batch holds the signatures of the REPLY being checked that no memo
-	// vouches for, and batchChecks[i] the check that fails if batch
-	// check i does not verify (guarded by mu; see settle).
-	batch       crypto.Batch
-	batchChecks []string
 }
 
 type pairMemos struct{ submit, commit crypto.PairMemo }
@@ -350,12 +344,8 @@ func (c *Client) round(ctx context.Context, op wire.OpCode, reg int, x []byte) (
 	}
 	_, hv := trace.Child(ctx, spanVerify)
 	err = c.updateVersion(reply)
-	if err == nil {
-		if isRead {
-			err = c.checkData(reply, reg)
-		} else {
-			err = c.settle("")
-		}
+	if err == nil && isRead {
+		err = c.checkData(reply, reg)
 	}
 	hv.End()
 	if err != nil {
@@ -391,54 +381,10 @@ func (c *Client) signSubmit(op wire.OpCode, reg int, t int64, tc *wire.TraceCtx)
 }
 
 // verify checks client k's SUBMIT-, DATA- or PROOF-signature over a
-// domain-separated payload through k's submit memo, for the REPLY being
-// checked: a signature the memo does not vouch for joins c.batch, and
-// settle decides it, failing with check if it is the first that does not
-// verify. verify returns false only for a signature that cannot verify
-// at all. COMMIT-signatures go through verifyVersion.
-func (c *Client) verify(check string, k int, sig []byte, domain byte, payload []byte) bool {
-	n := c.batch.Len()
-	ok := c.ring.VerifyBatched(&c.batch, &c.memo[k].submit, k, sig, domain, payload)
-	c.tagBatch(n, check)
-	return ok
-}
-
-// verifyVersion is verify for the signed version of line 35 or 49, under
-// its committer's COMMIT memo.
-func (c *Client) verifyVersion(check string, sv wire.SignedVersion) bool {
-	n := c.batch.Len()
-	ok := verifyCommit(c.ring, c, &c.batch, sv)
-	c.tagBatch(n, check)
-	return ok
-}
-
-// tagBatch records check as the check of the signature that joined
-// c.batch since it held n signatures, if one did.
-func (c *Client) tagBatch(n int, check string) {
-	if c.batch.Len() > n {
-		c.batchChecks = append(c.batchChecks, check)
-	}
-}
-
-// settle ends the checks of a REPLY: one batch equation decides the
-// signatures waiting in c.batch (crypto.Batch.Verify). The checks ran in
-// Algorithm 1's order, so the first of them that does not verify is the
-// first failed check; otherwise check, where the walk stopped ("" when
-// every check held), is. settle fails the client with it and empties the
-// batch for the next REPLY.
-func (c *Client) settle(check string) error {
-	c.memoMu.Lock() // the batch's COMMIT-signatures update COMMIT memos
-	bad := c.batch.Verify()
-	c.memoMu.Unlock()
-	if bad >= 0 {
-		check = c.batchChecks[bad]
-	}
-	c.batch.Reset()
-	c.batchChecks = c.batchChecks[:0]
-	if check != "" {
-		return c.fail(check)
-	}
-	return nil
+// domain-separated payload through k's submit memo. COMMIT-signatures go
+// through VerifyVersion.
+func (c *Client) verify(k int, sig []byte, domain byte, payload []byte) bool {
+	return c.ring.VerifyMemo(&c.memo[k].submit, k, sig, domain, payload)
 }
 
 // VerifyVersion decides a signed version: sv.Committer is a client of
@@ -452,13 +398,6 @@ func (c *Client) settle(check string) error {
 // allocation; ring must then be c's keyring. With a nil c it always
 // verifies for real.
 func VerifyVersion(ring *crypto.Keyring, c *Client, sv wire.SignedVersion) bool {
-	return verifyCommit(ring, c, nil, sv)
-}
-
-// verifyCommit is VerifyVersion, except that with non-nil c and b the
-// Ed25519 verification joins b, as crypto.Keyring.VerifyBatched
-// describes: lines 35 and 49 check their signed versions this way.
-func verifyCommit(ring *crypto.Keyring, c *Client, b *crypto.Batch, sv wire.SignedVersion) bool {
 	if sv.Committer < 0 || sv.Committer >= ring.N() {
 		return false
 	}
@@ -468,11 +407,7 @@ func verifyCommit(ring *crypto.Keyring, c *Client, b *crypto.Batch, sv wire.Sign
 	c.memoMu.Lock()
 	defer c.memoMu.Unlock()
 	c.commitBuf = wire.AppendCommitPayload(c.commitBuf[:0], sv.Ver)
-	memo := &c.memo[sv.Committer].commit
-	if b == nil {
-		return ring.VerifyMemo(memo, sv.Committer, sv.Sig, crypto.DomainCommit, c.commitBuf)
-	}
-	return ring.VerifyBatched(b, memo, sv.Committer, sv.Sig, crypto.DomainCommit, c.commitBuf)
+	return ring.VerifyMemo(&c.memo[sv.Committer].commit, sv.Committer, sv.Sig, crypto.DomainCommit, c.commitBuf)
 }
 
 // recvReply waits for the REPLY message. A response of the wrong shape is
@@ -524,34 +459,22 @@ func (c *Client) validateReplyShape(r *wire.Reply) error {
 	return nil
 }
 
-// The checks of Algorithm 1 that a REPLY's signatures fail.
-const (
-	checkLine35 = "COMMIT-signature on SVER[c] invalid (line 35)"
-	checkLine41 = "PROOF-signature for concurrent operation invalid (line 41)"
-	checkLine43 = "SUBMIT-signature for concurrent operation invalid (line 43)"
-	checkLine49 = "COMMIT-signature on SVER[j] invalid (line 49)"
-	checkLine50 = "DATA-signature on returned value invalid (line 50)"
-)
-
 // updateVersion implements Algorithm 1 lines 34-47: verify the largest
 // committed version shown by the server, adopt it, and advance it over the
 // concurrent operations listed in L, checking every tuple's signatures and
-// extending the digest chain. The signatures wait in c.batch for settle;
-// a check that fails before them settles at once. (After a detection
-// c.ver may hold a partly walked version, as it always could: the client
-// has halted.)
+// extending the digest chain.
 func (c *Client) updateVersion(r *wire.Reply) error {
 	vc, mc := r.CVer.Ver, r.CVer.Ver.M
 
 	// Line 35: the shown version is either the initial one or carries a
 	// valid COMMIT-signature by client C_c.
-	if !vc.IsZero() && !c.verifyVersion(checkLine35, wire.SignedVersion{Committer: r.C, Ver: vc, Sig: r.CVer.Sig}) {
-		return c.settle(checkLine35)
+	if !vc.IsZero() && !VerifyVersion(c.ring, c, wire.SignedVersion{Committer: r.C, Ver: vc, Sig: r.CVer.Sig}) {
+		return c.fail("COMMIT-signature on SVER[c] invalid (line 35)")
 	}
 	// Line 36: the shown version extends the client's own version and
 	// agrees on the client's own timestamp.
 	if !c.ver.LessEq(vc) || vc.V[c.id] != c.ver.V[c.id] {
-		return c.settle("server version does not extend own version (line 36)")
+		return c.fail("server version does not extend own version (line 36)")
 	}
 
 	// Line 37: adopt (V_c, M_c). CopyFrom reuses c.ver's storage — safe
@@ -571,8 +494,8 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 		// what line 41 asks: C_k signs psi on M[k] only after completing
 		// the operation with that digest.
 		if c.ver.M[k] != nil {
-			if !c.verify(checkLine41, k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
-				return c.settle(checkLine41)
+			if !c.verify(k, r.P[k], crypto.DomainProof, wire.ProofPayload(c.ver.M[k])) {
+				return c.fail("PROOF-signature for concurrent operation invalid (line 41)")
 			}
 		}
 		// Line 42: account for C_k's operation.
@@ -580,14 +503,14 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 		// Line 43: no client is concurrent with itself, and the
 		// SUBMIT-signature must cover the expected timestamp.
 		if k == c.id {
-			return c.settle("own operation listed as concurrent (line 43)")
+			return c.fail("own operation listed as concurrent (line 43)")
 		}
 		// inv.Trace is whatever the submitter put under its signature;
 		// recomputing the payload from the echoed tuple keeps the check
 		// sound whether or not the operation was traced.
 		c.payload = wire.AppendSubmitPayload(c.payload[:0], inv.Op, inv.Reg, c.ver.V[k], inv.Trace)
-		if !c.verify(checkLine43, k, inv.SubmitSig, crypto.DomainSubmit, c.payload) {
-			return c.settle(checkLine43)
+		if !c.verify(k, inv.SubmitSig, crypto.DomainSubmit, c.payload) {
+			return c.fail("SUBMIT-signature for concurrent operation invalid (line 43)")
 		}
 		// Lines 44-45: extend the digest chain, writing the new digest into
 		// M[k]'s existing storage (DigestStepInto computes before writing,
@@ -604,14 +527,13 @@ func (c *Client) updateVersion(r *wire.Reply) error {
 
 // checkData implements Algorithm 1 lines 48-52: validate the returned
 // register value and the writer's version against the adopted version.
-// It settles the REPLY's checks, those of updateVersion included.
 func (c *Client) checkData(r *wire.Reply, j int) error {
 	vj := r.JVer.Ver
 	tj, xj := r.Mem.T, r.Mem.Value
 
 	// Line 49: the writer's version is initial or properly signed by C_j.
-	if !vj.IsZero() && !c.verifyVersion(checkLine49, wire.SignedVersion{Committer: j, Ver: vj, Sig: r.JVer.Sig}) {
-		return c.settle(checkLine49)
+	if !vj.IsZero() && !VerifyVersion(c.ring, c, wire.SignedVersion{Committer: j, Ver: vj, Sig: r.JVer.Sig}) {
+		return c.fail("COMMIT-signature on SVER[j] invalid (line 49)")
 	}
 	// Line 50: the value integrity check via the DATA-signature.
 	if tj != 0 {
@@ -621,21 +543,21 @@ func (c *Client) checkData(r *wire.Reply, j int) error {
 			xbar = c.readHash
 		}
 		c.payload = wire.AppendDataPayload(c.payload[:0], tj, xbar)
-		if !c.verify(checkLine50, j, r.Mem.DataSig, crypto.DomainData, c.payload) {
-			return c.settle(checkLine50)
+		if !c.verify(j, r.Mem.DataSig, crypto.DomainData, c.payload) {
+			return c.fail("DATA-signature on returned value invalid (line 50)")
 		}
 	}
 	// Line 51: the writer's version is no newer than the adopted one, and
 	// the returned timestamp matches C_j's last operation in the view.
 	if !vj.LessEq(r.CVer.Ver) || tj != c.ver.V[j] {
-		return c.settle("returned value is not from the latest operation of the writer (line 51)")
+		return c.fail("returned value is not from the latest operation of the writer (line 51)")
 	}
 	// Line 52: the writer's own entry is current or one behind (its COMMIT
 	// may still be in flight).
 	if vj.V[j] != tj && vj.V[j] != tj-1 {
-		return c.settle("writer version timestamp inconsistent with returned value (line 52)")
+		return c.fail("writer version timestamp inconsistent with returned value (line 52)")
 	}
-	return c.settle("")
+	return nil
 }
 
 // commit signs the COMMIT message (lines 18-19 / 31-32) and either sends
