@@ -73,6 +73,14 @@ func main() {
 	if *id < 0 || *id >= *n {
 		log.Fatalf("faust-client: -id %d out of range [0,%d)", *id, *n)
 	}
+	// The poll interval is a quarter of -probe; a ticker needs it positive.
+	if *probe/4 <= 0 {
+		log.Fatalf("faust-client: -probe %v too small: need at least 4ns", *probe)
+	}
+	peers, err := parsePeers(*peersFlag, *n, *id)
+	if err != nil {
+		log.Fatalf("faust-client: %v", err)
+	}
 	// Tracing is always on in the interactive client: at human pace the
 	// recording cost is nil, every operation is retained (head 1-in-1),
 	// and the `trace` REPL command can inspect the last one. The keep bit
@@ -89,10 +97,6 @@ func main() {
 	var fclient *faustproto.Client
 	var uclient *ustor.Client
 	if *listen != "" {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
-			log.Fatalf("faust-client: %v", err)
-		}
 		mesh, err := offline.ListenTCP(*id, *listen, peers, time.Second)
 		if err != nil {
 			log.Fatalf("faust-client: %v", err)
@@ -133,7 +137,9 @@ func shardSuffix(shard string) string {
 	return fmt.Sprintf(" (shard %q)", shard)
 }
 
-func parsePeers(s string) (map[int]string, error) {
+// parsePeers parses -peers for client self of an n-client group: every id
+// must name another member of the group.
+func parsePeers(s string, n, self int) (map[int]string, error) {
 	peers := make(map[int]string)
 	if s == "" {
 		return peers, nil
@@ -146,6 +152,9 @@ func parsePeers(s string) (map[int]string, error) {
 		pid, err := strconv.Atoi(kv[0])
 		if err != nil {
 			return nil, fmt.Errorf("bad peer id %q: %w", kv[0], err)
+		}
+		if pid < 0 || pid >= n || pid == self {
+			return nil, fmt.Errorf("peer id %d must be in [0,%d) and not this client's -id %d", pid, n, self)
 		}
 		peers[pid] = kv[1]
 	}

@@ -12,10 +12,11 @@
 // # Batched dispatch
 //
 // Each shard dispatcher drains its inbox in arrival-order batches of up
-// to transport.DefaultMaxBatch messages: SUBMIT signatures verify in
-// parallel across GOMAXPROCS goroutines (with -verify), ops apply in
-// order, the WAL syncs once per batch, and replies coalesce into one
-// framed write per connection. A batch of one runs the same body.
+// to transport.DefaultMaxBatch messages. With -verify, each SUBMIT
+// signature of the batch gets one single check (crypto.VerifyBatch runs
+// them in a loop on the dispatcher goroutine); then ops apply in order,
+// the WAL syncs once per batch, and replies coalesce into one framed
+// write per connection. A batch of one runs the same body.
 //
 // Example:
 //
@@ -77,8 +78,7 @@
 //
 // -fsync makes WAL records survive power loss: off, state survives process
 // crashes (OS page cache); on, it also survives power loss. Its cost is
-// recorded under E15 in the README's "Retired experiments" and measured
-// by the reg-tcp-wal workload of benchmark/.
+// measured by the reg-tcp-wal workload of benchmark/.
 //
 // The WAL runs in group-commit mode by default (-group-commit=false
 // flushes every record on its own, a group commit of one): records
@@ -257,7 +257,6 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		obs.SetEnabled(true)
 		mln, mshut, err := obs.Serve(*metricsAddr, obs.Default())
 		if err != nil {
 			log.Fatalf("faust-server: metrics listen: %v", err)

@@ -93,7 +93,7 @@ func WithProbeTimeout(d time.Duration) ServiceOption {
 }
 
 // WithPollInterval sets the cadence of the background dummy-read and
-// probe loops.
+// probe loops. It must be positive.
 func WithPollInterval(d time.Duration) ServiceOption {
 	return func(s *Service) { s.cfg.PollInterval = d }
 }
@@ -114,18 +114,22 @@ func NewService(n int, opts ...ServiceOption) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faust: generating keys: %w", err)
 	}
-	return newService(n, ring, signers, opts...), nil
+	return newService(n, ring, signers, opts...)
 }
 
 // NewTestService creates an in-process service with deterministic keys
 // derived from seed. Intended for tests and benchmarks; the keys are not
-// secure.
+// secure. It panics on an option NewService would refuse.
 func NewTestService(n int, seed int64, opts ...ServiceOption) *Service {
 	ring, signers := crypto.NewTestKeyring(n, seed)
-	return newService(n, ring, signers, opts...)
+	s, err := newService(n, ring, signers, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
-func newService(n int, ring *crypto.Keyring, signers []*crypto.Signer, opts ...ServiceOption) *Service {
+func newService(n int, ring *crypto.Keyring, signers []*crypto.Signer, opts ...ServiceOption) (*Service, error) {
 	s := &Service{
 		n:       n,
 		ring:    ring,
@@ -138,8 +142,11 @@ func newService(n int, ring *crypto.Keyring, signers []*crypto.Signer, opts ...S
 	for _, o := range opts {
 		o(s)
 	}
+	if s.cfg.PollInterval <= 0 {
+		return nil, fmt.Errorf("faust: poll interval must be positive, got %v", s.cfg.PollInterval)
+	}
 	s.network = transport.NewNetwork(n, s.server)
-	return s
+	return s, nil
 }
 
 // N returns the number of clients the service supports.

@@ -95,6 +95,17 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
+// TestPollIntervalMustBePositive: a non-positive poll interval is refused
+// when the service is built, not discovered as a ticker panic in the
+// first Client's background loops.
+func TestPollIntervalMustBePositive(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		if _, err := NewService(2, WithPollInterval(d)); err == nil {
+			t.Errorf("NewService accepted poll interval %v", d)
+		}
+	}
+}
+
 func TestClientMemoized(t *testing.T) {
 	svc := testService(t, 2)
 	a, err := svc.Client(0)

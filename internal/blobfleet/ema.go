@@ -41,9 +41,7 @@ type backendState struct {
 	score float64
 	dead  bool
 
-	alivenessG *obs.Gauge   // score scaled to 0-1000
-	upG        *obs.Gauge   // 1 alive, 0 dead
-	errsC      *obs.Counter // failed ops after retries
+	upG *obs.Gauge // 1 alive, 0 dead
 }
 
 // BackendStatus is one backend's externally visible aliveness.
@@ -70,10 +68,9 @@ func (b *backendState) observe(ok bool) int {
 		b.dead = false
 		transition = +1
 	}
-	score, dead := b.score, b.dead
+	dead := b.dead
 	b.mu.Unlock()
 
-	b.alivenessG.Set(int64(score * 1000))
 	if dead {
 		b.upG.Set(0)
 	} else {
@@ -92,9 +89,7 @@ func (b *backendState) resurrect() bool {
 	if b.score < DefaultAliveAbove {
 		b.score = 1.0
 	}
-	score := b.score
 	b.mu.Unlock()
-	b.alivenessG.Set(int64(score * 1000))
 	b.upG.Set(1)
 	return was
 }

@@ -139,8 +139,7 @@ func New(backends []Backend, opts Options) (*Failover, error) {
 		st := &backendState{Backend: b, idx: i, score: 1.0}
 		st.putSpan = "fleet.put:" + b.Name
 		st.getSpan = "fleet.get:" + b.Name
-		st.alivenessG, st.upG, st.errsC = backendGauges(opts.Shard, b.Name)
-		st.alivenessG.Set(1000)
+		st.upG = backendGauge(opts.Shard, b.Name)
 		st.upG.Set(1)
 		f.backends = append(f.backends, st)
 	}
@@ -240,7 +239,6 @@ func (f *Failover) withRetries(ctx context.Context, deadline time.Time, op func(
 			break
 		}
 		f.retries.Add(1)
-		fmRetries.Inc()
 		retryStart := time.Now()
 		f.opts.Clock.Sleep(sleep)
 		trace.Event(ctx, spanFleetRetry, retryStart)
@@ -290,7 +288,6 @@ func (f *Failover) PutBlobCtx(ctx context.Context, hash, data []byte) error {
 		h.End()
 		f.report(b, err == nil)
 		if err != nil {
-			b.errsC.Inc()
 			errs = append(errs, fmt.Errorf("%s: %w", b.Name, err))
 			continue
 		}
@@ -351,11 +348,9 @@ func (f *Failover) GetBlobCtx(ctx context.Context, hash []byte) ([]byte, error) 
 				// The address commits the content: this replica is
 				// byzantine for this blob. Skip it, demote it, remember.
 				f.tamperSkips.Add(1)
-				fmTamperSkips.Inc()
 				f.events.Record(obs.EventBlobTamper, -1, f.opts.Shard,
 					fmt.Sprintf("backend %s served a corrupt payload for %x; skipped", b.Name, shortHash(hash)))
 				f.report(b, false)
-				b.errsC.Inc()
 				errs = append(errs, fmt.Errorf("%s: payload failed content-hash verification", b.Name))
 				return nil, false
 			}
@@ -367,7 +362,6 @@ func (f *Failover) GetBlobCtx(ctx context.Context, hash []byte) ([]byte, error) 
 			return nil, false
 		default:
 			f.report(b, false)
-			b.errsC.Inc()
 			errs = append(errs, fmt.Errorf("%s: %w", b.Name, err))
 			return nil, false
 		}
@@ -414,9 +408,6 @@ func (f *Failover) readRepair(ctx context.Context, hash, data []byte) {
 	f.report(primary, err == nil)
 	if err == nil {
 		f.readRepairs.Add(1)
-		fmReadRepairs.Inc()
-	} else {
-		primary.errsC.Inc()
 	}
 }
 
@@ -445,7 +436,6 @@ func (f *Failover) probe() {
 		}
 		_, err := b.Store.GetBlob(probeHash)
 		ok := err == nil || errors.Is(err, fs.ErrNotExist)
-		fmProbes[ok].Inc()
 		if !ok {
 			f.probesFailed.Add(1)
 			f.report(b, false)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	mathrand "math/rand/v2"
 	"sync"
+	"time"
 
 	"faust/internal/crypto/internal/edwards25519"
 	"faust/internal/obs"
@@ -164,7 +165,7 @@ func (s *Signer) Sign(domain byte, payload []byte) []byte {
 // sign is the one place an Ed25519 signature is made, so
 // faust_ed25519_sign_ns counts exactly the real ones.
 func (s *Signer) sign(msg []byte) [ed25519.SignatureSize]byte {
-	start := obs.StartTimer()
+	start := time.Now()
 	sc := kernelPool.Get().(*edwards25519.Scratch)
 	sig := s.key.Sign(sc, msg)
 	kernelPool.Put(sc)
@@ -442,7 +443,7 @@ func treeMessage(sig []byte, domain byte, payload []byte) (msg [1 + HashSize]byt
 // key's cached tables with pooled scratch, and its verdict is
 // ed25519.Verify's (see edwards25519.PublicKey.Verify).
 func (k *Keyring) verifyEd(i int, msg, sig []byte) bool {
-	start := obs.StartTimer()
+	start := time.Now()
 	sc := kernelPool.Get().(*edwards25519.Scratch)
 	ok := k.keys[i].Verify(sc, msg, sig)
 	kernelPool.Put(sc)

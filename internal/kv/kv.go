@@ -188,7 +188,7 @@ type Store struct {
 	nodes  byteCache[string, *node]         // verified, immutable tree nodes by content hash, charged their encoded size
 	values byteCache[valueKey, cachedValue] // CachedGetFrom's assembled remote values
 
-	stats  statCounters // lock-free; see metrics.go
+	stats  statCounters // lock-free; see stats.go
 	events *obs.EventLog
 }
 
@@ -222,7 +222,7 @@ func Open(reg Register, blobs transport.BlobChannel, opts ...Option) (*Store, er
 	if err != nil {
 		return nil, fmt.Errorf("kv: bootstrapping from own register: %w", err)
 	}
-	s.statRegisterRead()
+	s.stats.registerReads.Add(1)
 	if res.Value != nil {
 		rr, err := decodeRoot(res.Value)
 		if err != nil {
@@ -363,7 +363,7 @@ func (s *Store) PutBatch(ctx context.Context, items []Item) error {
 		if err := s.blobs.PutBlob(cctx, u.hash, u.data); err != nil {
 			return fmt.Errorf("kv: uploading chunk: %w", err)
 		}
-		s.statBlobPut(len(u.data))
+		s.stats.blobPut(len(u.data))
 		s.mu.Lock()
 		s.chunks.put(string(u.hash), append([]byte(nil), u.data...), len(u.data))
 		s.mu.Unlock()
@@ -425,7 +425,7 @@ func (s *Store) commit(ctx context.Context, newRoot *node) error {
 	s.root = newRoot
 	s.gen = rr.Gen
 	s.mu.Unlock()
-	s.statRegisterWrite()
+	s.stats.registerWrites.Add(1)
 	return nil
 }
 
@@ -475,7 +475,7 @@ func (s *Store) uploadDirty(ctx context.Context, root *node) error {
 			if err := s.blobs.PutBlob(nctx, h, enc); err != nil {
 				return fmt.Errorf("kv: uploading tree node: %w", err)
 			}
-			s.statBlobPut(len(enc))
+			s.stats.blobPut(len(enc))
 			n.hash = h
 			return nil
 		}); err != nil {
@@ -581,7 +581,7 @@ func (s *Store) CachedGetFrom(ctx context.Context, j int, key string) ([]byte, e
 	s.mu.Lock()
 	if cv, ok := s.values.get(k); ok {
 		if cv.ownerT == ownerT && bytes.Equal(crypto.Hash(cv.value), cv.digest) {
-			s.statValueCacheHit()
+			s.stats.valueHits.Add(1)
 			out := append([]byte(nil), cv.value...)
 			s.mu.Unlock()
 			return out, nil
@@ -601,7 +601,7 @@ func (s *Store) readRoot(ctx context.Context, j int) (*rootRecord, int64, error)
 	if err != nil {
 		return nil, 0, fmt.Errorf("kv: reading register %d: %w", j, err)
 	}
-	s.statRegisterRead()
+	s.stats.registerReads.Add(1)
 	// WriterTimestamp is the owner timestamp of THIS read (line 51 pins
 	// it to V[j] during the operation). Sampling ObservedTimestamp here
 	// instead would race with concurrent operations on the shared
@@ -784,7 +784,7 @@ func (s *Store) getNode(ctx context.Context, hash []byte) (*node, error) {
 	key := string(hash)
 	s.mu.Lock()
 	if n, ok := s.nodes.get(key); ok {
-		s.statNodeCacheHit()
+		s.stats.nodeHits.Add(1)
 		s.mu.Unlock()
 		return n, nil
 	}
@@ -804,7 +804,7 @@ func (s *Store) getNode(ctx context.Context, hash []byte) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.statBlobGet(len(blob))
+	s.stats.blobGet(len(blob))
 	s.mu.Lock()
 	s.nodes.put(key, n, len(blob))
 	s.mu.Unlock()
@@ -826,7 +826,7 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 		if cached, ok := s.chunks.get(string(h)); ok {
 			if bytes.Equal(crypto.Hash(cached), h) {
 				chunks[i] = cached
-				s.statChunkCacheHit()
+				s.stats.chunkHits.Add(1)
 				continue
 			}
 			// The validating part of the cache: a corrupted entry is
@@ -852,7 +852,7 @@ func (s *Store) assemble(ctx context.Context, e *entry) ([]byte, error) {
 				fmt.Sprintf("chunk %x fails its content hash", h))
 			return errors.New("kv: chunk digest mismatch (tampered chunk)")
 		}
-		s.statBlobGet(len(fetched))
+		s.stats.blobGet(len(fetched))
 		s.mu.Lock()
 		s.chunks.put(string(h), append([]byte(nil), fetched...), len(fetched))
 		s.mu.Unlock()

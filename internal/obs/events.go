@@ -101,26 +101,13 @@ func NewEventLog(capacity int) *EventLog {
 	}
 }
 
-// SetClock replaces the timestamp source. Intended for tests.
-func (l *EventLog) SetClock(now func() time.Time) {
+// Record appends an event, stamping sequence number and time. Safe for
+// concurrent use; sequence numbers are strictly increasing and assigned
+// in timestamp order (both under the same lock).
+func (l *EventLog) Record(kind EventKind, client int, shard, detail string) {
 	l.mu.Lock()
-	l.now = now
+	l.stamp(kind, client, shard, detail)
 	l.mu.Unlock()
-}
-
-// Record appends an event, stamping sequence number and time. It returns
-// the stamped event. Safe for concurrent use; sequence numbers are
-// strictly increasing and assigned in timestamp order (both under the same
-// lock).
-func (l *EventLog) Record(kind EventKind, client int, shard, detail string) Event {
-	if !enabled.Load() {
-		return Event{}
-	}
-	l.mu.Lock()
-	e := *l.stamp(kind, client, shard, detail)
-	l.mu.Unlock()
-	e.cut = nil // ring storage: must not escape the lock
-	return e
 }
 
 // RecordCut appends a stability-cut-advance event carrying the new cut W.
@@ -128,9 +115,6 @@ func (l *EventLog) Record(kind EventKind, client int, shard, detail string) Even
 // the detail ("W=[...]") is rendered by Snapshot, not here; cut is copied
 // into the ring slot's reused storage and stays the caller's.
 func (l *EventLog) RecordCut(client int, cut []int64) {
-	if !enabled.Load() {
-		return
-	}
 	l.mu.Lock()
 	e := l.stamp(EventStabilityCut, client, "", "")
 	e.cut = append(e.cut[:0], cut...)
@@ -184,16 +168,6 @@ func (l *EventLog) Snapshot() []Event {
 		e.cut = nil // ring storage: must not escape the lock
 	}
 	return out
-}
-
-// Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.full {
-		return l.cap
-	}
-	return l.next
 }
 
 // Total returns the lifetime count of events of the given kind, including

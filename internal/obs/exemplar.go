@@ -15,8 +15,8 @@ import (
 // (trace.Configure); with tracing off or no threshold set, exemplars
 // cost one atomic load per observation and store nothing.
 
-// Exemplar is one over-threshold observation with its trace.
-type Exemplar struct {
+// exemplar is one over-threshold observation with its trace.
+type exemplar struct {
 	Trace trace.TraceID
 	Value int64 // the observed value, nanoseconds
 	At    int64 // unix nanoseconds when observed
@@ -28,7 +28,7 @@ type Exemplar struct {
 // map is reached only on the rare over-threshold path and on scrapes,
 // never on the plain Observe hot path.
 type exemplarSlot struct {
-	p atomic.Pointer[Exemplar]
+	p atomic.Pointer[exemplar]
 }
 
 var exemplarSlots = struct {
@@ -47,47 +47,24 @@ func exemplarOf(h *Histogram, create bool) *exemplarSlot {
 	return s
 }
 
-// ObserveExemplar records v and, when v meets the tracing slow
-// threshold and id is present, remembers (id, v) as the histogram's
-// exemplar.
-func (h *Histogram) ObserveExemplar(v int64, id trace.TraceID) {
+// ObserveSinceExemplar is ObserveSince with an exemplar: it records the
+// nanoseconds elapsed since start and, when they meet the tracing slow
+// threshold and id is present, remembers (id, elapsed) as the
+// histogram's exemplar.
+func (h *Histogram) ObserveSinceExemplar(start time.Time, id trace.TraceID) {
+	v := time.Since(start).Nanoseconds()
 	h.Observe(v)
 	slow := trace.SlowNs()
 	if slow <= 0 || v < slow || id.IsZero() {
 		return
 	}
-	e := &Exemplar{Trace: id, Value: v, At: time.Now().UnixNano()}
+	e := &exemplar{Trace: id, Value: v, At: time.Now().UnixNano()}
 	exemplarOf(h, true).p.Store(e)
 }
 
-// ObserveSinceExemplar is ObserveSince with an exemplar: it records the
-// elapsed time since start (no-op for the zero start tracing/metrics
-// disabled paths) and attaches id when over threshold.
-func (h *Histogram) ObserveSinceExemplar(start time.Time, id trace.TraceID) {
-	if start.IsZero() {
-		return
-	}
-	h.ObserveExemplar(int64(time.Since(start)), id)
-}
-
-// ObserveExemplarAlways records v and, when id is present, remembers
-// (id, v) as the histogram's exemplar regardless of the tracing slow
-// threshold. The threshold is a latency notion; histograms of other
-// quantities (dispatch batch sizes, queue depths) decide for themselves
-// which observations deserve a trace link and pass a zero id for the
-// rest.
-func (h *Histogram) ObserveExemplarAlways(v int64, id trace.TraceID) {
-	h.Observe(v)
-	if id.IsZero() {
-		return
-	}
-	e := &Exemplar{Trace: id, Value: v, At: time.Now().UnixNano()}
-	exemplarOf(h, true).p.Store(e)
-}
-
-// ExemplarOf returns the histogram's most recent over-threshold
+// latestExemplar returns the histogram's most recent over-threshold
 // exemplar, nil when none was recorded.
-func ExemplarOf(h *Histogram) *Exemplar {
+func latestExemplar(h *Histogram) *exemplar {
 	s := exemplarOf(h, false)
 	if s == nil {
 		return nil

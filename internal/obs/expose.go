@@ -152,7 +152,7 @@ func writePromHistogram(w io.Writer, m *metric, emitHeader func(w io.Writer, fam
 	// The most recent over-threshold observation's trace ID, as a comment
 	// so plain 0.0.4 parsers skip it: the link from "the p999 spiked" to
 	// the retained trace that did it (GET /trace).
-	if e := ExemplarOf(m.h); e != nil {
+	if e := latestExemplar(m.h); e != nil {
 		fmt.Fprintf(w, "# EXEMPLAR %s%s trace_id=%s value=%g ts=%d\n",
 			m.family, m.labels, e.Trace.String(), float64(e.Value)/1e9, e.At)
 	}

@@ -96,12 +96,9 @@ func bucketUpper(idx int) int64 {
 }
 
 // Observe records one value. It is safe for concurrent use and costs three
-// atomic adds (plus one conditional store for the max) when enabled, on a
-// lane that concurrent observers mostly don't share.
+// atomic adds (plus one conditional store for the max), on a lane that
+// concurrent observers mostly don't share.
 func (h *Histogram) Observe(v int64) {
-	if !enabled.Load() {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -149,21 +146,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge adds other's observations into s.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
-	s.Count += other.Count
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	if s.Buckets == nil {
-		s.Buckets = make(map[int]int64)
-	}
-	for i, n := range other.Buckets {
-		s.Buckets[i] += n
-	}
-}
-
 // Quantile returns the value at quantile q (0 < q <= 1) as the upper bound
 // of the bucket containing the q-th ranked observation — an overestimate
 // by at most the bucket's relative width (1/64). Returns 0 for an empty
@@ -198,19 +180,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	}
 	return s.Max
 }
-
-// Mean returns the arithmetic mean of the observations, 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// P50, P99, P999 are the quantiles the bench trajectory tracks.
-func (s HistSnapshot) P50() int64  { return s.Quantile(0.50) }
-func (s HistSnapshot) P99() int64  { return s.Quantile(0.99) }
-func (s HistSnapshot) P999() int64 { return s.Quantile(0.999) }
 
 // sortInts is an insertion sort; snapshots have at most a few dozen
 // non-empty buckets, where this beats the generic sort on allocations.

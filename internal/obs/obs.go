@@ -22,20 +22,6 @@ import (
 	"time"
 )
 
-// enabled gates every observation site. It defaults to on; flipping it
-// off is how instrumentation overhead is measured.
-// Reads are a single atomic load, so the gate itself is nearly free.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns observation on or off process-wide. Metric handles stay
-// valid either way; disabled handles simply drop observations.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether observation is currently on.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing lock-free counter. The zero value
 // is ready to use, but counters obtained from a Registry are also exported
 // over /metrics; prefer those for anything an operator should see.
@@ -44,69 +30,29 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if enabled.Load() {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be non-negative for the exposition to stay monotonic;
 // this is not enforced).
-func (c *Counter) Add(n int64) {
-	if enabled.Load() {
-		c.v.Add(n)
-	}
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a lock-free instantaneous value (current connections, in-flight
-// requests). Unlike Counter it may go down.
+// Gauge is a lock-free instantaneous value (a backend's rotation
+// membership). Unlike Counter it may go down.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if enabled.Load() {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (negative to decrement).
-func (g *Gauge) Add(n int64) {
-	if enabled.Load() {
-		g.v.Add(n)
-	}
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// StartTimer returns the current time when observation is enabled and the
-// zero time otherwise. Paired with Histogram.ObserveSince it keeps fully
-// disabled hot paths free of clock reads.
-func StartTimer() time.Time {
-	if !enabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// ObserveSince records the nanoseconds elapsed since start, dropping the
-// observation when start is the zero time (i.e. observation was disabled
-// when the timer started).
+// ObserveSince records the nanoseconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) {
-	if start.IsZero() {
-		return
-	}
 	h.Observe(time.Since(start).Nanoseconds())
 }
 

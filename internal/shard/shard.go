@@ -29,26 +29,10 @@ import (
 
 	"faust/internal/blobfleet"
 	"faust/internal/crypto"
-	"faust/internal/obs"
 	"faust/internal/store"
 	"faust/internal/transport"
 	"faust/internal/ustor"
 )
-
-// Router-level observability: how many tenants are live. (Refused
-// handshakes are counted by the transport; the per-tenant op counters
-// live in the transport dispatcher, which labels them with the shard name
-// this router resolved.)
-var (
-	rmShardsOpen    = obs.Default().Gauge("faust_shards_open")
-	rmShardsCreated = obs.Default().Counter("faust_shards_created_total")
-)
-
-func init() {
-	r := obs.Default()
-	r.Help("faust_shards_open", "shard instances currently instantiated")
-	r.Help("faust_shards_created_total", "shard instantiations since process start")
-}
 
 // Spec declares one shard.
 type Spec struct {
@@ -288,8 +272,6 @@ func (r *Router) instantiate(sp Spec) (*instance, error) {
 			inst, err = nil, errClosed
 		} else {
 			r.open[sp.Name] = inst
-			rmShardsCreated.Inc()
-			rmShardsOpen.Set(int64(len(r.open)))
 		}
 	}
 	r.mu.Unlock()
@@ -435,7 +417,6 @@ func (r *Router) Close() error {
 		return nil
 	}
 	r.closed = true
-	rmShardsOpen.Set(0)
 	var errs []error
 	for name, inst := range r.open {
 		inst.closeBlobs()

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"faust/internal/obs"
 	"faust/internal/wire"
 )
 
@@ -447,11 +446,7 @@ func (b *FileBackend) flushLocked() error {
 	wal, off, preallocEnd := b.wal, b.off, b.preallocEnd
 	b.mu.Unlock()
 
-	start := obs.StartTimer()
 	err := writeBatch(wal, batch, off, &preallocEnd, b.opts.Fsync)
-	smFlushNs.ObserveSince(start)
-	smBatchBytes.Observe(int64(len(batch)))
-	smFlushes.Inc()
 
 	b.mu.Lock()
 	b.spare = batch[:0]
@@ -495,7 +490,7 @@ func writeBatch(wal file, batch []byte, off int64, preallocEnd *int64, sync bool
 		return fmt.Errorf("store: appending WAL batch: %w", err)
 	}
 	if sync {
-		start := obs.StartTimer()
+		start := time.Now()
 		err := wal.Sync()
 		smFsyncNs.ObserveSince(start)
 		if err != nil {

@@ -42,15 +42,12 @@ import (
 // untouched.
 
 // DefaultMaxBatch caps how many envelopes one drain may take when the
-// transport was not configured otherwise. Large enough to amortize fsync
-// and batch verification, small enough to bound the latency a first-in
-// op waits for its batchmates' apply stage.
+// transport was not configured otherwise. Large enough to amortize the
+// WAL fsync across a batch, small enough to bound the latency a first-in
+// op waits for its batchmates' verify and apply stages: with -verify,
+// every SUBMIT costs one single signature check on the dispatcher
+// goroutine, so verification is paid per op, not per batch.
 const DefaultMaxBatch = 64
-
-// oversizedBatch is the size from which a drained batch is considered
-// queue-pressure evidence worth linking to a trace: the batch-size
-// histogram then records the batch's first traced SUBMIT as its exemplar.
-const oversizedBatch = 32
 
 // BatchCore is an optional ServerCore extension for cores whose
 // durability barrier can cover many operations at once. The dispatcher
@@ -186,27 +183,8 @@ func (h *hub) run(maxBatch int) {
 			}
 			continue
 		}
-		observeBatchSize(batch)
 		h.runBatch(batch)
 	}
-}
-
-// observeBatchSize feeds the dispatch batch-size histogram; oversized
-// batches pin their first traced SUBMIT as the histogram exemplar so a
-// queue-pressure spike links straight to a trace of an op that sat in it.
-func observeBatchSize(batch []envelope) {
-	var tid trace.TraceID
-	if len(batch) >= oversizedBatch {
-		for i := range batch {
-			if s, ok := batch[i].msg.(*wire.Submit); ok {
-				if id := exemplarID(s.Inv.Trace); !id.IsZero() {
-					tid = id
-					break
-				}
-			}
-		}
-	}
-	tmBatchSize.ObserveExemplarAlways(int64(len(batch)), tid)
 }
 
 const submitRejectDetail = "SUBMIT signature verification failed"
@@ -244,7 +222,7 @@ func (h *hub) runBatch(batch []envelope) {
 			op.isSubmit = true
 			op.ctx, op.h = joinWireTrace(context.Background(), m.Inv.Trace, true, spanSrvSubmit)
 			trace.Event(op.ctx, spanQueue, e.enq)
-			op.start = obs.StartTimer()
+			op.start = time.Now()
 			op.tid = exemplarID(m.Inv.Trace)
 			if h.ring != nil {
 				if m.Inv.Client != e.from {
@@ -305,7 +283,7 @@ func (h *hub) runBatch(batch []envelope) {
 				op.reply = h.core.HandleSubmit(op.ctx, e.from, m)
 			}
 		case *wire.Commit:
-			start := obs.StartTimer()
+			start := time.Now()
 			h.core.HandleCommit(context.Background(), e.from, m)
 			tmCommitNs.ObserveSince(start)
 		default:

@@ -165,10 +165,7 @@ func TestAllocBudgetDispatchBatchOfOne(t *testing.T) {
 		h := quietHub(setup.core, setup.ring, &sent)
 		batch := []envelope{{from: 0, msg: signedSubmit(signers[0], 0, 1)}}
 		const runs = 200
-		got := testing.AllocsPerRun(runs, func() {
-			observeBatchSize(batch)
-			h.runBatch(batch)
-		})
+		got := testing.AllocsPerRun(runs, func() { h.runBatch(batch) })
 		if got != 0 {
 			t.Errorf("%s: a batch of one costs %.0f allocations in the dispatcher, want 0", name, got)
 		}

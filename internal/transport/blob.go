@@ -264,12 +264,10 @@ func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte)
 		_ = conn.Close()
 		return
 	}
-	tmConnsBlob.Inc()
 	defer func() {
 		s.mu.Lock()
 		delete(s.blobConns, conn)
 		s.mu.Unlock()
-		tmConnsBlob.Dec()
 		_ = conn.Close()
 	}()
 
@@ -284,7 +282,6 @@ func (s *TCPServer) serveBlobConn(conn net.Conn, br *bufio.Reader, hello []byte)
 		if err != nil {
 			return
 		}
-		tmBlobReqs.Inc()
 		resp := serveBlobMsg(sh.Blobs, msg)
 		if resp == nil {
 			return // non-blob message on a blob connection: protocol error
@@ -413,8 +410,6 @@ func (c *tcpBlobChannel) roundTrip(build func(id uint32) wire.Message) (wire.Mes
 	ch := make(chan wire.Message, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
-	tmBlobInflight.Inc()
-	defer tmBlobInflight.Dec()
 
 	if err := writeFramedMsg(c.conn, &c.wmu, build(id)); err != nil {
 		c.mu.Lock()

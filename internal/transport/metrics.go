@@ -7,11 +7,6 @@ import "faust/internal/obs"
 // process-wide default registry, which cmd/faust-server exposes via
 // -metrics-addr.
 var (
-	// Post-handshake connections currently registered, by connection kind
-	// (protocol connections vs bulk blob-channel connections).
-	tmConnsProto = obs.Default().Gauge("faust_transport_conns", "kind", "proto")
-	tmConnsBlob  = obs.Default().Gauge("faust_transport_conns", "kind", "blob")
-
 	// Frames moved on TCP connections, by direction relative to this
 	// process ("out" counts every framed message written, on either side
 	// of the wire; "in" counts frames read by server-side loops).
@@ -32,36 +27,16 @@ var (
 	tmSubmitNs = obs.Default().Histogram("faust_ustor_op_latency_ns", "op", "submit")
 	tmCommitNs = obs.Default().Histogram("faust_ustor_op_latency_ns", "op", "commit")
 
-	// Batched dispatch: how many envelopes each inbox drain took (the
-	// distribution shows how much amortization load actually buys) and
-	// how many SUBMITs the opt-in signature check
-	// turned away. Oversized drains pin a trace exemplar on the size
-	// histogram — see observeBatchSize.
-	tmBatchSize     = obs.Default().Histogram("faust_dispatch_batch_size")
+	// SUBMITs the opt-in dispatcher signature check turned away.
 	tmVerifyRejects = obs.Default().Counter("faust_verify_reject_total")
-
-	// Client-side blob-channel pipelining depth and server-side request
-	// volume of the bulk channel.
-	tmBlobInflight = obs.Default().Gauge("faust_blob_inflight")
-	tmBlobReqs     = obs.Default().Counter("faust_blob_requests_total")
-
-	// Fresh connections consumed by RedialBlobChannel wrappers after a
-	// poisoned channel (one increment per redial attempt, successful or
-	// not).
-	tmBlobRedials = obs.Default().Counter("faust_blob_redials_total")
 )
 
 func init() {
 	r := obs.Default()
-	r.Help("faust_transport_conns", "post-handshake TCP connections currently registered")
 	r.Help("faust_transport_frames_total", "framed messages moved on TCP connections")
 	r.Help("faust_transport_handshakes_total", "TCP handshake outcomes")
 	r.Help("faust_ustor_op_latency_ns", "server-side handler latency per dispatched operation, nanoseconds")
-	r.Help("faust_dispatch_batch_size", "envelopes drained per dispatcher batch")
 	r.Help("faust_verify_reject_total", "SUBMITs dropped by dispatcher-side signature verification")
-	r.Help("faust_blob_inflight", "blob-channel requests currently in flight (client side)")
-	r.Help("faust_blob_requests_total", "blob-channel requests served (server side)")
-	r.Help("faust_blob_redials_total", "blob-channel redials after connection failures (client side)")
 	r.Help("faust_shard_ops_total", "operations dispatched per shard")
 }
 

@@ -129,7 +129,6 @@ func (r *RedialBlobChannel) do(ctx context.Context, op func(ch BlobChannel) erro
 		if ctx.Err() != nil {
 			return fmt.Errorf("transport: blob channel: %w (last error: %w)", ctx.Err(), lastErr)
 		}
-		tmBlobRedials.Inc()
 		if attempt < DefaultRedialAttempts {
 			redialStart := time.Now()
 			r.clk.Sleep(backoff)

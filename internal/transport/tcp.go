@@ -488,7 +488,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	tmConnsProto.Inc()
 	defer func() {
 		// Unregister only if this connection is still the current one for
 		// the ID — a newer handshake may have replaced (and closed) it.
@@ -497,7 +496,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			delete(rt.conns, id)
 		}
 		rt.mu.Unlock()
-		tmConnsProto.Dec()
 		_ = conn.Close()
 	}()
 

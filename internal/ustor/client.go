@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"faust/internal/crypto"
 	"faust/internal/obs"
@@ -306,7 +307,7 @@ func (c *Client) round(ctx context.Context, op wire.OpCode, reg int, x []byte) (
 	ctx, sp := trace.Start(ctx, name)
 	defer sp.End()
 	tc := transport.WireTrace(ctx)
-	start := obs.StartTimer()
+	start := time.Now()
 	defer func() { hist.ObserveSinceExemplar(start, traceExemplar(tc)) }()
 
 	_, hs := trace.Child(ctx, spanSign)
